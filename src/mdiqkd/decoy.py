@@ -26,8 +26,8 @@ closed-form totals of the weight distributions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .source import (
     TriggerClass,
     damped_total,
     photon_weight,
-    trigger_prob,
-    vacuum_weight,
 )
 
 __all__ = [
@@ -54,6 +52,7 @@ __all__ = [
     "pair_coefficients",
     "interior_tail",
     "series_terms",
+    "y11_coefficients",
     "y11_lower_bound",
     "symmetric_condition",
     "s11_gains",
@@ -304,6 +303,46 @@ def _unavailable(k: float = math.nan, denom: float = math.nan) -> Y11Bound:
     )
 
 
+def y11_coefficients(
+    wa: SideWeights, wb: SideWeights, sa: SideWeights, sb: SideWeights
+) -> tuple[float, float, bool, float]:
+    """The weight-only half of the Y[1][1] bound: what licenses it.
+
+    Takes the side weights of the weak (wa, wb) and strong (sa, sb)
+    settings and returns (k, denominator, swapped, coefficient_margin)
+    as y11_lower_bound reports them: after canonicalisation, so when
+    swapped is set k and the denominator refer to the exchanged roles.
+    The margin is inf exactly when the bound is unavailable: the (1,2)
+    and (2,1) coefficients cannot cancel (k and denominator are then
+    nan) or the denominator is not negative.  The bound is licensed
+    when the margin is at most COEFF_REL_TOL.
+    """
+    num_k = sa.a[1] * sb.a[2] + sa.a[2] * sb.a[1]
+    den_k = wa.a[1] * wb.a[2] + wa.a[2] * wb.a[1]
+    if num_k <= 0.0 or den_k <= 0.0:
+        return math.nan, math.nan, False, math.inf
+    k = num_k / den_k
+    swapped = False
+    denom = k * wa.a[1] * wb.a[1] - sa.a[1] * sb.a[1]
+    if denom > 0.0:
+        wa, wb, sa, sb = sa, sb, wa, wb
+        k = 1.0 / k
+        denom = k * wa.a[1] * wb.a[1] - sa.a[1] * sb.a[1]
+        swapped = True
+    if denom >= 0.0:
+        return k, denom, swapped, math.inf
+
+    coeff_weak = np.outer(wa.a, wb.a)
+    coeff_strong = np.outer(sa.a, sb.a)
+    combined = coeff_strong - k * coeff_weak
+    scale = np.maximum(np.maximum(coeff_strong, k * coeff_weak), 1e-300)
+    rel = combined / scale
+    rel[0, :] = -math.inf
+    rel[:, 0] = -math.inf
+    rel[1, 1] = -math.inf
+    return k, denom, swapped, float(rel.max())
+
+
 def y11_lower_bound(
     gains: GainTable,
     weak: tuple[SourceSpec, SourceSpec],
@@ -330,33 +369,12 @@ def y11_lower_bound(
     wb = side_weights(weak[1], cutoff)
     sa = side_weights(strong[0], cutoff)
     sb = side_weights(strong[1], cutoff)
-
-    num_k = sa.a[1] * sb.a[2] + sa.a[2] * sb.a[1]
-    den_k = wa.a[1] * wb.a[2] + wa.a[2] * wb.a[1]
-    if num_k <= 0.0 or den_k <= 0.0:
-        return _unavailable()
-    k = num_k / den_k
-    swapped = False
-    denom = k * wa.a[1] * wb.a[1] - sa.a[1] * sb.a[1]
-    if denom > 0.0:
+    k, denom, swapped, margin = y11_coefficients(wa, wb, sa, sb)
+    if margin == math.inf:
+        return _unavailable(k, denom)
+    if swapped:
         wa, wb, sa, sb = sa, sb, wa, wb
         weak, strong = strong, weak
-        k = 1.0 / k
-        denom = k * wa.a[1] * wb.a[1] - sa.a[1] * sb.a[1]
-        swapped = True
-    if denom >= 0.0:
-        return _unavailable(k, denom)
-
-    coeff_weak = np.outer(wa.a, wb.a)
-    coeff_strong = np.outer(sa.a, sb.a)
-    combined = coeff_strong - k * coeff_weak
-    scale = np.maximum(np.maximum(coeff_strong, k * coeff_weak), 1e-300)
-    rel = combined / scale
-    rel[0, :] = -math.inf
-    rel[:, 0] = -math.inf
-    rel[1, 1] = -math.inf
-    margin = float(rel.max())
-    conditions_ok = margin <= COEFF_REL_TOL
 
     s_weak, vac_weak, tail_weak = series_terms(gains, weak, basis)
     s_strong, vac_strong, tail_strong = series_terms(gains, strong, basis)
@@ -372,7 +390,7 @@ def y11_lower_bound(
         value=value,
         k_factor=k,
         denominator=denom,
-        conditions_ok=conditions_ok,
+        conditions_ok=margin <= COEFF_REL_TOL,
         coefficient_margin=margin,
         clamped=(raw != value),
         tail=tail,

@@ -22,16 +22,22 @@ single-photon-pair yield and error straight from the simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from .decoy import (
+    COEFF_REL_TOL,
     BoundUnavailableError,
     GainTable,
+    SideWeights,
     e11_upper_bound,
     gain_from_yields,
     side_weights,
     single_pair_gain,
+    y11_coefficients,
     y11_lower_bound,
 )
 from .optics import Basis, LinkSpec, YieldTable, yield_table
@@ -54,6 +60,7 @@ __all__ = [
     "key_rate",
     "basis_tables",
     "rate_for_scenario",
+    "grid_rates",
 ]
 
 DEFAULT_ERROR_CORRECTION = 1.16
@@ -113,6 +120,12 @@ class ScenarioKind:
     def coupled_mu(self) -> bool:
         """Whether the weak intensity tracks mu = (1 - eta) mu_prime."""
         return self.name in ("H1", "T1")
+
+    def weak_intensity(self, mu_prime, mu_fixed: float):
+        """The weak intensity paired with mu_prime (a float or an array)."""
+        if self.coupled_mu:
+            return (1.0 - self.heralding_efficiency) * mu_prime
+        return mu_fixed
 
 
 @dataclass(frozen=True)
@@ -191,6 +204,14 @@ def _heralding(scenario: ScenarioKind) -> HeraldingDetector | None:
     return HeraldingDetector(scenario.heralding_efficiency, scenario.heralding_dark_rate)
 
 
+def _classes(scenario: ScenarioKind) -> tuple[TriggerClass, TriggerClass, TriggerClass]:
+    """Event classes of the scenario's signal, weak and strong records."""
+    signal_cls = TriggerClass.TRIGGERED if scenario.heralded else TriggerClass.ALL
+    if scenario.coupled_mu:
+        return signal_cls, TriggerClass.TRIGGERED, TriggerClass.NON_TRIGGERED
+    return signal_cls, signal_cls, signal_cls
+
+
 def _record_grid(
     table_z: YieldTable,
     table_x: YieldTable,
@@ -233,7 +254,7 @@ def rate_for_scenario(
     table_z, table_x = tables
     kind = scenario.distribution
     heralding = _heralding(scenario)
-    signal_cls = TriggerClass.TRIGGERED if scenario.heralded else TriggerClass.ALL
+    signal_cls, weak_cls, strong_cls = _classes(scenario)
 
     def src(intensity: float, cls: TriggerClass) -> SourceSpec:
         return SourceSpec(kind, intensity, heralding, cls)
@@ -267,10 +288,6 @@ def rate_for_scenario(
     else:
         if not mu > 0.0:
             raise ValueError(f"weak intensity must be > 0, got {mu}")
-        if scenario.coupled_mu:
-            weak_cls, strong_cls = TriggerClass.TRIGGERED, TriggerClass.NON_TRIGGERED
-        else:
-            weak_cls = strong_cls = signal_cls
         weak = (src(mu, weak_cls), src(mu, weak_cls))
         strong = (src(mu_prime, strong_cls), src(mu_prime, strong_cls))
         gains = _record_grid(table_z, table_x, kind, heralding, [weak, strong])
@@ -313,3 +330,199 @@ def rate_for_scenario(
         valid=True,
         reason="",
     )
+
+
+class _Sides(NamedTuple):
+    """Side weights of one record side stacked over grid points.
+
+    a and vac have one row per point (or a single row shared by every
+    point) and cutoff + 1 columns; vac0 has one entry per row.
+    """
+
+    a: np.ndarray
+    vac: np.ndarray
+    vac0: np.ndarray
+
+
+def _stack(weights: list[SideWeights]) -> _Sides:
+    return _Sides(
+        np.array([w.a for w in weights]),
+        np.array([w.vac for w in weights]),
+        np.array([w.vac_at_zero for w in weights]),
+    )
+
+
+class _GridConstants(NamedTuple):
+    """The link-independent part of grid_rates for one intensity grid.
+
+    usable marks the points rate_for_scenario does not reject outright
+    (positive intensities); the others carry placeholder weights.  The
+    estimated scenarios also need the weak and strong sides with their
+    zero-intensity counterparts and the Y11 coefficients of
+    decoy.y11_coefficients.
+    """
+
+    usable: np.ndarray
+    signal: _Sides
+    pq: np.ndarray
+    weak: _Sides | None = None
+    weak_zero: _Sides | None = None
+    strong: _Sides | None = None
+    strong_zero: _Sides | None = None
+    k: np.ndarray | None = None
+    denom: np.ndarray | None = None
+    swapped: np.ndarray | None = None
+    licensed: np.ndarray | None = None
+
+
+# keyed by the intensities and heralding only, so every link of a scan
+# or relay sweep shares one entry per scenario
+@lru_cache(maxsize=32)
+def _grid_constants(
+    scenario: ScenarioKind, mu_primes: tuple[float, ...], mu_fixed: float, cutoff: int
+) -> _GridConstants:
+    kind = scenario.distribution
+    heralding = _heralding(scenario)
+    signal_cls, weak_cls, strong_cls = _classes(scenario)
+    mp = np.array(mu_primes)
+    mu = np.broadcast_to(scenario.weak_intensity(mp, mu_fixed), mp.shape)
+    usable = mp > 0.0
+    if not scenario.asymptotic:
+        usable &= mu > 0.0
+    mp = np.where(usable, mp, 1.0).tolist()
+    mu = np.where(usable, mu, 1.0).tolist()
+
+    def weights(intensities: list[float], cls: TriggerClass) -> list[SideWeights]:
+        return [_side_weights(SourceSpec(kind, x, heralding, cls), cutoff) for x in intensities]
+
+    signal = _stack(weights(mp, signal_cls))
+    q1 = trigger_prob(heralding, 1) if heralding is not None else 1.0
+    p1 = np.array([photon_weight(kind, x, 1) for x in mp])
+    pq = (q1 * q1) * (p1 * p1)
+    if scenario.asymptotic:
+        return _GridConstants(usable, signal, pq)
+
+    weak = weights(mu, weak_cls)
+    strong = weights(mp, strong_cls)
+    coeffs = [y11_coefficients(w, w, st, st) for w, st in zip(weak, strong)]
+    k, denom, swapped, margin = (np.array(col) for col in zip(*coeffs))
+    return _GridConstants(
+        usable,
+        signal,
+        pq,
+        weak=_stack(weak),
+        weak_zero=_stack(weights([0.0], weak_cls)),
+        strong=_stack(strong),
+        strong_zero=_stack(weights([0.0], strong_cls)),
+        k=k,
+        denom=denom,
+        swapped=swapped,
+        licensed=margin <= COEFF_REL_TOL,
+    )
+
+
+def _stacked_gains(alice: _Sides, bob: _Sides, mats: np.ndarray) -> np.ndarray:
+    """gain_from_yields' double series for every grid point at once.
+
+    mats stacks (cutoff + 1)-square tables; the result has one row per
+    table and one column per grid point.
+    """
+    interior = ((alice.a[:, 1:] @ mats[:, 1:, 1:]) * bob.a[:, 1:]).sum(axis=-1)
+    rows = bob.vac0 * (mats[:, :, 0] @ alice.vac.T)
+    rows = rows + alice.vac0 * (mats[:, 0, :] @ bob.vac.T)
+    rows = rows - alice.vac0 * bob.vac0 * mats[:, 0, 0, None]
+    return interior + rows
+
+
+def _pair_records(side: _Sides, zero: _Sides, mats: np.ndarray) -> list[np.ndarray]:
+    """The (x, x), (x, 0), (0, x) and (0, 0) records of a symmetric pair."""
+    return [
+        _stacked_gains(side, side, mats),
+        _stacked_gains(side, zero, mats),
+        _stacked_gains(zero, side, mats),
+        _stacked_gains(zero, zero, mats),
+    ]
+
+
+def _qber(gain: np.ndarray, wrong: np.ndarray) -> np.ndarray:
+    return np.where(gain > 0.0, wrong / gain, 0.0)
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """binary_entropy elementwise; entries outside [0, 1] come out nan."""
+    q = 1.0 - p
+    h = -(p * np.log(p) + q * np.log(q)) / _LOG2
+    return np.where((p == 0.0) | (p == 1.0), 0.0, h)
+
+
+def grid_rates(
+    scenario: ScenarioKind,
+    link: LinkSpec,
+    mu_fixed: float,
+    mu_primes: np.ndarray,
+    tables: tuple[YieldTable, YieldTable],
+    f_ec: float = DEFAULT_ERROR_CORRECTION,
+) -> np.ndarray:
+    """rate_for_scenario's rate at every signal intensity of a grid, in one array pass.
+
+    tables are basis_tables(link).  Each point pairs mu_prime with
+    scenario.weak_intensity(mu_prime, mu_fixed).  Points where
+    rate_for_scenario returns an invalid point or raises read -inf.
+    The series are summed in a different order than the scalar path,
+    so rates agree with it to float rounding only: they rank grid
+    points, and reported values come from rate_for_scenario.
+    Everything that depends only on the intensities and heralding is
+    cached per (scenario, grid, mu_fixed, cutoff); per link only the
+    gains and the bound algebra are computed.
+    """
+    table_z, table_x = tables
+    grid = np.asarray(mu_primes, dtype=float)
+    if not f_ec >= 1.0:
+        return np.full(grid.shape, -math.inf)
+    const = _grid_constants(scenario, tuple(grid.tolist()), mu_fixed, link.cutoff)
+    # per basis, the yields and the error-weighted yields
+    mats = np.stack([
+        table_z.yields,
+        table_z.yields * table_z.errors,
+        table_x.yields,
+        table_x.yields * table_x.errors,
+    ])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain_z, wrong_z = _stacked_gains(const.signal, const.signal, mats[:2])
+        qber_z = _qber(gain_z, wrong_z)
+        valid = const.usable & (gain_z >= 0.0) & (qber_z >= 0.0) & (qber_z <= 1.0)
+        if scenario.asymptotic:
+            y11 = float(table_z.yields[1, 1])
+            e11 = float(table_x.errors[1, 1])
+        else:
+            weak = _pair_records(const.weak, const.weak_zero, mats)
+            strong = _pair_records(const.strong, const.strong_zero, mats)
+
+            def y11_bound(row: int) -> np.ndarray:
+                s_weak, s_strong = (
+                    full[row] - (row_x[row] + row_y[row] - corner[row])
+                    for full, row_x, row_y, corner in (weak, strong)
+                )
+                lead = np.where(const.swapped, s_strong, s_weak)
+                other = np.where(const.swapped, s_weak, s_strong)
+                raw = (const.k * lead - other) / const.denom
+                return np.minimum(np.maximum(raw, 0.0), 1.0)
+
+            def error_moment(records: list[np.ndarray]) -> np.ndarray:
+                full, row_x, row_y, corner = (rec[2] * _qber(rec[2], rec[3]) for rec in records)
+                return full - row_x - row_y + corner
+
+            y11 = y11_bound(0)
+            y11_x = y11_bound(2)
+            # each pair's (1,1) interior coefficient times the X bound
+            s11_weak = const.weak.a[:, 1] * const.weak.a[:, 1] * y11_x
+            s11_strong = const.strong.a[:, 1] * const.strong.a[:, 1] * y11_x
+            candidates = np.minimum(
+                np.where(s11_weak > 0.0, error_moment(weak) / s11_weak, math.inf),
+                np.where(s11_strong > 0.0, error_moment(strong) / s11_strong, math.inf),
+            )
+            e11 = np.minimum(np.maximum(candidates, 0.0), 0.5)
+            valid &= const.licensed & ((s11_weak > 0.0) | (s11_strong > 0.0))
+        valid &= (y11 >= 0.0) & (y11 <= 1.0) & (e11 >= 0.0) & (e11 <= 1.0)
+        rate = const.pq * y11 * (1.0 - _entropy(e11)) - gain_z * f_ec * _entropy(qber_z)
+    return np.where(valid, rate, -math.inf)

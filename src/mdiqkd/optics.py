@@ -386,8 +386,18 @@ def bsm_outcome_distribution(
         raise ValueError(f"photon numbers must be >= 0, got ({m}, {n})")
     if m + n > SAFETY_CAP:
         raise ValueError(f"photon total {m + n} exceeds safety cap {SAFETY_CAP}")
-    plus_tab, minus_tab = _pair_tables(
-        alice_state, bob_state, link.misalignment, link.relay_dark_rate, m, n
+    # table entries do not depend on the caps, so counts within the
+    # cutoff read the cutoff-sized tables that yield_table caches; the
+    # contiguous copy keeps the products below rounding as on a table
+    # built for exactly these caps
+    cap_a, cap_b = (
+        (link.cutoff, link.cutoff) if max(m, n) <= link.cutoff <= SAFETY_CAP // 2 else (m, n)
+    )
+    plus_tab, minus_tab = (
+        np.ascontiguousarray(tab[: m + 1, : n + 1])
+        for tab in _pair_tables(
+            alice_state, bob_state, link.misalignment, link.relay_dark_rate, cap_a, cap_b
+        )
     )
     t = link.survival
     ta = thin(m, t)

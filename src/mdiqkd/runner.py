@@ -7,13 +7,15 @@ reports the best signal intensity for one scenario and distance.
 
 Everything here is deterministic: a fixed log-spaced intensity grid,
 golden-section refinement with a fixed tolerance, and repr-based float
-serialization that round-trips exactly.
+serialization that round-trips exactly.  The optimizer evaluates the
+grid in one batched pass (keyrate.grid_rates) only to pick the best
+grid point; refinement and every reported row use the scalar
+rate_for_scenario.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -36,6 +38,7 @@ from .keyrate import (
     RatePoint,
     ScenarioKind,
     basis_tables,
+    grid_rates,
     rate_for_scenario,
 )
 from .optics import Basis, LinkSpec, YieldTable, yield_table
@@ -214,10 +217,7 @@ def _evaluate(
     mu_prime: float,
     tables: tuple[YieldTable, YieldTable],
 ) -> RatePoint | None:
-    if scenario.coupled_mu:
-        mu = (1.0 - scenario.heralding_efficiency) * mu_prime
-    else:
-        mu = config.mu_fixed
+    mu = scenario.weak_intensity(mu_prime, config.mu_fixed)
     try:
         return rate_for_scenario(scenario, link, mu, mu_prime, tables, config.f_ec)
     except ValueError:
@@ -234,16 +234,19 @@ def optimize_mu_prime(
     """Best signal intensity for one scenario and distance.
 
     A fixed log-spaced grid locates the basin, golden-section search on
-    the log axis refines it.  If no grid point yields a positive rate
-    the best point is returned flagged invalid with rate 0.
+    the log axis refines it.  The grid is ranked by the batched
+    grid_rates; the winning grid point, every refinement step and the
+    fallback below are evaluated by rate_for_scenario, which computes
+    every returned point.  If no grid point yields a positive rate the
+    best point is returned flagged invalid with rate 0.
     """
     if tables is None:
         tables = basis_tables(link)
     grid = np.geomspace(config.mu_prime_min, config.mu_prime_max, config.grid_points)
-    points = [_evaluate(scenario, link, config, mp, tables) for mp in grid]
-    rates = [p.rate if p is not None and p.valid else -math.inf for p in points]
+    rates = grid_rates(scenario, link, config.mu_fixed, grid, tables, config.f_ec)
     best_i = int(np.argmax(rates))
     if rates[best_i] == -math.inf:
+        points = (_evaluate(scenario, link, config, mp, tables) for mp in grid)
         reported = next((p for p in points if p is not None), None)
         if reported is None:
             reported = RatePoint(
@@ -259,7 +262,7 @@ def optimize_mu_prime(
             )
         return replace(reported, rate=0.0, valid=False)
 
-    best = points[best_i]
+    best = _evaluate(scenario, link, config, grid[best_i], tables)
     if 0 < best_i < len(grid) - 1:
         logs = np.log(grid)
 
@@ -384,6 +387,12 @@ def emit_gain_csv(gains: GainTable, sink: TextIO | None = None) -> str:
 
 
 def parse_gain_csv(text: str) -> GainTable:
+    """Inverse of emit_gain_csv, rejecting records no experiment produces.
+
+    Intensities must be finite and >= 0, gain and qber must lie in
+    [0, 1], and each (basis, class, x, y) may appear once; a violation
+    raises ConfigError naming the line.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != GAIN_HEADER:
         raise ConfigError(f"bad gain CSV header, expected {GAIN_HEADER!r}")
@@ -406,7 +415,20 @@ def parse_gain_csv(text: str) -> GainTable:
             )
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value") from None
+        if not (
+            0.0 <= rec.alice_intensity < math.inf
+            and 0.0 <= rec.bob_intensity < math.inf
+            and 0.0 <= rec.gain <= 1.0
+            and 0.0 <= rec.qber <= 1.0
+        ):
+            raise ConfigError(
+                f"line {lineno}: intensities must be finite and >= 0 and gain and qber "
+                f"must lie in [0, 1], got {','.join(cols[1:3] + cols[4:])}"
+            )
+        size = len(table)
         table.add(rec)
+        if len(table) == size:
+            raise ConfigError(f"line {lineno}: duplicate record for basis, class, x and y")
     return table
 
 

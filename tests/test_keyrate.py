@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from mdiqkd.keyrate import (
@@ -10,8 +11,10 @@ from mdiqkd.keyrate import (
     RateInputs,
     RatePoint,
     ScenarioKind,
+    _grid_constants,
     basis_tables,
     binary_entropy,
+    grid_rates,
     key_rate,
     rate_for_scenario,
 )
@@ -204,3 +207,22 @@ class TestRateForScenario:
         point = RatePoint(0.0, "H1", 0.1, 0.5, 0.0, 0.0, 0.0, False, "bound_conditions")
         assert point.reason == "bound_conditions"
         assert point != RatePoint(0.0, "H1", 0.1, 0.5, 0.0, 0.0, 0.0, False, "")
+
+
+class TestGridRates:
+    def test_link_independent_part_is_built_once_per_grid(self):
+        # a grid no other test uses; relay, misalignment and distance all
+        # change between calls and must not rebuild the cached weights
+        grid = np.geomspace(0.013, 0.97, 7)
+        links = [
+            LinkSpec(50.0),
+            LinkSpec(120.0),
+            LinkSpec(50.0, relay_dark_rate=1e-6, misalignment=0.02),
+        ]
+        before = _grid_constants.cache_info()
+        for link in links:
+            rates = grid_rates(ScenarioKind("H1"), link, 0.1, grid, basis_tables(link))
+            assert np.isfinite(rates).all()
+        after = _grid_constants.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == len(links) - 1

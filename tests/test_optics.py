@@ -18,6 +18,7 @@ from mdiqkd.optics import (
     BB84State,
     BsmOutcome,
     LinkSpec,
+    _pair_tables,
     bs_output,
     bsm_outcome_distribution,
     thin,
@@ -194,6 +195,19 @@ class TestBsmOutcomeDistribution:
                 assert math.isclose(
                     got[BsmOutcome.PSI_MINUS], minus, rel_tol=1e-11, abs_tol=1e-14
                 ), (sa, sb, m, n)
+
+
+    def test_reads_the_cutoff_table_yield_table_cached(self):
+        # a relay no other test uses, so its tables are not cached yet
+        link = LinkSpec(30.0, relay_dark_rate=7e-6, misalignment=0.0123)
+        yield_table(link, Basis.X)
+        before = _pair_tables.cache_info()
+        for sa, sb in ((BB84State.PLUS, BB84State.MINUS), (BB84State.MINUS, BB84State.MINUS)):
+            for m, n in ((0, 0), (1, 1), (3, 2), (8, 8)):
+                bsm_outcome_distribution(m, n, sa, sb, link)
+        after = _pair_tables.cache_info()
+        assert after.misses == before.misses
+        assert after.currsize == before.currsize
 
 
 class TestYieldTable:

@@ -6,8 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scipy import optimize as sciopt
+
+from mdiqkd import decoy, keyrate
 from mdiqkd.decoy import GainTable, gain_from_yields, side_weights
-from mdiqkd.keyrate import RatePoint, basis_tables
+from mdiqkd.keyrate import SCENARIO_NAMES, RatePoint, basis_tables, grid_rates
 from mdiqkd.optics import Basis, yield_table
 from mdiqkd.runner import (
     GAIN_HEADER,
@@ -155,6 +158,145 @@ class TestOptimize:
         assert point.reason == "no_valid_point"
 
 
+def reference_grid(scenario, link, config, tables):
+    """The optimizer's grid as the scalar loop evaluates it, one point at a time."""
+    grid = np.geomspace(config.mu_prime_min, config.mu_prime_max, config.grid_points)
+    return grid, [_evaluate(scenario, link, config, mp, tables) for mp in grid]
+
+
+def reference_optimize(scenario, link, config, tables, grid, points):
+    """optimize_mu_prime with the grid ranked by the scalar loop's points."""
+    rates = [p.rate if p is not None and p.valid else -math.inf for p in points]
+    best_i = int(np.argmax(rates))
+    if rates[best_i] == -math.inf:
+        reported = next((p for p in points if p is not None), None)
+        if reported is None:
+            reported = RatePoint(
+                distance_km=link.total_distance_km,
+                scenario=scenario.name,
+                mu=0.0,
+                mu_prime=float(grid[len(grid) // 2]),
+                y11_bound=0.0,
+                e11_bound=0.0,
+                rate=0.0,
+                valid=False,
+                reason="no_valid_point",
+            )
+        return replace(reported, rate=0.0, valid=False)
+
+    best = points[best_i]
+    if 0 < best_i < len(grid) - 1:
+        logs = np.log(grid)
+
+        def cost(lg: float) -> float:
+            pt = _evaluate(scenario, link, config, float(math.exp(lg)), tables)
+            if pt is None or not pt.valid:
+                return math.inf
+            return -pt.rate
+
+        try:
+            res = sciopt.minimize_scalar(
+                cost,
+                bracket=(logs[best_i - 1], logs[best_i], logs[best_i + 1]),
+                method="golden",
+                options={"xtol": config.refine_tol, "maxiter": 200},
+            )
+            refined = _evaluate(scenario, link, config, float(math.exp(res.x)), tables)
+            if refined is not None and refined.valid and refined.rate > best.rate:
+                best = refined
+        except ValueError:
+            pass
+
+    if best.rate <= 0.0:
+        return replace(best, rate=0.0, valid=False, reason="no_positive_rate")
+    return best
+
+
+# the batched grid sums its series in another order than the scalar loop;
+# the largest difference seen over the 13,020 grid points of the default
+# scenarios at 0:300:10 km is 4.5e-8, and cancellation in the Y11
+# numerator at small mu_prime can amplify rounding further
+GRID_REL_TOL = 1e-6
+
+
+def assert_batched_grid_matches(config, name, distances):
+    """Mask, argmax and rates of grid_rates, and the optimized rows, against the scalar loop."""
+    scenario = config.scenario_kind(name)
+    points = []
+    for distance in distances:
+        link = config.link_for(distance)
+        tables = basis_tables(link)
+        grid, ref_points = reference_grid(scenario, link, config, tables)
+        ref = np.array([p.rate if p is not None and p.valid else -math.inf for p in ref_points])
+        got = grid_rates(scenario, link, config.mu_fixed, grid, tables, config.f_ec)
+        where = (name, distance)
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(ref), err_msg=str(where))
+        assert np.argmax(got) == np.argmax(ref), where
+        finite = np.isfinite(ref)
+        scale = np.maximum(np.abs(got[finite]), np.abs(ref[finite]))
+        assert np.all(np.abs(got[finite] - ref[finite]) <= GRID_REL_TOL * scale), where
+        point = optimize_mu_prime(scenario, link, config, tables)
+        assert point == reference_optimize(scenario, link, config, tables, grid, ref_points), where
+        points.append(point)
+    return points
+
+
+class TestBatchedGrid:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_default_curves_match_the_scalar_loop(self, name):
+        assert_batched_grid_matches(CFG, name, parse_distances("0:300:10"))
+
+    def test_unit_heralding_has_no_valid_point(self):
+        cfg = replace(CFG, scenario_heralding={"H1": 1.0})
+        points = assert_batched_grid_matches(cfg, "H1", (0.0, 100.0))
+        assert {p.reason for p in points} == {"no_valid_point"}
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_full_misalignment_has_no_positive_rate(self, name):
+        cfg = replace(CFG, e_d=0.5)
+        points = assert_batched_grid_matches(cfg, name, (50.0,))
+        assert {p.reason for p in points} == {"no_positive_rate"}
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_sub_unit_error_correction_leaves_no_valid_point(self, name):
+        # every point that gets as far as the rate formula raises; the row
+        # reports the first grid point that did not raise, if any
+        cfg = replace(CFG, f_ec=0.99)
+        points = assert_batched_grid_matches(cfg, name, (50.0,))
+        assert all(not p.valid and p.rate == 0.0 for p in points)
+        assert {p.reason for p in points} <= {"no_valid_point", "e11_unavailable"}
+
+    @pytest.mark.parametrize("name", ["W1", "H2"])
+    def test_weak_equal_to_a_grid_point_is_unlicensed_there(self, name):
+        # equal weak and strong records leave a zero denominator
+        grid = np.geomspace(CFG.mu_prime_min, CFG.mu_prime_max, CFG.grid_points)
+        cfg = replace(CFG, mu_fixed=float(grid[30]))
+        link = cfg.link_for(50.0)
+        point = _evaluate(cfg.scenario_kind(name), link, cfg, grid[30], basis_tables(link))
+        assert point.reason == "bound_conditions"
+        assert_batched_grid_matches(cfg, name, (50.0,))
+
+    def test_follows_the_licensing_rule(self, monkeypatch):
+        # no default grid point fails the coefficient check, so tighten the
+        # tolerance until every point does; the patched tolerance must not
+        # leak into cached grid weights other tests read
+        monkeypatch.setattr(decoy, "COEFF_REL_TOL", -math.inf)
+        monkeypatch.setattr(keyrate, "COEFF_REL_TOL", -math.inf)
+        keyrate._grid_constants.cache_clear()
+        try:
+            points = assert_batched_grid_matches(CFG, "H1", (50.0,))
+        finally:
+            keyrate._grid_constants.cache_clear()
+        assert {p.reason for p in points} == {"bound_conditions"}
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_past_the_last_key_bearing_distance(self, name):
+        # every default curve has stopped yielding key by 350 km, and
+        # several scenarios have grid points with no e11 bound there
+        points = assert_batched_grid_matches(CFG, name, (350.0,))
+        assert {p.reason for p in points} == {"no_positive_rate"}
+
+
 class TestScan:
     def test_empty(self):
         assert scan(replace(CFG, distances=(), scenarios=("H1",))) == []
@@ -259,6 +401,40 @@ class TestGainCsv:
             parse_gain_csv(good[0] + "\n" + ",".join(corrupt) + "\n")
         with pytest.raises(ConfigError, match="line 2"):
             parse_gain_csv(good[0] + "\n1,2,3\n")
+
+    def corrupted(self, column: int, value: str) -> str:
+        """A valid gain CSV whose second record has one column replaced."""
+        lines = emit_gain_csv(self.make_gains()).splitlines()
+        cols = lines[2].split(",")
+        cols[column] = value
+        lines[2] = ",".join(cols)
+        return "\n".join(lines) + "\n"
+
+    def test_rejects_gain_above_one(self):
+        with pytest.raises(ConfigError, match=r"line 3: .* got [^,]*,[^,]*,2\.0,"):
+            parse_gain_csv(self.corrupted(4, "2.0"))
+
+    def test_rejects_negative_qber(self):
+        with pytest.raises(ConfigError, match=r"line 3: .* got .*,-3$"):
+            parse_gain_csv(self.corrupted(5, "-3"))
+
+    @pytest.mark.parametrize("column", [1, 2, 4, 5])
+    def test_rejects_nan(self, column):
+        with pytest.raises(ConfigError, match="line 3: .* got .*nan"):
+            parse_gain_csv(self.corrupted(column, "nan"))
+
+    def test_rejects_negative_intensity(self):
+        with pytest.raises(ConfigError, match="line 3: .* got [^,]*,-0.5,"):
+            parse_gain_csv(self.corrupted(2, "-0.5"))
+
+    def test_rejects_duplicate_record(self):
+        lines = emit_gain_csv(self.make_gains()).splitlines()
+        # same (basis, class, x, y) as line 2, different values
+        cols = lines[1].split(",")
+        cols[4] = "0.5"
+        text = "\n".join(lines + [",".join(cols)]) + "\n"
+        with pytest.raises(ConfigError, match=f"line {len(lines) + 1}: duplicate record"):
+            parse_gain_csv(text)
 
 
 class TestYieldCsv:
