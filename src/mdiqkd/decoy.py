@@ -21,6 +21,11 @@ Conventions baked into the series, shared by simulator and estimator:
 Every gain record also carries a certified truncation tail: an upper
 bound on the weight the series discards beyond the cutoff, computed from
 closed-form totals of the weight distributions.
+
+The estimator's algebra works on plain numbers (y11_from_series,
+e11_from_moments).  y11_lower_bound and e11_upper_bound feed it records
+looked up in a GainTable; the rate path in keyrate feeds it the same
+numbers assembled straight from side weights.
 """
 
 from __future__ import annotations
@@ -48,11 +53,17 @@ __all__ = [
     "GainTable",
     "Y11Bound",
     "side_weights",
+    "series_gain",
+    "gain_and_qber",
     "gain_from_yields",
     "pair_coefficients",
     "interior_tail",
     "series_terms",
     "y11_coefficients",
+    "interior_gain",
+    "error_moment",
+    "y11_from_series",
+    "e11_from_moments",
     "y11_lower_bound",
     "symmetric_condition",
     "s11_gains",
@@ -172,16 +183,23 @@ class GainTable:
         rec = self._records.get(key)
         if rec is not None:
             return rec
-        # tolerate float noise in intensities coming from round-tripped files
-        for (b, c, rx, ry), cand in self._records.items():
-            if b == basis.value and c == cls.value:
-                if math.isclose(rx, x, rel_tol=1e-9, abs_tol=1e-15) and math.isclose(
-                    ry, y, rel_tol=1e-9, abs_tol=1e-15
-                ):
-                    return cand
-        raise KeyError(
-            f"no gain record for basis={basis.value} class={cls.value} x={x} y={y}"
-        )
+        # tolerate float noise in intensities coming from round-tripped files,
+        # as long as it points at a single record
+        matches = [
+            cand
+            for (b, c, rx, ry), cand in self._records.items()
+            if b == basis.value
+            and c == cls.value
+            and math.isclose(rx, x, rel_tol=1e-9, abs_tol=1e-15)
+            and math.isclose(ry, y, rel_tol=1e-9, abs_tol=1e-15)
+        ]
+        where = f"basis={basis.value} class={cls.value} x={x} y={y}"
+        if len(matches) > 1:
+            first, second = (f"x={r.alice_intensity!r} y={r.bob_intensity!r}" for r in matches[:2])
+            raise KeyError(f"ambiguous gain record for {where}: {first} and {second} both match")
+        if not matches:
+            raise KeyError(f"no gain record for {where}")
+        return matches[0]
 
     def __len__(self) -> int:
         return len(self._records)
@@ -190,6 +208,30 @@ class GainTable:
         return iter(sorted(self._records.values(), key=lambda r: (
             r.basis.value, r.trigger_class.value, r.alice_intensity, r.bob_intensity
         )))
+
+
+def series_gain(alice: SideWeights, bob: SideWeights, mat: np.ndarray) -> float:
+    """One record's truncated double series over a (cutoff + 1)-square table.
+
+    mat holds yields for a gain, or yields times error rates for the
+    error-weighted gain.  Interior terms and vacuum rows follow the
+    conventions of the module docstring.
+    """
+    interior = float(alice.a[1:] @ mat[1:, 1:] @ bob.a[1:])
+    rows = bob.vac_at_zero * float(alice.vac @ mat[:, 0])
+    rows += alice.vac_at_zero * float(bob.vac @ mat[0, :])
+    rows -= alice.vac_at_zero * bob.vac_at_zero * float(mat[0, 0])
+    return interior + rows
+
+
+def gain_and_qber(
+    alice: SideWeights, bob: SideWeights, yields: np.ndarray, wrong: np.ndarray
+) -> tuple[float, float]:
+    """A record's gain and qber; wrong is the yields times the error rates."""
+    gain = series_gain(alice, bob, yields)
+    if not gain > 0.0:
+        return gain, 0.0
+    return gain, series_gain(alice, bob, wrong) / gain
 
 
 def gain_from_yields(alice: SideWeights, bob: SideWeights, table: YieldTable) -> GainRecord:
@@ -205,19 +247,7 @@ def gain_from_yields(alice: SideWeights, bob: SideWeights, table: YieldTable) ->
         raise ValueError("side weights and yield table use different cutoffs")
     if alice.source.trigger_class is not bob.source.trigger_class:
         raise ValueError("both sides of a record must share one event class")
-    y = table.yields
-    w = table.yields * table.errors
-
-    def assemble(mat: np.ndarray) -> float:
-        interior = float(alice.a[1:] @ mat[1:, 1:] @ bob.a[1:])
-        rows = bob.vac_at_zero * float(alice.vac @ mat[:, 0])
-        rows += alice.vac_at_zero * float(bob.vac @ mat[0, :])
-        rows -= alice.vac_at_zero * bob.vac_at_zero * float(mat[0, 0])
-        return interior + rows
-
-    gain = assemble(y)
-    wrong = assemble(w)
-    qber = wrong / gain if gain > 0.0 else 0.0
+    gain, qber = gain_and_qber(alice, bob, table.yields, table.yields * table.errors)
     tail = interior_tail(alice, bob)
     tail += bob.vac_at_zero * (alice.vac_total - float(alice.vac.sum()))
     tail += alice.vac_at_zero * (bob.vac_total - float(bob.vac.sum()))
@@ -230,6 +260,16 @@ def gain_from_yields(alice: SideWeights, bob: SideWeights, table: YieldTable) ->
         qber=qber,
         tail=tail,
     )
+
+
+def _pair_weights(
+    pair: tuple[SourceSpec, SourceSpec], cutoff: int
+) -> tuple[SideWeights, SideWeights]:
+    """Both sides' weights of a setting; a symmetric setting computes them once."""
+    alice = side_weights(pair[0], cutoff)
+    if pair[1] == pair[0]:
+        return alice, alice
+    return alice, side_weights(pair[1], cutoff)
 
 
 def pair_coefficients(pair: tuple[SourceSpec, SourceSpec], cutoff: int) -> np.ndarray:
@@ -245,6 +285,21 @@ def interior_tail(alice: SideWeights, bob: SideWeights) -> float:
     return alice.a_total * bob.a_total - part
 
 
+def _setting_records(
+    gains: GainTable, pair: tuple[SourceSpec, SourceSpec], basis: Basis
+) -> tuple[GainRecord, GainRecord, GainRecord, GainRecord]:
+    """The (x, y), (x, 0), (0, y) and (0, 0) records of one setting."""
+    x = pair[0].intensity
+    y = pair[1].intensity
+    cls = pair[0].trigger_class
+    return (
+        gains.get(basis, x, y, cls),
+        gains.get(basis, x, 0.0, cls),
+        gains.get(basis, 0.0, y, cls),
+        gains.get(basis, 0.0, 0.0, cls),
+    )
+
+
 def series_terms(
     gains: GainTable, pair: tuple[SourceSpec, SourceSpec], basis: Basis
 ) -> tuple[float, float, float]:
@@ -254,16 +309,25 @@ def series_terms(
     rows of the series under the record conventions, so subtracting it
     from S(x,y) leaves the interior terms alone.
     """
-    x = pair[0].intensity
-    y = pair[1].intensity
-    cls = pair[0].trigger_class
-    full = gains.get(basis, x, y, cls)
-    row_x = gains.get(basis, x, 0.0, cls)
-    row_y = gains.get(basis, 0.0, y, cls)
-    corner = gains.get(basis, 0.0, 0.0, cls)
+    full, row_x, row_y, corner = _setting_records(gains, pair, basis)
     vacuum = row_x.gain + row_y.gain - corner.gain
     tails = full.tail + row_x.tail + row_y.tail + corner.tail
     return full.gain, vacuum, tails
+
+
+def interior_gain(full: float, row_x: float, row_y: float, corner: float) -> float:
+    """A setting's gain with its vacuum content (see series_terms) removed."""
+    return full - (row_x + row_y - corner)
+
+
+def error_moment(records: Iterable[tuple[float, float]]) -> float:
+    """Error-weighted gain of a setting with its vacuum rows removed.
+
+    records are the (gain, qber) of the setting's (x, y), (x, 0), (0, y)
+    and (0, 0) records in one basis.
+    """
+    full, row_x, row_y, corner = (gain * qber for gain, qber in records)
+    return full - row_x - row_y + corner
 
 
 @dataclass(frozen=True)
@@ -343,6 +407,27 @@ def y11_coefficients(
     return k, denom, swapped, float(rel.max())
 
 
+def y11_from_series(
+    coeffs: tuple[float, float, bool, float], weak: float, strong: float
+) -> tuple[float, float, bool]:
+    """The Y[1][1] bound of one basis: the estimator's algebra on plain numbers.
+
+    coeffs is y11_coefficients for the weak and strong settings in the
+    order given; weak and strong are those settings' gains with the
+    vacuum rows removed (interior_gain).  Returns (value, raw, licensed):
+    the bound clamped to [0, 1], the unclamped quotient, and whether the
+    coefficient margin is within COEFF_REL_TOL.  An unavailable bound
+    (infinite margin) reads (0.0, 0.0, False).
+    """
+    k, denom, swapped, margin = coeffs
+    if margin == math.inf:
+        return 0.0, 0.0, False
+    if swapped:
+        weak, strong = strong, weak
+    raw = (k * weak - strong) / denom
+    return min(max(raw, 0.0), 1.0), raw, margin <= COEFF_REL_TOL
+
+
 def y11_lower_bound(
     gains: GainTable,
     weak: tuple[SourceSpec, SourceSpec],
@@ -365,22 +450,19 @@ def y11_lower_bound(
     a non-triggered record) make the bound unavailable, reported via
     conditions_ok=False rather than an exception.
     """
-    wa = side_weights(weak[0], cutoff)
-    wb = side_weights(weak[1], cutoff)
-    sa = side_weights(strong[0], cutoff)
-    sb = side_weights(strong[1], cutoff)
-    k, denom, swapped, margin = y11_coefficients(wa, wb, sa, sb)
+    wa, wb = _pair_weights(weak, cutoff)
+    sa, sb = _pair_weights(strong, cutoff)
+    coeffs = y11_coefficients(wa, wb, sa, sb)
+    k, denom, swapped, margin = coeffs
     if margin == math.inf:
         return _unavailable(k, denom)
-    if swapped:
-        wa, wb, sa, sb = sa, sb, wa, wb
-        weak, strong = strong, weak
 
     s_weak, vac_weak, tail_weak = series_terms(gains, weak, basis)
     s_strong, vac_strong, tail_strong = series_terms(gains, strong, basis)
-    numer = k * (s_weak - vac_weak) - (s_strong - vac_strong)
-    raw = numer / denom
-    value = min(max(raw, 0.0), 1.0)
+    value, raw, licensed = y11_from_series(coeffs, s_weak - vac_weak, s_strong - vac_strong)
+    if swapped:
+        wa, wb, sa, sb = sa, sb, wa, wb
+        tail_weak, tail_strong = tail_strong, tail_weak
     tail = (
         k * (tail_weak + interior_tail(wa, wb))
         + tail_strong
@@ -390,7 +472,7 @@ def y11_lower_bound(
         value=value,
         k_factor=k,
         denominator=denom,
-        conditions_ok=margin <= COEFF_REL_TOL,
+        conditions_ok=licensed,
         coefficient_margin=margin,
         clamped=(raw != value),
         tail=tail,
@@ -432,26 +514,28 @@ def single_pair_gain(
     pair: tuple[SourceSpec, SourceSpec], y11: float
 ) -> float:
     """(1,1) interior coefficient of a record pair times a yield value."""
-    wa = side_weights(pair[0], 1)
-    wb = side_weights(pair[1], 1)
+    wa, wb = _pair_weights(pair, 1)
     return float(wa.a[1] * wb.a[1]) * y11
 
 
 def _error_moment(gains: GainTable, pair: tuple[SourceSpec, SourceSpec]) -> float:
     """Error-weighted gain with its vacuum rows removed, X basis."""
-    x = pair[0].intensity
-    y = pair[1].intensity
-    cls = pair[0].trigger_class
-    full = gains.get(Basis.X, x, y, cls)
-    row_x = gains.get(Basis.X, x, 0.0, cls)
-    row_y = gains.get(Basis.X, 0.0, y, cls)
-    corner = gains.get(Basis.X, 0.0, 0.0, cls)
-    return (
-        full.gain * full.qber
-        - row_x.gain * row_x.qber
-        - row_y.gain * row_y.qber
-        + corner.gain * corner.qber
-    )
+    return error_moment((r.gain, r.qber) for r in _setting_records(gains, pair, Basis.X))
+
+
+def e11_from_moments(moments: tuple[float, float], s11: tuple[float, float]) -> float:
+    """The e[1][1] bound: the estimator's algebra on plain numbers.
+
+    moments are the weak and strong settings' X-basis error moments
+    (error_moment) and s11 lower bounds on their (1,1) contributions
+    (see single_pair_gain).  Each positive s11 gives one candidate; the
+    smallest wins, clamped to [0, 0.5].  Raises BoundUnavailableError
+    when neither s11 is positive.
+    """
+    candidates = [m / s for m, s in zip(moments, s11) if s > 0.0]
+    if not candidates:
+        raise BoundUnavailableError("no positive single-pair gain to divide by")
+    return min(max(min(candidates), 0.0), 0.5)
 
 
 def e11_upper_bound(
@@ -470,11 +554,9 @@ def e11_upper_bound(
     the two candidates are combined by taking the minimum.  Raises
     BoundUnavailableError when both denominators vanish.
     """
-    candidates = []
-    if s11_weak > 0.0:
-        candidates.append(_error_moment(gains_x, weak) / s11_weak)
-    if s11_strong > 0.0:
-        candidates.append(_error_moment(gains_x, strong) / s11_strong)
-    if not candidates:
-        raise BoundUnavailableError("no positive single-pair gain to divide by")
-    return min(max(min(candidates), 0.0), 0.5)
+    s11 = (s11_weak, s11_strong)
+    # a setting without a denominator needs no records
+    moments = tuple(
+        _error_moment(gains_x, pair) if s > 0.0 else 0.0 for pair, s in zip((weak, strong), s11)
+    )
+    return e11_from_moments(moments, s11)

@@ -17,6 +17,14 @@ Scenario names:
 
 Scenarios ending in 0 are asymptotic references that read the true
 single-photon-pair yield and error straight from the simulator.
+
+The estimated scenarios take the record path: rate_for_scenario
+assembles the gains of the weak and strong settings and their vacuum
+rows from cached side weights (decoy.gain_and_qber, the arithmetic of
+gain_from_yields) and hands the numbers to the estimator core shared
+with the `bound` command (decoy.y11_from_series and
+decoy.e11_from_moments); no GainTable is built.  grid_rates evaluates a
+whole intensity grid in one array pass, for ranking only.
 """
 
 from __future__ import annotations
@@ -31,14 +39,15 @@ import numpy as np
 from .decoy import (
     COEFF_REL_TOL,
     BoundUnavailableError,
-    GainTable,
     SideWeights,
-    e11_upper_bound,
-    gain_from_yields,
+    e11_from_moments,
+    error_moment,
+    gain_and_qber,
+    interior_gain,
+    series_gain,
     side_weights,
-    single_pair_gain,
     y11_coefficients,
-    y11_lower_bound,
+    y11_from_series,
 )
 from .optics import Basis, LinkSpec, YieldTable, yield_table
 from .source import (
@@ -212,26 +221,11 @@ def _classes(scenario: ScenarioKind) -> tuple[TriggerClass, TriggerClass, Trigge
     return signal_cls, signal_cls, signal_cls
 
 
-def _record_grid(
-    table_z: YieldTable,
-    table_x: YieldTable,
-    kind: DistributionKind,
-    heralding: HeraldingDetector | None,
-    pairs: list[tuple[SourceSpec, SourceSpec]],
-) -> GainTable:
-    """All records the estimator needs: each pair plus its vacuum rows."""
-    gains = GainTable()
-    cutoff = table_z.cutoff
-    for pair in pairs:
-        cls = pair[0].trigger_class
-        x = pair[0].intensity
-        y = pair[1].intensity
-        for xi, yi in ((x, y), (x, 0.0), (0.0, y), (0.0, 0.0)):
-            wa = _side_weights(SourceSpec(kind, xi, heralding, cls), cutoff)
-            wb = _side_weights(SourceSpec(kind, yi, heralding, cls), cutoff)
-            gains.add(gain_from_yields(wa, wb, table_z))
-            gains.add(gain_from_yields(wa, wb, table_x))
-    return gains
+def _setting_sides(
+    side: SideWeights, zero: SideWeights
+) -> tuple[tuple[SideWeights, SideWeights], ...]:
+    """Alice and Bob weights of a setting's (x, x), (x, 0), (0, x) and (0, 0) records."""
+    return ((side, side), (side, zero), (zero, side), (zero, zero))
 
 
 def rate_for_scenario(
@@ -246,6 +240,16 @@ def rate_for_scenario(
 
     mu is ignored by the asymptotic scenarios.  The returned rate may be
     negative for a valid point; validity only says the bounds existed.
+
+    The estimated scenarios take the record path of the module
+    docstring.  The side weights of the weak and strong settings and of
+    their zero-intensity counterparts come from the cache once; the Z
+    records need their gains only (decoy.series_gain), the X records
+    their gains and qbers (decoy.gain_and_qber), each computed as
+    gain_from_yields computes it.  y11_coefficients runs once for both
+    bases.  The numbers, and so every returned point, equal those of
+    y11_lower_bound and e11_upper_bound on a GainTable of the same
+    records.
     """
     if not mu_prime > 0.0:
         raise ValueError(f"signal intensity must be > 0, got {mu_prime}")
@@ -256,14 +260,12 @@ def rate_for_scenario(
     heralding = _heralding(scenario)
     signal_cls, weak_cls, strong_cls = _classes(scenario)
 
-    def src(intensity: float, cls: TriggerClass) -> SourceSpec:
-        return SourceSpec(kind, intensity, heralding, cls)
+    def weights(intensity: float, cls: TriggerClass) -> SideWeights:
+        return _side_weights(SourceSpec(kind, intensity, heralding, cls), link.cutoff)
 
-    signal_pair = (src(mu_prime, signal_cls), src(mu_prime, signal_cls))
-    signal = gain_from_yields(
-        _side_weights(signal_pair[0], link.cutoff),
-        _side_weights(signal_pair[1], link.cutoff),
-        table_z,
+    signal = weights(mu_prime, signal_cls)
+    gain_z, qber_z = gain_and_qber(
+        signal, signal, table_z.yields, table_z.yields * table_z.errors
     )
     p1 = photon_weight(kind, mu_prime, 1)
     q1 = trigger_prob(heralding, 1) if heralding is not None else 1.0
@@ -288,32 +290,41 @@ def rate_for_scenario(
     else:
         if not mu > 0.0:
             raise ValueError(f"weak intensity must be > 0, got {mu}")
-        weak = (src(mu, weak_cls), src(mu, weak_cls))
-        strong = (src(mu_prime, strong_cls), src(mu_prime, strong_cls))
-        gains = _record_grid(table_z, table_x, kind, heralding, [weak, strong])
-        bound_z = y11_lower_bound(gains, weak, strong, Basis.Z, link.cutoff)
-        bound_x = y11_lower_bound(gains, weak, strong, Basis.X, link.cutoff)
-        if not (bound_z.conditions_ok and bound_x.conditions_ok):
-            return invalid("bound_conditions", bound_z.value)
+        weak = weights(mu, weak_cls)
+        strong = weights(mu_prime, strong_cls)
+        settings = (
+            _setting_sides(weak, weights(0.0, weak_cls)),
+            _setting_sides(strong, weights(0.0, strong_cls)),
+        )
+        coeffs = y11_coefficients(weak, weak, strong, strong)
+        y11, _, licensed = y11_from_series(coeffs, *(
+            interior_gain(*(series_gain(a, b, table_z.yields) for a, b in sides))
+            for sides in settings
+        ))
+        if not licensed:
+            return invalid("bound_conditions", y11)
+        wrong_x = table_x.yields * table_x.errors
+        records_x = [
+            [gain_and_qber(a, b, table_x.yields, wrong_x) for a, b in sides]
+            for sides in settings
+        ]
+        y11_x, _, _ = y11_from_series(coeffs, *(
+            interior_gain(*(gain for gain, _ in records)) for records in records_x
+        ))
+        # each setting's (1,1) interior coefficient, as single_pair_gain takes it
+        s11 = tuple(float(w.a[1] * w.a[1]) * y11_x for w in (weak, strong))
         try:
-            e11 = e11_upper_bound(
-                gains,
-                weak,
-                strong,
-                single_pair_gain(weak, bound_x.value),
-                single_pair_gain(strong, bound_x.value),
-            )
+            e11 = e11_from_moments(tuple(error_moment(r) for r in records_x), s11)
         except BoundUnavailableError:
-            return invalid("e11_unavailable", bound_z.value)
-        y11 = bound_z.value
+            return invalid("e11_unavailable", y11)
         mu_out = mu
 
     rate = key_rate(
         RateInputs(
             y11=y11,
             e11x=e11,
-            gain_z=signal.gain,
-            qber_z=signal.qber,
+            gain_z=gain_z,
+            qber_z=qber_z,
             p1_sq=p1 * p1,
             q1_sq=q1 * q1,
             f_ec=f_ec,

@@ -280,8 +280,12 @@ def _pair_structure(k_a: int, k_b: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return inverse, occupied, norm
 
 
-def _pattern_weights(occupied: np.ndarray, dark_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-occupation probabilities of the Psi+ and Psi- click patterns."""
+# bounded: one entry per (k_a, k_b) for each dark rate, and the eight
+# tables of one relay share its dark rate
+@lru_cache(maxsize=256)
+def _pattern_weights(k_a: int, k_b: int, dark_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Psi+ and Psi- click-pattern probabilities of every joint occupation of _pair_structure."""
+    occupied = _pair_structure(k_a, k_b)[1]
     click = np.where(occupied, 1.0, dark_rate)
     quiet = 1.0 - click
 
@@ -290,6 +294,8 @@ def _pattern_weights(occupied: np.ndarray, dark_rate: float) -> tuple[np.ndarray
 
     plus = exactly(0, 1, 2, 3) + exactly(2, 3, 0, 1)
     minus = exactly(0, 3, 1, 2) + exactly(1, 2, 0, 3)
+    plus.flags.writeable = False
+    minus.flags.writeable = False
     return plus, minus
 
 
@@ -307,15 +313,15 @@ def _pair_core(
     _pair_structure(k_a, k_b); only the amplitudes and the dark-count
     weights depend on the relay.
     """
-    inverse, occupied, norm = _pair_structure(k_a, k_b)
+    inverse, _, norm = _pair_structure(k_a, k_b)
     amps = np.bincount(inverse, weights=np.outer(vals_a, vals_b).ravel(), minlength=norm.size)
     # exactly cancelled occupations drop out of the sums, as in bs_output
     nz = np.flatnonzero(amps)
     if nz.size == 0:
         return 0.0, 0.0
     probs = (amps[nz] * norm[nz]) ** 2
-    w_plus, w_minus = _pattern_weights(occupied[nz], dark_rate)
-    return float(probs @ w_plus), float(probs @ w_minus)
+    w_plus, w_minus = _pattern_weights(k_a, k_b, dark_rate)
+    return float(probs @ w_plus[nz]), float(probs @ w_minus[nz])
 
 
 # bounded: every relay setting adds one entry per state pair and caps, and

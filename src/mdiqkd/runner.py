@@ -237,16 +237,26 @@ def optimize_mu_prime(
     the log axis refines it.  The grid is ranked by the batched
     grid_rates; the winning grid point, every refinement step and the
     fallback below are evaluated by rate_for_scenario, which computes
-    every returned point.  If no grid point yields a positive rate the
-    best point is returned flagged invalid with rate 0.
+    every returned point; each distinct mu_prime is evaluated once per
+    call.  If no grid point yields a positive rate the best point is
+    returned flagged invalid with rate 0.
     """
     if tables is None:
         tables = basis_tables(link)
+    # golden search revisits the grid winner and its neighbours, and the
+    # final refined point is its last cost evaluation
+    memo: dict[float, RatePoint | None] = {}
+
+    def evaluate(mu_prime: float) -> RatePoint | None:
+        if mu_prime not in memo:
+            memo[mu_prime] = _evaluate(scenario, link, config, mu_prime, tables)
+        return memo[mu_prime]
+
     grid = np.geomspace(config.mu_prime_min, config.mu_prime_max, config.grid_points)
     rates = grid_rates(scenario, link, config.mu_fixed, grid, tables, config.f_ec)
     best_i = int(np.argmax(rates))
     if rates[best_i] == -math.inf:
-        points = (_evaluate(scenario, link, config, mp, tables) for mp in grid)
+        points = (evaluate(mp) for mp in grid)
         reported = next((p for p in points if p is not None), None)
         if reported is None:
             reported = RatePoint(
@@ -262,12 +272,12 @@ def optimize_mu_prime(
             )
         return replace(reported, rate=0.0, valid=False)
 
-    best = _evaluate(scenario, link, config, grid[best_i], tables)
+    best = evaluate(grid[best_i])
     if 0 < best_i < len(grid) - 1:
         logs = np.log(grid)
 
         def cost(lg: float) -> float:
-            pt = _evaluate(scenario, link, config, float(math.exp(lg)), tables)
+            pt = evaluate(float(math.exp(lg)))
             if pt is None or not pt.valid:
                 return math.inf
             return -pt.rate
@@ -279,7 +289,7 @@ def optimize_mu_prime(
                 method="golden",
                 options={"xtol": config.refine_tol, "maxiter": 200},
             )
-            refined = _evaluate(scenario, link, config, float(math.exp(res.x)), tables)
+            refined = evaluate(float(math.exp(res.x)))
             if refined is not None and refined.valid and refined.rate > best.rate:
                 best = refined
         except ValueError:
@@ -536,13 +546,15 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     out.write(f"conditions_ok = {int(bound.conditions_ok)}\n")
     out.write(f"coefficient_margin = {_fmt(bound.coefficient_margin)}\n")
     out.write(f"clamped = {int(bound.clamped)}\n")
-    if bound.conditions_ok:
-        try:
-            bound_x = (
-                bound if basis is Basis.X
-                else y11_lower_bound(gains, weak, strong, Basis.X, config.cutoff)
-            )
-            if bound_x.conditions_ok:
+    # a file without X-basis records gets a yield-only report; a missing
+    # or ambiguous X record among others is an error like any other
+    if bound.conditions_ok and any(rec.basis is Basis.X for rec in gains):
+        bound_x = (
+            bound if basis is Basis.X
+            else y11_lower_bound(gains, weak, strong, Basis.X, config.cutoff)
+        )
+        if bound_x.conditions_ok:
+            try:
                 e11 = e11_upper_bound(
                     gains,
                     weak,
@@ -550,9 +562,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
                     single_pair_gain(weak, bound_x.value),
                     single_pair_gain(strong, bound_x.value),
                 )
+            except BoundUnavailableError:
+                pass  # neither setting has a positive single-pair gain
+            else:
                 out.write(f"e11_upper = {_fmt(e11)}\n")
-        except (KeyError, BoundUnavailableError):
-            pass  # no X-basis records in the input, bound report stays yield-only
     return 0
 
 

@@ -207,6 +207,21 @@ class TestGainTable:
         with pytest.raises(KeyError):
             table.get(Basis.Z, 0.1, 0.2, TriggerClass.ALL)
 
+    def test_ambiguous_float_noise_rejected(self):
+        # two records within the tolerance of the query: neither is returned
+        low = GainRecord(Basis.Z, 0.1 * (1.0 - 1e-12), 0.2, TriggerClass.ALL, 0.5, 0.01)
+        high = GainRecord(Basis.Z, 0.1 * (1.0 + 1e-12), 0.2, TriggerClass.ALL, 0.6, 0.01)
+        table = GainTable([low, high])
+        with pytest.raises(KeyError, match="ambiguous") as err:
+            table.get(Basis.Z, 0.1, 0.2, TriggerClass.ALL)
+        for rec in (low, high):
+            assert f"x={rec.alice_intensity!r}" in str(err.value)
+        # an exact key still names one record, and other classes do not count
+        assert table.get(Basis.Z, low.alice_intensity, 0.2, TriggerClass.ALL) is low
+        other = GainRecord(Basis.Z, 0.1, 0.2, TriggerClass.TRIGGERED, 0.7, 0.0)
+        table.add(other)
+        assert table.get(Basis.Z, 0.1 * (1.0 + 1e-13), 0.2, TriggerClass.TRIGGERED) is other
+
     def test_duplicate_key_replaces(self):
         first = GainRecord(Basis.Z, 0.1, 0.2, TriggerClass.ALL, 0.5, 0.0)
         second = GainRecord(Basis.Z, 0.1, 0.2, TriggerClass.ALL, 0.7, 0.0)

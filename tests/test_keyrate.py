@@ -1,10 +1,21 @@
 """Rate formula, scenario bookkeeping, and the per-point evaluator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mdiqkd import decoy, keyrate, runner
+from mdiqkd.decoy import (
+    BoundUnavailableError,
+    GainTable,
+    e11_upper_bound,
+    gain_from_yields,
+    side_weights,
+    single_pair_gain,
+    y11_lower_bound,
+)
 from mdiqkd.keyrate import (
     DEFAULT_ERROR_CORRECTION,
     SCENARIO_NAMES,
@@ -19,7 +30,15 @@ from mdiqkd.keyrate import (
     rate_for_scenario,
 )
 from mdiqkd.optics import Basis, LinkSpec
-from mdiqkd.source import DistributionKind
+from mdiqkd.runner import ScanConfig, optimize_mu_prime, parse_distances
+from mdiqkd.source import (
+    DistributionKind,
+    HeraldingDetector,
+    SourceSpec,
+    TriggerClass,
+    photon_weight,
+    trigger_prob,
+)
 
 LINK0 = LinkSpec(0.0)
 
@@ -226,3 +245,176 @@ class TestGridRates:
         after = _grid_constants.cache_info()
         assert after.misses - before.misses == 1
         assert after.hits - before.hits == len(links) - 1
+
+
+def reference_rate(scenario, link, mu, mu_prime, tables, f_ec=DEFAULT_ERROR_CORRECTION):
+    """rate_for_scenario by the record route: GainRecords from gain_from_yields
+    in a GainTable, then y11_lower_bound in Z and X and e11_upper_bound."""
+    if not mu_prime > 0.0:
+        raise ValueError(f"signal intensity must be > 0, got {mu_prime}")
+    table_z, table_x = tables
+    kind = scenario.distribution
+    heralding = None
+    if scenario.heralded:
+        heralding = HeraldingDetector(scenario.heralding_efficiency, scenario.heralding_dark_rate)
+    signal_cls = TriggerClass.TRIGGERED if scenario.heralded else TriggerClass.ALL
+    weak_cls = strong_cls = signal_cls
+    if scenario.coupled_mu:
+        weak_cls, strong_cls = TriggerClass.TRIGGERED, TriggerClass.NON_TRIGGERED
+
+    def src(intensity, cls):
+        return SourceSpec(kind, intensity, heralding, cls)
+
+    signal_side = side_weights(src(mu_prime, signal_cls), link.cutoff)
+    signal = gain_from_yields(signal_side, signal_side, table_z)
+    p1 = photon_weight(kind, mu_prime, 1)
+    q1 = trigger_prob(heralding, 1) if heralding is not None else 1.0
+
+    def invalid(reason, y11=0.0):
+        mu_out = 0.0 if scenario.asymptotic else mu
+        return RatePoint(link.total_distance_km, scenario.name, mu_out, mu_prime,
+                         y11, 0.0, 0.0, False, reason)
+
+    if scenario.asymptotic:
+        y11 = float(table_z.yields[1, 1])
+        e11 = float(table_x.errors[1, 1])
+        mu_out = 0.0
+    else:
+        if not mu > 0.0:
+            raise ValueError(f"weak intensity must be > 0, got {mu}")
+        weak = (src(mu, weak_cls), src(mu, weak_cls))
+        strong = (src(mu_prime, strong_cls), src(mu_prime, strong_cls))
+        gains = GainTable()
+        for pair in (weak, strong):
+            cls = pair[0].trigger_class
+            x, y = pair[0].intensity, pair[1].intensity
+            for xi, yi in ((x, y), (x, 0.0), (0.0, y), (0.0, 0.0)):
+                wa = side_weights(src(xi, cls), link.cutoff)
+                wb = side_weights(src(yi, cls), link.cutoff)
+                gains.add(gain_from_yields(wa, wb, table_z))
+                gains.add(gain_from_yields(wa, wb, table_x))
+        bound_z = y11_lower_bound(gains, weak, strong, Basis.Z, link.cutoff)
+        bound_x = y11_lower_bound(gains, weak, strong, Basis.X, link.cutoff)
+        if not (bound_z.conditions_ok and bound_x.conditions_ok):
+            return invalid("bound_conditions", bound_z.value)
+        try:
+            e11 = e11_upper_bound(gains, weak, strong,
+                                  single_pair_gain(weak, bound_x.value),
+                                  single_pair_gain(strong, bound_x.value))
+        except BoundUnavailableError:
+            return invalid("e11_unavailable", bound_z.value)
+        y11 = bound_z.value
+        mu_out = mu
+    rate = key_rate(RateInputs(y11=y11, e11x=e11, gain_z=signal.gain, qber_z=signal.qber,
+                               p1_sq=p1 * p1, q1_sq=q1 * q1, f_ec=f_ec))
+    return RatePoint(link.total_distance_km, scenario.name, mu_out, mu_prime,
+                     y11, e11, rate, True, "")
+
+
+def outcome(fn, *args):
+    """A function's RatePoint, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def optimizer_points(scenario, link, config, tables, monkeypatch):
+    """The signal intensities one optimize_mu_prime evaluates: the grid and refinement."""
+    seen = []
+    evaluate = runner.rate_for_scenario
+
+    def spy(scenario, link, mu, mu_prime, *args):
+        seen.append(mu_prime)
+        return evaluate(scenario, link, mu, mu_prime, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "rate_for_scenario", spy)
+        optimize_mu_prime(scenario, link, config, tables)
+    grid = np.geomspace(config.mu_prime_min, config.mu_prime_max, config.grid_points)
+    return [float(mp) for mp in grid] + seen
+
+
+def assert_record_route_matches(config, names, distances, monkeypatch):
+    """rate_for_scenario == reference_rate at every point the optimizer may evaluate."""
+    outcomes = []
+    for name in names:
+        scenario = config.scenario_kind(name)
+        for distance in distances:
+            link = config.link_for(distance)
+            tables = basis_tables(link)
+            for mp in optimizer_points(scenario, link, config, tables, monkeypatch):
+                mu = scenario.weak_intensity(mp, config.mu_fixed)
+                args = (scenario, link, mu, mp, tables, config.f_ec)
+                got = outcome(rate_for_scenario, *args)
+                assert got == outcome(reference_rate, *args), (name, distance, mp)
+                outcomes.append(got)
+    return outcomes
+
+
+def reasons(outcomes):
+    return {o.reason if isinstance(o, RatePoint) else o[0] for o in outcomes}
+
+
+SCAN_CFG = ScanConfig()
+
+
+class TestRecordRoute:
+    """The record path of rate_for_scenario against the GainTable route it replaced."""
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_default_scan_points(self, name, monkeypatch):
+        outcomes = assert_record_route_matches(
+            SCAN_CFG, [name], parse_distances("0:300:10"), monkeypatch
+        )
+        assert any(isinstance(o, RatePoint) and o.valid and o.rate > 0.0 for o in outcomes)
+
+    def test_unit_heralding(self, monkeypatch):
+        # the coupled weak intensity collapses to zero and is rejected
+        cfg = replace(SCAN_CFG, scenario_heralding={"H1": 1.0})
+        outcomes = assert_record_route_matches(cfg, ["H1", "H2"], (0.0, 100.0), monkeypatch)
+        assert ValueError in reasons(outcomes)
+
+    def test_full_misalignment(self, monkeypatch):
+        cfg = replace(SCAN_CFG, e_d=0.5)
+        outcomes = assert_record_route_matches(cfg, SCENARIO_NAMES, (50.0,), monkeypatch)
+        assert all(o.rate <= 0.0 for o in outcomes if isinstance(o, RatePoint))
+
+    def test_past_the_last_key_bearing_distance(self, monkeypatch):
+        outcomes = assert_record_route_matches(SCAN_CFG, SCENARIO_NAMES, (350.0,), monkeypatch)
+        assert "e11_unavailable" in reasons(outcomes)
+
+    def test_sub_unit_error_correction_still_raises(self, monkeypatch):
+        cfg = replace(SCAN_CFG, f_ec=0.99)
+        outcomes = assert_record_route_matches(cfg, SCENARIO_NAMES, (50.0,), monkeypatch)
+        assert ValueError in reasons(outcomes)
+        assert not any(isinstance(o, RatePoint) and o.valid for o in outcomes)
+
+    def test_patched_licensing_tolerance(self, monkeypatch):
+        # the record path reads decoy's tolerance at call time, as the bound does
+        monkeypatch.setattr(decoy, "COEFF_REL_TOL", -math.inf)
+        outcomes = assert_record_route_matches(
+            SCAN_CFG, ["W1", "H1", "H2", "T1"], (50.0,), monkeypatch
+        )
+        assert reasons(outcomes) == {"bound_conditions"}
+
+    def test_one_evaluation_does_no_duplicate_work(self, monkeypatch):
+        calls = {"side_weights": 0, "y11_coefficients": 0}
+
+        def counting(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        spies = {name: counting(name, getattr(decoy, name)) for name in calls}
+        for module in (decoy, keyrate):
+            for name, spy in spies.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy)
+        link = LinkSpec(40.0)
+        tables = basis_tables(link)
+        # an intensity no other test uses, so the weights miss the cache
+        point = rate_for_scenario(ScenarioKind("H1", 0.9), link, 0.0417, 0.417, tables)
+        assert point.valid and point.rate > 0.0
+        assert calls == {"side_weights": 0, "y11_coefficients": 1}

@@ -19,6 +19,7 @@ from mdiqkd.optics import (
     BsmOutcome,
     LinkSpec,
     _pair_tables,
+    _pattern_weights,
     bs_output,
     bsm_outcome_distribution,
     thin,
@@ -211,6 +212,22 @@ class TestBsmOutcomeDistribution:
 
 
 class TestYieldTable:
+    def test_pattern_weights_are_shared_by_the_tables_of_a_relay(self):
+        # a dark rate no other test uses: both bases' eight tables miss once
+        # per (k_a, k_b) and share the entry after that
+        link = LinkSpec(20.0, relay_dark_rate=4.321e-6, misalignment=0.017)
+        before = _pattern_weights.cache_info()
+        tables = [yield_table(link, basis) for basis in (Basis.Z, Basis.X)]
+        after = _pattern_weights.cache_info()
+        assert after.misses - before.misses == (link.cutoff + 1) ** 2
+        assert after.hits - before.hits == 7 * (link.cutoff + 1) ** 2
+        for table in tables:
+            for m, n in ((1, 1), (2, 1), (3, 3)):
+                y, e = yield_cell_oracle(m, n, table.basis, link.survival,
+                                         link.misalignment, link.relay_dark_rate)
+                assert math.isclose(table.yields[m, n], y, rel_tol=1e-12)
+                assert math.isclose(table.errors[m, n], e, rel_tol=1e-12)
+
     def test_single_pair_lossless_values(self):
         for basis in (Basis.Z, Basis.X):
             table = yield_table(IDEAL, basis)

@@ -1,14 +1,16 @@
 """Config parsing, the scan driver, CSV formats, and the CLI."""
 
+import csv
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scipy import optimize as sciopt
 
-from mdiqkd import decoy, keyrate
+from mdiqkd import decoy, keyrate, runner
 from mdiqkd.decoy import GainTable, gain_from_yields, side_weights
 from mdiqkd.keyrate import SCENARIO_NAMES, RatePoint, basis_tables, grid_rates
 from mdiqkd.optics import Basis, yield_table
@@ -156,6 +158,46 @@ class TestOptimize:
         assert not point.valid
         assert point.rate == 0.0
         assert point.reason == "no_valid_point"
+
+    @pytest.mark.parametrize("name", ["W1", "H1", "T1"])
+    def test_never_evaluates_a_point_twice(self, name, monkeypatch):
+        seen = []
+
+        def spy(scenario, link, mu, mu_prime, *args):
+            seen.append(mu_prime)
+            return keyrate.rate_for_scenario(scenario, link, mu, mu_prime, *args)
+
+        monkeypatch.setattr(runner, "rate_for_scenario", spy)
+        link = CFG.link_for(100.0)
+        point = optimize_mu_prime(CFG.scenario_kind(name), link, CFG)
+        assert point.valid
+        assert point.mu_prime in seen
+        assert len(seen) == len(set(seen))
+
+
+# rows the benchmark's reference scan recorded; tier-1 reads them too so a
+# drift in optimized rates fails here, not only in the benchmark
+REFERENCE_ROWS = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "scan_seed0.csv"
+
+
+def reference_rows():
+    with open(REFERENCE_ROWS, newline="", encoding="utf-8") as fh:
+        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+        return {(float(r["distance_km"]), r["scenario"]): r for r in rows}
+
+
+class TestReferenceRows:
+    @pytest.mark.parametrize("distance", [0.0, 100.0, 200.0])
+    def test_optimized_rows_match(self, distance):
+        rows = reference_rows()
+        link = CFG.link_for(distance)
+        tables = basis_tables(link)
+        for name in SCENARIO_NAMES:
+            ref = rows[(distance, name)]
+            point = optimize_mu_prime(CFG.scenario_kind(name), link, CFG, tables)
+            where = (distance, name)
+            assert (point.valid, point.reason) == (ref["valid"] == "1", ref["reason"]), where
+            assert math.isclose(point.rate, float(ref["rate"]), rel_tol=1e-12, abs_tol=0.0), where
 
 
 def reference_grid(scenario, link, config, tables):
@@ -517,6 +559,35 @@ class TestCli:
         assert report["conditions_ok"] == "1"
         assert math.isclose(float(report["y11_lower"]), 0.01028768762579957, rel_tol=1e-12)
         assert math.isclose(float(report["e11_upper"]), 0.0857685842221162, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_bound_rejects_ambiguous_records(self, basis, tmp_path, capsys):
+        # a weak intensity off every record by float noise matches both the
+        # record at 0.125 and a near-duplicate added below, in either basis
+        det = HeraldingDetector(0.75, 1e-6)
+        gains = GainTable()
+        tables = [yield_table(CFG.link_for(0.0), b) for b in (Basis.Z, Basis.X)]
+        for cls, intensity in (
+            (TriggerClass.TRIGGERED, 0.125),
+            (TriggerClass.NON_TRIGGERED, 0.5),
+        ):
+            for xi in (intensity, 0.0):
+                for yi in (intensity, 0.0):
+                    w_a = side_weights(SourceSpec(DistributionKind.POISSON, xi, det, cls), 8)
+                    w_b = side_weights(SourceSpec(DistributionKind.POISSON, yi, det, cls), 8)
+                    for table in tables:
+                        gains.add(gain_from_yields(w_a, w_b, table))
+        near = gains.get(Basis(basis), 0.125, 0.125, TriggerClass.TRIGGERED)
+        gains.add(replace(near, alice_intensity=0.125 * (1.0 + 2e-12)))
+        path = tmp_path / "gains.csv"
+        path.write_text(emit_gain_csv(gains))
+        code = main([
+            "bound", "--gains", str(path), "--scheme", "H1",
+            "--mu", repr(0.125 * (1.0 + 1e-12)), "--mu-prime", "0.5", "--basis", "Z",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ambiguous gain record" in err and f"basis={basis}" in err
 
     def test_optimize_report(self, capsys):
         assert main(["optimize", "--scenario", "H1", "--distance", "50"]) == 0
