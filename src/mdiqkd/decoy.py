@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -100,14 +101,24 @@ class SideWeights:
     vac_total: float
 
 
+# the triggered and non-triggered sides of one intensity share a row, and
+# a scan's golden refinement adds a fresh intensity at every step, so the
+# cache is bounded
+@lru_cache(maxsize=1024)
+def _photon_row(kind: DistributionKind, intensity: float, cutoff: int) -> np.ndarray:
+    """Read-only photon_weight(kind, intensity, m) for m = 0..cutoff."""
+    row = np.array([photon_weight(kind, intensity, m) for m in range(cutoff + 1)])
+    row.flags.writeable = False
+    return row
+
+
 def side_weights(source: SourceSpec, cutoff: int) -> SideWeights:
     """Series weights of one source up to the cutoff photon number."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    p = np.array([photon_weight(source.kind, source.intensity, m) for m in range(cutoff + 1)])
+    p = _photon_row(source.kind, source.intensity, cutoff)
     if source.trigger_class is TriggerClass.ALL:
-        a = p.copy()
-        vac = p.copy()
+        a = vac = p
         vac0 = 1.0
         a_total = 1.0 - p[0]
         vac_total = 1.0

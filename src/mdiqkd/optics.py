@@ -28,7 +28,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import binom
 
 __all__ = [
     "SAFETY_CAP",
@@ -137,6 +136,13 @@ class YieldTable:
     errors: np.ndarray
 
 
+def _binom_pmf(m: int, k: int, survival: float) -> float:
+    """P(k of m photons survive), as C(m, k) s^k (1 - s)^(m - k); 0 for k > m."""
+    if k > m:
+        return 0.0
+    return math.comb(m, k) * survival**k * (1.0 - survival) ** (m - k)
+
+
 def thin(m: int, survival: float) -> np.ndarray:
     """Binomial loss acting on an m-photon pulse.
 
@@ -147,14 +153,14 @@ def thin(m: int, survival: float) -> np.ndarray:
         raise ValueError(f"photon number must be >= 0, got {m}")
     if not 0.0 <= survival <= 1.0:
         raise ValueError(f"survival must lie in [0, 1], got {survival}")
-    return binom.pmf(np.arange(m + 1), m, survival)
+    return np.array([_binom_pmf(m, k, survival) for k in range(m + 1)])
 
 
 def _thin_matrix(n_max: int, survival: float) -> np.ndarray:
     """Matrix T with T[m, k] = P(k of m photons survive)."""
-    m = np.arange(n_max + 1)[:, None]
-    k = np.arange(n_max + 1)[None, :]
-    return binom.pmf(k, m, survival)
+    return np.array(
+        [[_binom_pmf(m, k, survival) for k in range(n_max + 1)] for m in range(n_max + 1)]
+    )
 
 
 def bs_output(j: int, k: int) -> dict[tuple[int, int], float]:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .decoy import (
     BoundUnavailableError,
@@ -225,6 +224,52 @@ def _evaluate(
         return None
 
 
+class _BracketError(ValueError):
+    """The three starting points of a golden-section search do not bracket a minimum."""
+
+
+# golden ratio conjugate, 2 / (1 + sqrt(5)), rounded as scipy rounds it
+_GOLDEN = 0.61803399
+
+
+def _golden_section(cost, bracket: tuple[float, float, float], xtol: float, maxiter: int) -> float:
+    """Minimize cost from a three-point bracket by golden-section search.
+
+    A port of scipy.optimize.minimize_scalar(method="golden") with a
+    three-point bracket: the same bracket checks, interior points,
+    stopping rule and result, so it evaluates the same points in the
+    same order and returns the same x.  Raises _BracketError when the
+    middle point is not strictly below both ends.
+    """
+    xa, xb, xc = bracket
+    if xa > xc:
+        xa, xc = xc, xa
+    if not (xa < xb and xb < xc):
+        raise _BracketError(f"bracket {bracket} is not ordered")
+    fa, fb, fc = cost(xa), cost(xb), cost(xc)
+    if not (fb < fa and fb < fc):
+        raise _BracketError(f"bracket {bracket} does not enclose a minimum")
+    g_c = 1.0 - _GOLDEN
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + g_c * (xc - xb)
+    else:
+        x1, x2 = xb - g_c * (xb - xa), xb
+    f1, f2 = cost(x1), cost(x2)
+    for _ in range(maxiter):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1 = x1, x2
+            x2 = _GOLDEN * x1 + g_c * x3
+            f1, f2 = f2, cost(x2)
+        else:
+            x3, x2 = x2, x1
+            x1 = _GOLDEN * x2 + g_c * x0
+            f2, f1 = f1, cost(x1)
+    return x1 if f1 < f2 else x2
+
+
 def optimize_mu_prime(
     scenario: ScenarioKind,
     link: LinkSpec,
@@ -282,18 +327,14 @@ def optimize_mu_prime(
                 return math.inf
             return -pt.rate
 
+        bracket = (float(logs[best_i - 1]), float(logs[best_i]), float(logs[best_i + 1]))
         try:
-            res = _sciopt.minimize_scalar(
-                cost,
-                bracket=(logs[best_i - 1], logs[best_i], logs[best_i + 1]),
-                method="golden",
-                options={"xtol": config.refine_tol, "maxiter": 200},
-            )
-            refined = evaluate(float(math.exp(res.x)))
-            if refined is not None and refined.valid and refined.rate > best.rate:
-                best = refined
-        except ValueError:
-            pass  # flat or non-bracketing neighbourhood, keep the grid best
+            x = _golden_section(cost, bracket, config.refine_tol, maxiter=200)
+            refined = evaluate(float(math.exp(x)))
+        except _BracketError:
+            refined = None  # flat or non-bracketing neighbourhood: the grid best is kept
+        if refined is not None and refined.valid and refined.rate > best.rate:
+            best = refined
 
     if best.rate <= 0.0:
         return replace(best, rate=0.0, valid=False, reason="no_positive_rate")

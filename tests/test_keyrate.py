@@ -418,3 +418,21 @@ class TestRecordRoute:
         point = rate_for_scenario(ScenarioKind("H1", 0.9), link, 0.0417, 0.417, tables)
         assert point.valid and point.rate > 0.0
         assert calls == {"side_weights": 0, "y11_coefficients": 1}
+
+    @pytest.mark.parametrize("name", ["H1", "T1"])
+    def test_signal_and_strong_sides_share_one_photon_row(self, name, monkeypatch):
+        link = LinkSpec(40.0)
+        tables = basis_tables(link)
+        scenario = ScenarioKind(name, 0.9)
+        # caches the zero-intensity sides, which every evaluation shares
+        rate_for_scenario(scenario, link, 0.0418, 0.418, tables)
+        calls = []
+
+        def spy(kind, intensity, n):
+            calls.append(intensity)
+            return photon_weight(kind, intensity, n)
+
+        monkeypatch.setattr(decoy, "photon_weight", spy)
+        # intensities no other test uses, so the rows miss the cache
+        rate_for_scenario(scenario, link, 0.0419, 0.419, tables)
+        assert sorted(calls) == [0.0419] * (link.cutoff + 1) + [0.419] * (link.cutoff + 1)

@@ -1,9 +1,11 @@
 """Relay model: beamsplitter statistics, outcome classification, yields."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from _oracles import (
     binom_row_oracle,
@@ -20,6 +22,7 @@ from mdiqkd.optics import (
     LinkSpec,
     _pair_tables,
     _pattern_weights,
+    _thin_matrix,
     bs_output,
     bsm_outcome_distribution,
     thin,
@@ -49,6 +52,20 @@ class TestLinkSpec:
             LinkSpec(10.0, cutoff=0)
 
 
+# survival exactly 0 and 1, the extremes next to them, and seeded random values
+THIN_SURVIVALS = (0.0, 1.0, 1e-9, 1.0 - 1e-9, *np.random.default_rng(11).random(6).tolist())
+
+# scipy's binomial pmf strays from the exact value by up to about 300 ulps
+# (7e-14 relative) at m <= SAFETY_CAP, where the closed form stays within 4
+SCIPY_BINOM_RTOL = 1e-12
+
+
+def exact_binom_row(m: int, survival: float) -> list[float]:
+    """C(m, k) s^k (1 - s)^(m - k) in rational arithmetic, rounded once."""
+    s = Fraction(survival)
+    return [float(math.comb(m, k) * s**k * (1 - s) ** (m - k)) for k in range(m + 1)]
+
+
 class TestThin:
     def test_lossless_identity(self):
         assert np.allclose(thin(2, 1.0), [0.0, 0.0, 1.0], atol=1e-15)
@@ -63,6 +80,24 @@ class TestThin:
         for m in range(11):
             for s in (0.0, 0.145, 0.5, 0.9, 1.0):
                 assert np.allclose(thin(m, s), binom_row_oracle(m, s), atol=1e-13)
+
+    @pytest.mark.parametrize("survival", THIN_SURVIVALS)
+    def test_matches_exact_and_scipy_binomials(self, survival):
+        for m in range(SAFETY_CAP + 1):
+            got = thin(m, survival)
+            np.testing.assert_array_max_ulp(got, binom_row_oracle(m, survival), maxulp=4)
+            np.testing.assert_array_max_ulp(got, exact_binom_row(m, survival), maxulp=8)
+            np.testing.assert_allclose(
+                got, binom.pmf(np.arange(m + 1), m, survival), rtol=SCIPY_BINOM_RTOL, atol=0.0
+            )
+
+    @pytest.mark.parametrize("survival", THIN_SURVIVALS)
+    def test_matrix_rows_are_thin(self, survival):
+        table = _thin_matrix(SAFETY_CAP, survival)
+        assert table.shape == (SAFETY_CAP + 1, SAFETY_CAP + 1)
+        for m in range(SAFETY_CAP + 1):
+            np.testing.assert_array_equal(table[m, : m + 1], thin(m, survival))
+            assert not table[m, m + 1:].any()
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -337,6 +340,108 @@ class TestBatchedGrid:
         # several scenarios have grid points with no e11 bound there
         points = assert_batched_grid_matches(CFG, name, (350.0,))
         assert {p.reason for p in points} == {"no_positive_rate"}
+
+
+def bowl(x):
+    return (x - 0.3) ** 2 + 1.0
+
+
+def walled(x):
+    # infinite beyond 0.8, as the optimizer's cost is wherever a point is invalid
+    return math.inf if x > 0.8 else math.cosh(x - 0.25)
+
+
+def traced(fn):
+    """fn, and the list of the points it is evaluated at, in call order."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(float(x))
+        return fn(x)
+
+    return wrapped, calls
+
+
+def golden_runs(fn, bracket, xtol, maxiter):
+    """(result or the ValueError raised, evaluated points) of the port and of scipy."""
+    runs = []
+    for solve in (
+        lambda f: runner._golden_section(f, bracket, xtol, maxiter),
+        lambda f: float(sciopt.minimize_scalar(
+            f, bracket=bracket, method="golden", options={"xtol": xtol, "maxiter": maxiter}
+        ).x),
+    ):
+        f, calls = traced(fn)
+        try:
+            outcome = solve(f)
+        except ValueError as exc:
+            outcome = exc
+        runs.append((outcome, calls))
+    return runs
+
+
+class TestGoldenSection:
+    @pytest.mark.parametrize("fn, bracket, xtol, maxiter", [
+        (bowl, (-1.0, 0.0, 2.0), 1e-4, 200),
+        (bowl, (2.0, 0.0, -1.0), 1e-4, 200),  # reversed
+        (bowl, (-3.0, 0.5, 0.7), 1e-8, 200),  # first interior point below the middle
+        (walled, (-1.0, 0.0, 1.0), 1e-6, 200),  # inf at an end
+        (walled, (-1.0, 0.7, 5.0), 1e-6, 200),  # inf at interior points
+        (bowl, (-1.0, 0.0, 2.0), 1e-12, 5),  # cut off by maxiter
+        # interior points on both sides of 0 decide the first stop test
+        (lambda x: x * x, (-1.0, -0.1, 1.0), 5.0, 200),
+    ], ids=["bowl", "reversed", "left", "inf-end", "inf-interior", "maxiter", "straddle"])
+    def test_matches_scipy(self, fn, bracket, xtol, maxiter):
+        (x, calls), (ref_x, ref_calls) = golden_runs(fn, bracket, xtol, maxiter)
+        assert x == ref_x
+        assert calls == ref_calls
+
+    @pytest.mark.parametrize("fn, bracket", [
+        (bowl, (0.0, 2.0, 1.0)),  # middle point outside the ends
+        (bowl, (-1.0, 2.0, 3.0)),  # middle point above an end
+        (lambda x: 1.0, (-1.0, 0.0, 1.0)),  # flat
+    ], ids=["unordered", "not-a-minimum", "flat"])
+    def test_rejects_what_scipy_rejects(self, fn, bracket):
+        (err, calls), (ref_err, ref_calls) = golden_runs(fn, bracket, 1e-4, 200)
+        assert isinstance(err, runner._BracketError)
+        assert isinstance(ref_err, ValueError)
+        assert calls == ref_calls
+
+    def test_a_bracket_failure_keeps_the_grid_best(self, monkeypatch):
+        def no_bracket(*args, **kwargs):
+            raise runner._BracketError("no minimum")
+
+        link = CFG.link_for(100.0)
+        scenario = CFG.scenario_kind("H1")
+        grid = np.geomspace(CFG.mu_prime_min, CFG.mu_prime_max, CFG.grid_points)
+        tables = basis_tables(link)
+        best = int(np.argmax(grid_rates(scenario, link, CFG.mu_fixed, grid, tables)))
+        monkeypatch.setattr(runner, "_golden_section", no_bracket)
+        point = optimize_mu_prime(scenario, link, CFG, tables)
+        assert point.valid and point.mu_prime == grid[best]
+
+    def test_other_value_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a bracket failure")
+
+        monkeypatch.setattr(runner, "_golden_section", broken)
+        with pytest.raises(ValueError, match="not a bracket failure"):
+            optimize_mu_prime(CFG.scenario_kind("H1"), CFG.link_for(100.0), CFG)
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        src = Path(runner.__file__).resolve().parents[1]
+        code = (
+            "import sys, mdiqkd; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestScan:
