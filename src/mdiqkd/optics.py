@@ -7,17 +7,21 @@ detectors.  A coincidence of exactly two detectors with orthogonal
 polarizations announces a Bell outcome: same output port means Psi+,
 opposite ports means Psi-.  Every other click pattern is discarded.
 
-Amplitudes are computed by dense multinomial expansion over the four
-detector modes (cH, cV, dH, dV), so the numbers are exact up to float
-rounding.  Channel loss commutes with the passive optics and is applied
-afterwards as binomial thinning of the input photon numbers.
+Each accepted pattern {i, j} is evaluated in closed form.  The other two
+detectors must stay dark, so every photon sits in modes i and j; the
+pattern's probability is the two-mode sum over how many photons land in
+mode i, with the same signed amplitude terms a full four-mode expansion
+would give those occupations, plus the single-mode and vacuum terms that
+need dark clicks.  The numbers are exact up to float rounding.  Channel
+loss commutes with the passive optics and is applied afterwards as
+binomial thinning of the input photon numbers.
 
-The expansion is split by what it depends on.  The mode compositions,
-multinomial coefficients, the scatter of (Alice term, Bob term) products
-onto joint occupations, and each occupation's Fock normalisation depend
-only on the photon counts (k_a, k_b) and are cached once per pair of
-counts.  The mode amplitudes (state and misalignment) and the dark-count
-click weights depend on the relay and are computed per relay setting.
+The sums are split by what they depend on.  Their terms' binomials,
+exponents, group boundaries and Fock normalisations depend only on the
+photon-count caps and are cached once per pair of caps.  The mode
+amplitudes (state and misalignment) and the dark-count weights depend on
+the relay; per relay only their powers are gathered and reduced, and the
+resulting tables are cached per relay setting.
 """
 
 from __future__ import annotations
@@ -42,9 +46,8 @@ __all__ = [
     "yield_table",
 ]
 
-# hard limit on photons entering one Bell-state measurement; the dense
-# expansion grows as (m+n)^3 terms and this is far beyond any cutoff a
-# gain series needs
+# hard limit on photons entering one Bell-state measurement, far beyond
+# any cutoff a gain series needs
 SAFETY_CAP = 16
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -203,131 +206,56 @@ def _rotated(vec: tuple[float, float], theta: float) -> tuple[float, float]:
     return (c * vec[0] - s * vec[1], s * vec[0] + c * vec[1])
 
 
-@lru_cache(maxsize=None)
-def _compositions(total: int) -> np.ndarray:
-    """All ways to place `total` photons into the four detector modes."""
-    rows = [
-        (n0, n1, n2, n3)
-        for n0 in range(total + 1)
-        for n1 in range(total - n0 + 1)
-        for n2 in range(total - n0 - n1 + 1)
-        for n3 in (total - n0 - n1 - n2,)
-    ]
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
-    arr.flags.writeable = False
-    return arr
-
-
-_FACT = np.array([float(math.factorial(i)) for i in range(SAFETY_CAP + 1)])
+# detector modes are ordered (cH, cV, dH, dV); each accepted pattern is a
+# pair of modes (i, j), the two Psi+ patterns first
+_PATTERN_I = np.array([0, 2, 0, 1])
+_PATTERN_J = np.array([1, 3, 3, 2])
 
 
 @lru_cache(maxsize=None)
-def _multinomials(total: int) -> np.ndarray:
-    """total! / (n0! n1! n2! n3!) for each row of _compositions(total)."""
-    comps = _compositions(total)
-    coeff = _FACT[total] / (
-        _FACT[comps[:, 0]] * _FACT[comps[:, 1]] * _FACT[comps[:, 2]] * _FACT[comps[:, 3]]
-    )
-    coeff.flags.writeable = False
-    return coeff
+def _pattern_terms(cap_a: int, cap_b: int) -> tuple[np.ndarray, ...]:
+    """Relay-independent part of the two-mode pattern sums up to the caps.
 
-
-def _side_terms(count: int, amps: tuple[float, float, float, float]) -> np.ndarray:
-    """Multinomial expansion of one party's count-photon creation operator.
-
-    Returns the operator coefficient of each row of _compositions(count),
-    without the final 1/sqrt(count!) normalisation.  The compositions and
-    multinomial coefficients are cached per count; only the powers of the
-    mode amplitudes are computed here, once per relay and party.
+    One term per (k_a, k_b, n, l): n of the k = k_a + k_b photons land in
+    mode i, 0 < n < k, and l of those n come from Alice.  Returns each
+    term's binomials C(k_a, l) C(k_b, n - l) and the flat indices of its
+    power pairs, (l, k_a - l) for Alice's amplitudes in modes (i, j) and
+    (n - l, k_b - n + l) for Bob's; the start of each (k_a, k_b, n) group,
+    its normalisation n! (k - n)! / (k_a! k_b!) and its flat (k_a, k_b)
+    cell; and C(k, k_a) per cell, zero at k = 0, which weights the terms
+    with every photon in one mode.
     """
-    comps = _compositions(count)
-    # numpy integer exponents select numpy's scalar power; Python's float
-    # power and numpy's array power round some values differently in the
-    # last bit, which would change the byte-stable CSV outputs
-    powers = np.array([[amp**n for n in np.arange(count + 1)] for amp in amps])
-    return (
-        _multinomials(count)
-        * powers[0, comps[:, 0]]
-        * powers[1, comps[:, 1]]
-        * powers[2, comps[:, 2]]
-        * powers[3, comps[:, 3]]
+    coeff, alice, bob, starts, norm, cell = [], [], [], [], [], []
+    for ka in range(cap_a + 1):
+        for kb in range(cap_b + 1):
+            k = ka + kb
+            for n in range(1, k):
+                starts.append(len(coeff))
+                norm.append(
+                    math.factorial(n) * math.factorial(k - n)
+                    / (math.factorial(ka) * math.factorial(kb))
+                )
+                cell.append(ka * (cap_b + 1) + kb)
+                for l in range(max(0, n - kb), min(ka, n) + 1):
+                    coeff.append(float(math.comb(ka, l) * math.comb(kb, n - l)))
+                    alice.append(l * (cap_a + 1) + ka - l)
+                    bob.append((n - l) * (cap_b + 1) + kb - n + l)
+    single = np.array(
+        [[float(math.comb(ka + kb, ka)) for kb in range(cap_b + 1)] for ka in range(cap_a + 1)]
     )
-
-
-@lru_cache(maxsize=None)
-def _pair_structure(k_a: int, k_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Relay-independent scatter map from (Alice term, Bob term) to joint occupation.
-
-    Returns, for every product of a row of _compositions(k_a) with a row
-    of _compositions(k_b) (flattened, Alice major), the index of its
-    joint four-mode occupation among the distinct ones; which modes each
-    distinct occupation fills; and its Fock normalisation
-    sqrt(prod n_i! / (k_a! k_b!)).  Keyed by the photon counts alone, so
-    the cache holds at most one entry per pair within SAFETY_CAP however
-    many relays are evaluated.
-    """
-    base = k_a + k_b + 1
-    # the base-`base` digits of a joint occupation are the sum of the two
-    # parties' digits, and no digit carries, so flat indices add
-    place = base ** np.arange(3, -1, -1)
-    flat = (_compositions(k_a) @ place)[:, None] + (_compositions(k_b) @ place)[None, :]
-    keys, inverse = np.unique(flat.ravel(), return_inverse=True)
-    occs = np.empty((keys.size, 4), dtype=np.int64)
-    rem = keys
-    for col in (3, 2, 1, 0):
-        occs[:, col] = rem % base
-        rem = rem // base
-    norm = np.sqrt(_FACT[occs].prod(axis=1) / (_FACT[k_a] * _FACT[k_b]))
-    # at most C(SAFETY_CAP + 3, 3) = 969 distinct occupations fit in uint16
-    inverse = inverse.astype(np.uint16)
-    occupied = occs > 0
-    for arr in (inverse, occupied, norm):
+    single[0, 0] = 0.0
+    out = (
+        np.array(coeff),
+        np.array(alice, dtype=np.intp),
+        np.array(bob, dtype=np.intp),
+        np.array(starts, dtype=np.intp),
+        np.array(norm),
+        np.array(cell, dtype=np.intp),
+        single,
+    )
+    for arr in out:
         arr.flags.writeable = False
-    return inverse, occupied, norm
-
-
-# bounded: one entry per (k_a, k_b) for each dark rate, and the eight
-# tables of one relay share its dark rate
-@lru_cache(maxsize=256)
-def _pattern_weights(k_a: int, k_b: int, dark_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Psi+ and Psi- click-pattern probabilities of every joint occupation of _pair_structure."""
-    occupied = _pair_structure(k_a, k_b)[1]
-    click = np.where(occupied, 1.0, dark_rate)
-    quiet = 1.0 - click
-
-    def exactly(a: int, b: int, c: int, d: int) -> np.ndarray:
-        return click[:, a] * click[:, b] * quiet[:, c] * quiet[:, d]
-
-    plus = exactly(0, 1, 2, 3) + exactly(2, 3, 0, 1)
-    minus = exactly(0, 3, 1, 2) + exactly(1, 2, 0, 3)
-    plus.flags.writeable = False
-    minus.flags.writeable = False
-    return plus, minus
-
-
-def _pair_core(
-    k_a: int,
-    vals_a: np.ndarray,
-    k_b: int,
-    vals_b: np.ndarray,
-    dark_rate: float,
-) -> tuple[float, float]:
-    """Bell-pattern probabilities for k_a and k_b photons hitting the relay.
-
-    vals_a and vals_b are the parties' _side_terms for these counts.  The
-    scatter onto joint occupations comes from the cached
-    _pair_structure(k_a, k_b); only the amplitudes and the dark-count
-    weights depend on the relay.
-    """
-    inverse, _, norm = _pair_structure(k_a, k_b)
-    amps = np.bincount(inverse, weights=np.outer(vals_a, vals_b).ravel(), minlength=norm.size)
-    # exactly cancelled occupations drop out of the sums, as in bs_output
-    nz = np.flatnonzero(amps)
-    if nz.size == 0:
-        return 0.0, 0.0
-    probs = (amps[nz] * norm[nz]) ** 2
-    w_plus, w_minus = _pattern_weights(k_a, k_b, dark_rate)
-    return float(probs @ w_plus[nz]), float(probs @ w_minus[nz])
+    return out
 
 
 # bounded: every relay setting adds one entry per state pair and caps, and
@@ -346,36 +274,44 @@ def _pair_tables(
     Misalignment is modelled as a polarization rotation of Bob's arm by
     theta with sin(theta)^2 equal to the misalignment parameter.  These
     tables depend only on the relay, not on channel loss, so they are
-    cached and reused across distances.  Each party's side terms are
-    expanded once per photon count and shared by every pair count; the
-    relay-independent structure of each (k_a, k_b) comes from the
-    _pair_structure cache.
+    cached and reused across distances.
+
+    Pattern (i, j) fires when no photon reaches the other two modes,
+    their detectors stay dark, and each empty mode of the pair dark
+    clicks: (1 - d)^2 [P_ij + d (P_i + P_j) + d^2 [k = 0]], where P_ij is
+    the chance that both modes are occupied and P_i the chance that all
+    k photons are in mode i.  The terms of P_ij come from
+    _pattern_terms(cap_a, cap_b); only the amplitude powers are per relay.
     """
     theta = math.asin(math.sqrt(misalignment))
     jones_a = _jones(state_a)
     jones_b = _rotated(_jones(state_b), theta)
-    # mode order (cH, cV, dH, dV); Bob's port picks up the minus sign
-    amps_a = (
-        jones_a[0] * _SQRT1_2,
-        jones_a[1] * _SQRT1_2,
-        jones_a[0] * _SQRT1_2,
-        jones_a[1] * _SQRT1_2,
+    # Bob's port d picks up the minus sign
+    u = np.array([jones_a[0], jones_a[1], jones_a[0], jones_a[1]]) * _SQRT1_2
+    v = np.array([jones_b[0], jones_b[1], -jones_b[0], -jones_b[1]]) * _SQRT1_2
+    coeff, alice, bob, starts, norm, cell, single = _pattern_terms(cap_a, cap_b)
+    pow_u = u[:, None] ** np.arange(cap_a + 1)
+    pow_v = v[:, None] ** np.arange(cap_b + 1)
+    # per pattern, every product (power of mode i) * (power of mode j)
+    pair_u = (pow_u[_PATTERN_I, :, None] * pow_u[_PATTERN_J, None, :]).reshape(4, -1)
+    pair_v = (pow_v[_PATTERN_I, :, None] * pow_v[_PATTERN_J, None, :]).reshape(4, -1)
+    amps = np.add.reduceat(coeff * pair_u[:, alice] * pair_v[:, bob], starts, axis=1)
+    shape = (cap_a + 1, cap_b + 1)
+    size = shape[0] * shape[1]
+    both = np.bincount(
+        (cell + size * np.arange(4)[:, None]).ravel(),
+        weights=(norm * amps * amps).ravel(),
+        minlength=4 * size,
+    ).reshape(4, *shape)
+    alone = single * (pow_u * pow_u)[:, :, None] * (pow_v * pow_v)[:, None, :]
+    empty = np.zeros(shape)
+    empty[0, 0] = 1.0
+    d = dark_rate
+    probs = (1.0 - d) ** 2 * (
+        both + d * (alone[_PATTERN_I] + alone[_PATTERN_J]) + d * d * empty
     )
-    amps_b = (
-        jones_b[0] * _SQRT1_2,
-        jones_b[1] * _SQRT1_2,
-        -jones_b[0] * _SQRT1_2,
-        -jones_b[1] * _SQRT1_2,
-    )
-    terms_a = [_side_terms(ka, amps_a) for ka in range(cap_a + 1)]
-    terms_b = [_side_terms(kb, amps_b) for kb in range(cap_b + 1)]
-    plus = np.empty((cap_a + 1, cap_b + 1))
-    minus = np.empty((cap_a + 1, cap_b + 1))
-    for ka in range(cap_a + 1):
-        for kb in range(cap_b + 1):
-            plus[ka, kb], minus[ka, kb] = _pair_core(
-                ka, terms_a[ka], kb, terms_b[kb], dark_rate
-            )
+    plus = probs[0] + probs[1]
+    minus = probs[2] + probs[3]
     plus.flags.writeable = False
     minus.flags.writeable = False
     return plus, minus

@@ -40,7 +40,7 @@ from .keyrate import (
     grid_rates,
     rate_for_scenario,
 )
-from .optics import Basis, LinkSpec, YieldTable, yield_table
+from .optics import SAFETY_CAP, Basis, LinkSpec, YieldTable, yield_table
 from .source import DistributionKind, HeraldingDetector, SourceSpec, TriggerClass
 
 __all__ = [
@@ -138,6 +138,13 @@ def _parse_scenarios(text: str) -> tuple[str, ...]:
     return names
 
 
+def _check_cutoff(cutoff: int) -> int:
+    """A series cutoff the relay tables support: they need up to 2 * cutoff photons."""
+    if not 2 <= cutoff <= SAFETY_CAP // 2:
+        raise ConfigError(f"cutoff must lie in [2, {SAFETY_CAP // 2}], got {cutoff}")
+    return cutoff
+
+
 _UNIT_KEYS = {"e_d", "d_c", "eta_c", "eta_heralding", "d_heralding"}
 _POSITIVE_KEYS = {"mu_fixed", "mu_prime_min", "mu_prime_max", "refine_tol"}
 
@@ -188,8 +195,8 @@ def parse_config(text: str) -> ScanConfig:
                 values[field_name] = num
             elif key in ("cutoff", "grid_points"):
                 num = int(val)
-                if key == "cutoff" and num < 2:
-                    raise ConfigError(f"cutoff must be >= 2, got {val}")
+                if key == "cutoff":
+                    _check_cutoff(num)
                 if key == "grid_points" and num < 4:
                     raise ConfigError(f"grid_points must be >= 4, got {val}")
                 values[key] = num
@@ -535,9 +542,7 @@ def _apply_flag_overrides(config: ScanConfig, args: argparse.Namespace) -> ScanC
     if getattr(args, "distances", None):
         updates["distances"] = parse_distances(args.distances)
     if getattr(args, "cutoff", None) is not None:
-        if args.cutoff < 2:
-            raise ConfigError(f"cutoff must be >= 2, got {args.cutoff}")
-        updates["cutoff"] = args.cutoff
+        updates["cutoff"] = _check_cutoff(args.cutoff)
     return replace(config, **updates) if updates else config
 
 

@@ -21,7 +21,6 @@ from mdiqkd.optics import (
     BsmOutcome,
     LinkSpec,
     _pair_tables,
-    _pattern_weights,
     _thin_matrix,
     bs_output,
     bsm_outcome_distribution,
@@ -246,23 +245,30 @@ class TestBsmOutcomeDistribution:
         assert after.currsize == before.currsize
 
 
-class TestYieldTable:
-    def test_pattern_weights_are_shared_by_the_tables_of_a_relay(self):
-        # a dark rate no other test uses: both bases' eight tables miss once
-        # per (k_a, k_b) and share the entry after that
-        link = LinkSpec(20.0, relay_dark_rate=4.321e-6, misalignment=0.017)
-        before = _pattern_weights.cache_info()
-        tables = [yield_table(link, basis) for basis in (Basis.Z, Basis.X)]
-        after = _pattern_weights.cache_info()
-        assert after.misses - before.misses == (link.cutoff + 1) ** 2
-        assert after.hits - before.hits == 7 * (link.cutoff + 1) ** 2
-        for table in tables:
-            for m, n in ((1, 1), (2, 1), (3, 3)):
-                y, e = yield_cell_oracle(m, n, table.basis, link.survival,
-                                         link.misalignment, link.relay_dark_rate)
-                assert math.isclose(table.yields[m, n], y, rel_tol=1e-12)
-                assert math.isclose(table.errors[m, n], e, rel_tol=1e-12)
+class TestPairTables:
+    # dark-count-dominated cells: at most two photons at realistic dark
+    # rates, where an inclusion-exclusion over vacuum probabilities cancels
+    # O(1) terms and lands about 1e-9 off on one-photon cells
+    @pytest.mark.parametrize("dark_rate", (1e-7, 1e-5))
+    @pytest.mark.parametrize("misalignment", (0.0, 0.015, 1.0))
+    def test_few_photon_cells_match_relay_oracle(self, dark_rate, misalignment):
+        for sa in BB84State:
+            for sb in BB84State:
+                plus_tab, minus_tab = _pair_tables(sa, sb, misalignment, dark_rate, 2, 2)
+                for k_a in range(3):
+                    for k_b in range(3 - k_a):
+                        plus, minus = relay_probs_oracle(
+                            k_a, k_b, sa, sb, misalignment, dark_rate
+                        )
+                        assert math.isclose(
+                            plus_tab[k_a, k_b], plus, rel_tol=1e-12, abs_tol=0.0
+                        ), (sa, sb, k_a, k_b)
+                        assert math.isclose(
+                            minus_tab[k_a, k_b], minus, rel_tol=1e-12, abs_tol=0.0
+                        ), (sa, sb, k_a, k_b)
 
+
+class TestYieldTable:
     def test_single_pair_lossless_values(self):
         for basis in (Basis.Z, Basis.X):
             table = yield_table(IDEAL, basis)

@@ -713,3 +713,18 @@ class TestCli:
         assert main(["scan", "--cutoff", "1"]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 4
+
+    def test_cutoff_flag_above_the_relay_cap_exits(self, capsys):
+        assert main(["yields", "--distance", "10", "--cutoff", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cutoff must lie in [2, 8], got 9\n"
+
+    def test_config_cutoff_above_the_relay_cap_exits(self, tmp_path, capsys):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("alpha = 0.2\ncutoff = 12\n")
+        assert main(["optimize", "--config", str(cfg), "--scenario", "H1",
+                     "--distance", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: cutoff must lie in [2, 8], got 12\n"
