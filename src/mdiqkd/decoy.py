@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,10 @@ __all__ = [
     "GainTable",
     "Y11Bound",
     "side_weights",
+    "SeriesParts",
+    "series_parts",
     "series_gain",
-    "gain_and_qber",
+    "record_qber",
     "gain_from_yields",
     "pair_coefficients",
     "interior_tail",
@@ -221,28 +223,51 @@ class GainTable:
         )))
 
 
-def series_gain(alice: SideWeights, bob: SideWeights, mat: np.ndarray) -> float:
-    """One record's truncated double series over a (cutoff + 1)-square table.
+class SeriesParts(NamedTuple):
+    """One side's factors of the double series over stacked (cutoff + 1)-square tables:
+    side.vac against each column 0 (col, as Alice) and row 0 (row, as Bob), and
+    side.a[1:] against each interior (inner, as Alice)."""
 
-    mat holds yields for a gain, or yields times error rates for the
-    error-weighted gain.  Interior terms and vacuum rows follow the
-    conventions of the module docstring.
+    side: SideWeights
+    col: list[float]
+    row: list[float]
+    inner: np.ndarray
+
+
+# These stride-preserving matmul forms reproduce the 1-D products a @ M[:, 0],
+# M[0, :] @ b and a @ M @ b bit for bit.  A contiguous copy of the columns, gemv over
+# stacked rows or einsum round differently on a quarter or more of random 9x9 cases.
+def series_parts(side: SideWeights, mats: np.ndarray) -> SeriesParts:
+    """The factors series_gain takes from one side, over every stacked table."""
+    vac = side.vac
+    return SeriesParts(
+        side,
+        (vac[None, :] @ mats[:, :, :1]).ravel().tolist(),
+        (mats[:, :1, :] @ vac[:, None]).ravel().tolist(),
+        side.a[1:] @ mats[:, 1:, 1:],
+    )
+
+
+def series_gain(alice: SeriesParts, bob: SeriesParts, mats: np.ndarray) -> list[float]:
+    """One record's truncated double series over each table of mats, one entry each.
+
+    alice and bob are series_parts over the same mats.  Interior terms and
+    vacuum rows follow the conventions of the module docstring.
     """
-    interior = float(alice.a[1:] @ mat[1:, 1:] @ bob.a[1:])
-    rows = bob.vac_at_zero * float(alice.vac @ mat[:, 0])
-    rows += alice.vac_at_zero * float(bob.vac @ mat[0, :])
-    rows -= alice.vac_at_zero * bob.vac_at_zero * float(mat[0, 0])
-    return interior + rows
+    a0 = alice.side.vac_at_zero
+    b0 = bob.side.vac_at_zero
+    interior = (alice.inner[:, None, :] @ bob.side.a[1:, None]).ravel().tolist()
+    corner = mats[:, 0, 0].tolist()
+    # float arithmetic in the per-table order, so every gain rounds as it always has
+    return [
+        i + (b0 * c + a0 * r - a0 * b0 * m)
+        for i, c, r, m in zip(interior, alice.col, bob.row, corner)
+    ]
 
 
-def gain_and_qber(
-    alice: SideWeights, bob: SideWeights, yields: np.ndarray, wrong: np.ndarray
-) -> tuple[float, float]:
-    """A record's gain and qber; wrong is the yields times the error rates."""
-    gain = series_gain(alice, bob, yields)
-    if not gain > 0.0:
-        return gain, 0.0
-    return gain, series_gain(alice, bob, wrong) / gain
+def record_qber(gain: float, wrong: float) -> float:
+    """A record's qber from its gain and error-weighted gain."""
+    return wrong / gain if gain > 0.0 else 0.0
 
 
 def gain_from_yields(alice: SideWeights, bob: SideWeights, table: YieldTable) -> GainRecord:
@@ -258,7 +283,8 @@ def gain_from_yields(alice: SideWeights, bob: SideWeights, table: YieldTable) ->
         raise ValueError("side weights and yield table use different cutoffs")
     if alice.source.trigger_class is not bob.source.trigger_class:
         raise ValueError("both sides of a record must share one event class")
-    gain, qber = gain_and_qber(alice, bob, table.yields, table.yields * table.errors)
+    mats = np.stack((table.yields, table.yields * table.errors))
+    gain, wrong = series_gain(series_parts(alice, mats), series_parts(bob, mats), mats)
     tail = interior_tail(alice, bob)
     tail += bob.vac_at_zero * (alice.vac_total - float(alice.vac.sum()))
     tail += alice.vac_at_zero * (bob.vac_total - float(bob.vac.sum()))
@@ -268,7 +294,7 @@ def gain_from_yields(alice: SideWeights, bob: SideWeights, table: YieldTable) ->
         bob_intensity=bob.source.intensity,
         trigger_class=alice.source.trigger_class,
         gain=gain,
-        qber=qber,
+        qber=record_qber(gain, wrong),
         tail=tail,
     )
 

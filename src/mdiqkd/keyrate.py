@@ -20,11 +20,13 @@ single-photon-pair yield and error straight from the simulator.
 
 The estimated scenarios take the record path: rate_for_scenario
 assembles the gains of the weak and strong settings and their vacuum
-rows from cached side weights (decoy.gain_and_qber, the arithmetic of
-gain_from_yields) and hands the numbers to the estimator core shared
-with the `bound` command (decoy.y11_from_series and
-decoy.e11_from_moments); no GainTable is built.  grid_rates evaluates a
-whole intensity grid in one array pass, for ranking only.
+rows from cached side weights, through the series form gain_from_yields
+uses (decoy.series_parts and decoy.series_gain), and hands the numbers
+to the estimator core shared with the `bound` command
+(decoy.y11_from_series and decoy.e11_from_moments); no GainTable is
+built.  What no point of a row changes is kept in a row context (see
+_RowContext).  grid_rates evaluates a whole intensity grid in one array
+pass, for ranking only.
 """
 
 from __future__ import annotations
@@ -39,12 +41,14 @@ import numpy as np
 from .decoy import (
     COEFF_REL_TOL,
     BoundUnavailableError,
+    SeriesParts,
     SideWeights,
     e11_from_moments,
     error_moment,
-    gain_and_qber,
     interior_gain,
+    record_qber,
     series_gain,
+    series_parts,
     side_weights,
     y11_coefficients,
     y11_from_series,
@@ -221,11 +225,113 @@ def _classes(scenario: ScenarioKind) -> tuple[TriggerClass, TriggerClass, Trigge
     return signal_cls, signal_cls, signal_cls
 
 
-def _setting_sides(
-    side: SideWeights, zero: SideWeights
-) -> tuple[tuple[SideWeights, SideWeights], ...]:
-    """Alice and Bob weights of a setting's (x, x), (x, 0), (0, x) and (0, 0) records."""
-    return ((side, side), (side, zero), (zero, side), (zero, zero))
+def _stacked_tables(tables: tuple[YieldTable, YieldTable]) -> np.ndarray:
+    """Per basis, the yields and the error-weighted yields: (Y_z, Y_z e_z, Y_x, Y_x e_x)."""
+    return np.stack([m for t in tables for m in (t.yields, t.yields * t.errors)])
+
+
+class _RowContext:
+    """What every evaluation of one (scenario, link, tables, f_ec) row shares.
+
+    Built on a row's first rate_for_scenario call and reused by every later
+    point: the stacked tables, heralding, classes, q1, and the zero-intensity
+    sides' series parts with their finished (0, 0) records.  The last weak
+    setting's records are kept, so a weak intensity that does not follow
+    mu' (W1, H2) is assembled once per row.  Per point, each side at mu' or
+    at a coupled weak intensity gets one series_parts pass over all four tables.
+    """
+
+    def __init__(self, scenario: ScenarioKind, link: LinkSpec, tables, f_ec: float) -> None:
+        # the context holds the tables, so their ids cannot be reused while it lives
+        self.key = (scenario, link, f_ec, id(tables[0]), id(tables[1]))
+        self.scenario, self.link, self.tables, self.f_ec = scenario, link, tables, f_ec
+        self.mats = _stacked_tables(tables)
+        self.kind = scenario.distribution
+        self.heralding = _heralding(scenario)
+        self.classes = _classes(scenario)
+        self.q1 = trigger_prob(self.heralding, 1) if self.heralding is not None else 1.0
+        self.zero: dict[TriggerClass, tuple[SeriesParts, list[float]]] = {}
+        if not scenario.asymptotic:
+            for cls in set(self.classes[1:]):
+                zero = series_parts(self.weights(0.0, cls), self.mats)
+                self.zero[cls] = (zero, series_gain(zero, zero, self.mats))
+        self.weak: tuple[SideWeights, list[tuple[float, ...]]] | None = None
+
+    def weights(self, intensity: float, cls: TriggerClass) -> SideWeights:
+        source = SourceSpec(self.kind, intensity, self.heralding, cls)
+        return _side_weights(source, self.link.cutoff)
+
+    def setting(self, side: SideWeights, cls: TriggerClass) -> list[tuple[float, ...]]:
+        """Gains of a symmetric setting's (x, x), (x, 0), (0, x) and (0, 0) records.
+
+        One tuple per stacked table: [0] feeds Y11 in Z, [2] and [3] hold the
+        X-basis gains and error-weighted gains.
+        """
+        x = series_parts(side, self.mats)
+        zero, corner = self.zero[cls]
+        return list(zip(series_gain(x, x, self.mats), series_gain(x, zero, self.mats),
+                        series_gain(zero, x, self.mats), corner))
+
+    def rate(self, mu: float, mu_prime: float) -> RatePoint:
+        """rate_for_scenario's point at these intensities; mu_prime is > 0."""
+        signal_cls, weak_cls, strong_cls = self.classes
+        signal = self.weights(mu_prime, signal_cls)
+        full = None
+        if self.scenario.asymptotic:
+            y11 = float(self.tables[0].yields[1, 1])
+            e11 = float(self.tables[1].errors[1, 1])
+        else:
+            if not mu > 0.0:
+                raise ValueError(f"weak intensity must be > 0, got {mu}")
+            weak = self.weights(mu, weak_cls)
+            kept = self.weak
+            if kept is None or kept[0] is not weak:
+                kept = self.weak = (weak, self.setting(weak, weak_cls))
+            strong = signal if strong_cls is signal_cls else self.weights(mu_prime, strong_cls)
+            settings = (kept[1], self.setting(strong, strong_cls))
+            if strong is signal:
+                full = [gains[0] for gains in settings[1]]
+            coeffs = y11_coefficients(weak, weak, strong, strong)
+            y11, _, licensed = y11_from_series(coeffs, *(interior_gain(*g[0]) for g in settings))
+            if not licensed:
+                return self.point(mu, mu_prime, y11, 0.0, 0.0, "bound_conditions")
+            y11_x, _, _ = y11_from_series(coeffs, *(interior_gain(*g[2]) for g in settings))
+            moments = tuple(
+                error_moment((gain, record_qber(gain, wrong)) for gain, wrong in zip(g[2], g[3]))
+                for g in settings
+            )
+            # each setting's (1,1) interior coefficient, as single_pair_gain takes it
+            s11 = tuple(float(w.a[1] * w.a[1]) * y11_x for w in (weak, strong))
+            try:
+                e11 = e11_from_moments(moments, s11)
+            except BoundUnavailableError:
+                return self.point(mu, mu_prime, y11, 0.0, 0.0, "e11_unavailable")
+        if full is None:
+            x = series_parts(signal, self.mats)
+            full = series_gain(x, x, self.mats)
+        p1 = photon_weight(self.kind, mu_prime, 1)
+        rate = key_rate(
+            RateInputs(
+                y11=y11,
+                e11x=e11,
+                gain_z=full[0],
+                qber_z=record_qber(full[0], full[1]),
+                p1_sq=p1 * p1,
+                q1_sq=self.q1 * self.q1,
+                f_ec=self.f_ec,
+            )
+        )
+        return self.point(mu, mu_prime, y11, e11, rate)
+
+    def point(self, mu, mu_prime, y11, e11, rate, reason="") -> RatePoint:
+        mu_out = 0.0 if self.scenario.asymptotic else mu
+        return RatePoint(self.link.total_distance_km, self.scenario.name, mu_out, mu_prime,
+                         y11, e11, rate, valid=not reason, reason=reason)
+
+
+# the row of the last rate_for_scenario call: the optimizer evaluates one
+# row's points back to back, so one slot serves every point after the first
+_last_row: _RowContext | None = None
 
 
 def rate_for_scenario(
@@ -242,105 +348,20 @@ def rate_for_scenario(
     negative for a valid point; validity only says the bounds existed.
 
     The estimated scenarios take the record path of the module
-    docstring.  The side weights of the weak and strong settings and of
-    their zero-intensity counterparts come from the cache once; the Z
-    records need their gains only (decoy.series_gain), the X records
-    their gains and qbers (decoy.gain_and_qber), each computed as
-    gain_from_yields computes it.  y11_coefficients runs once for both
-    bases.  The numbers, and so every returned point, equal those of
-    y11_lower_bound and e11_upper_bound on a GainTable of the same
-    records.
+    docstring, through the row context of (scenario, link, tables,
+    f_ec), found by the identity of the table objects.  Every returned
+    point equals what y11_lower_bound and e11_upper_bound give on a
+    GainTable of the same records.
     """
+    global _last_row
     if not mu_prime > 0.0:
         raise ValueError(f"signal intensity must be > 0, got {mu_prime}")
     if tables is None:
         tables = basis_tables(link)
-    table_z, table_x = tables
-    kind = scenario.distribution
-    heralding = _heralding(scenario)
-    signal_cls, weak_cls, strong_cls = _classes(scenario)
-
-    def weights(intensity: float, cls: TriggerClass) -> SideWeights:
-        return _side_weights(SourceSpec(kind, intensity, heralding, cls), link.cutoff)
-
-    signal = weights(mu_prime, signal_cls)
-    gain_z, qber_z = gain_and_qber(
-        signal, signal, table_z.yields, table_z.yields * table_z.errors
-    )
-    p1 = photon_weight(kind, mu_prime, 1)
-    q1 = trigger_prob(heralding, 1) if heralding is not None else 1.0
-
-    def invalid(reason: str, y11: float = 0.0, e11: float = 0.0) -> RatePoint:
-        return RatePoint(
-            distance_km=link.total_distance_km,
-            scenario=scenario.name,
-            mu=0.0 if scenario.asymptotic else mu,
-            mu_prime=mu_prime,
-            y11_bound=y11,
-            e11_bound=e11,
-            rate=0.0,
-            valid=False,
-            reason=reason,
-        )
-
-    if scenario.asymptotic:
-        y11 = float(table_z.yields[1, 1])
-        e11 = float(table_x.errors[1, 1])
-        mu_out = 0.0
-    else:
-        if not mu > 0.0:
-            raise ValueError(f"weak intensity must be > 0, got {mu}")
-        weak = weights(mu, weak_cls)
-        strong = weights(mu_prime, strong_cls)
-        settings = (
-            _setting_sides(weak, weights(0.0, weak_cls)),
-            _setting_sides(strong, weights(0.0, strong_cls)),
-        )
-        coeffs = y11_coefficients(weak, weak, strong, strong)
-        y11, _, licensed = y11_from_series(coeffs, *(
-            interior_gain(*(series_gain(a, b, table_z.yields) for a, b in sides))
-            for sides in settings
-        ))
-        if not licensed:
-            return invalid("bound_conditions", y11)
-        wrong_x = table_x.yields * table_x.errors
-        records_x = [
-            [gain_and_qber(a, b, table_x.yields, wrong_x) for a, b in sides]
-            for sides in settings
-        ]
-        y11_x, _, _ = y11_from_series(coeffs, *(
-            interior_gain(*(gain for gain, _ in records)) for records in records_x
-        ))
-        # each setting's (1,1) interior coefficient, as single_pair_gain takes it
-        s11 = tuple(float(w.a[1] * w.a[1]) * y11_x for w in (weak, strong))
-        try:
-            e11 = e11_from_moments(tuple(error_moment(r) for r in records_x), s11)
-        except BoundUnavailableError:
-            return invalid("e11_unavailable", y11)
-        mu_out = mu
-
-    rate = key_rate(
-        RateInputs(
-            y11=y11,
-            e11x=e11,
-            gain_z=gain_z,
-            qber_z=qber_z,
-            p1_sq=p1 * p1,
-            q1_sq=q1 * q1,
-            f_ec=f_ec,
-        )
-    )
-    return RatePoint(
-        distance_km=link.total_distance_km,
-        scenario=scenario.name,
-        mu=mu_out,
-        mu_prime=mu_prime,
-        y11_bound=y11,
-        e11_bound=e11,
-        rate=rate,
-        valid=True,
-        reason="",
-    )
+    row = _last_row
+    if row is None or row.key != (scenario, link, f_ec, id(tables[0]), id(tables[1])):
+        row = _last_row = _RowContext(scenario, link, tables, f_ec)
+    return row.rate(mu, mu_prime)
 
 
 class _Sides(NamedTuple):
@@ -491,13 +512,7 @@ def grid_rates(
     if not f_ec >= 1.0:
         return np.full(grid.shape, -math.inf)
     const = _grid_constants(scenario, tuple(grid.tolist()), mu_fixed, link.cutoff)
-    # per basis, the yields and the error-weighted yields
-    mats = np.stack([
-        table_z.yields,
-        table_z.yields * table_z.errors,
-        table_x.yields,
-        table_x.yields * table_x.errors,
-    ])
+    mats = _stacked_tables(tables)
     with np.errstate(divide="ignore", invalid="ignore"):
         gain_z, wrong_z = _stacked_gains(const.signal, const.signal, mats[:2])
         qber_z = _qber(gain_z, wrong_z)

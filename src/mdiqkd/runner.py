@@ -9,8 +9,9 @@ Everything here is deterministic: a fixed log-spaced intensity grid,
 golden-section refinement with a fixed tolerance, and repr-based float
 serialization that round-trips exactly.  The optimizer evaluates the
 grid in one batched pass (keyrate.grid_rates) only to pick the best
-grid point; refinement and every reported row use the scalar
-rate_for_scenario.
+grid point; refinement and every reported row use rate_for_scenario,
+whose row context (see keyrate) assembles what no point changes once
+per row and only the sides at each point's own intensities per point.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ __all__ = [
 RATE_HEADER = "distance_km,scenario,mu,mu_prime,y11_bound,e11_bound,rate,valid"
 GAIN_HEADER = "basis,x,y,class,gain,qber"
 YIELD_HEADER = "basis,m,n,Y,e"
+
+# a distance range is expanded into a tuple, so its length is capped first
+MAX_DISTANCES = 10_000
 
 # scenarios whose curves are quoted at a better heralding detector; the
 # remaining heralded scenarios stay at the global default
@@ -114,7 +118,8 @@ class ScanConfig:
 
 
 def parse_distances(text: str) -> tuple[float, ...]:
-    """Parse a START:STOP:STEP distance range, inclusive of STOP."""
+    """Parse a START:STOP:STEP range of finite parts, inclusive of STOP, into
+    at most MAX_DISTANCES distances."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"distances must be START:STOP:STEP, got {text!r}")
@@ -122,9 +127,14 @@ def parse_distances(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"distances must be numeric, got {text!r}") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ConfigError(f"distances must be finite, got {text!r}")
     if step <= 0 or stop < start or start < 0:
         raise ConfigError(f"bad distance range {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_DISTANCES:
+        raise ConfigError(f"distance range {text!r} lists more than {MAX_DISTANCES} distances")
+    count = int(math.floor(steps)) + 1
     return tuple(start + i * step for i in range(count))
 
 
@@ -682,6 +692,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # yields and optimize build a link at --distance; no link has a negative or infinite one
+    if not 0.0 <= getattr(args, "distance", 0.0) < math.inf:
+        parser.error(f"argument --distance: must be finite and >= 0, got {args.distance!r}")
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, KeyError) as exc:

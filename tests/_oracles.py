@@ -11,6 +11,7 @@ is therefore evidence, not tautology.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from mdiqkd.optics import BASIS_STATES, STATE_BIT, Basis, BB84State
@@ -81,6 +82,9 @@ _PLUS_PATTERNS = ({0, 1}, {2, 3})
 _MINUS_PATTERNS = ({0, 3}, {1, 2})
 
 
+# memos sized to one relay's checked cells: every (m, n) cell re-expands the
+# same (k_a, k_b, states) relay probabilities and their occupations
+@functools.lru_cache(maxsize=512)
 def pattern_probs_oracle(occ: tuple[int, ...], dark: float) -> tuple[float, float]:
     """Probabilities of the two accepted click patterns for one occupation.
 
@@ -105,6 +109,7 @@ def pattern_probs_oracle(occ: tuple[int, ...], dark: float) -> tuple[float, floa
     return plus, minus
 
 
+@functools.lru_cache(maxsize=512)
 def relay_probs_oracle(
     k_a: int,
     k_b: int,

@@ -14,6 +14,8 @@ from mdiqkd.decoy import (
     gain_from_yields,
     pair_coefficients,
     s11_gains,
+    series_gain,
+    series_parts,
     series_terms,
     side_weights,
     single_pair_gain,
@@ -158,6 +160,30 @@ class TestGainFromYields:
             gain, wrong = record_oracle(spec_a, spec_b, yl, el)
             assert math.isclose(rec.gain, gain, rel_tol=1e-12, abs_tol=1e-300)
             assert math.isclose(rec.gain * rec.qber, wrong, rel_tol=1e-11, abs_tol=1e-300)
+
+    def test_stacked_series_matches_the_one_dimensional_products_bit_for_bit(self):
+        # the series as it was written per table, with 1-D products; the
+        # stacked form must round exactly as it does, or reported rows move
+        def per_table(alice, bob, mat):
+            interior = float(alice.a[1:] @ mat[1:, 1:] @ bob.a[1:])
+            rows = bob.vac_at_zero * float(alice.vac @ mat[:, 0])
+            rows += alice.vac_at_zero * float(bob.vac @ mat[0, :])
+            rows -= alice.vac_at_zero * bob.vac_at_zero * float(mat[0, 0])
+            return interior + rows
+
+        rng = np.random.default_rng(11)
+        classes = (TriggerClass.ALL, TriggerClass.TRIGGERED, TriggerClass.NON_TRIGGERED)
+        for _ in range(300):
+            kind = (P, T)[int(rng.integers(2))]
+            cls = classes[int(rng.integers(3))]
+            det = None if cls is TriggerClass.ALL else DET
+            x_a = float(rng.uniform(0.0, 1.5))
+            x_b = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 1.5))
+            alice = side_weights(SourceSpec(kind, x_a, det, cls), CUTOFF)
+            bob = side_weights(SourceSpec(kind, x_b, det, cls), CUTOFF)
+            mats = rng.random((4, CUTOFF + 1, CUTOFF + 1)) ** 3
+            got = series_gain(series_parts(alice, mats), series_parts(bob, mats), mats)
+            assert got == [per_table(alice, bob, mat) for mat in mats]
 
     def test_event_classes_partition_the_plain_gain(self):
         # per side the two heralded classes split the plain distribution

@@ -436,3 +436,66 @@ class TestRecordRoute:
         # intensities no other test uses, so the rows miss the cache
         rate_for_scenario(scenario, link, 0.0419, 0.419, tables)
         assert sorted(calls) == [0.0419] * (link.cutoff + 1) + [0.419] * (link.cutoff + 1)
+
+
+class TestRowContext:
+    """What one optimizer row assembles once, not once per point."""
+
+    @pytest.mark.parametrize("name", ["W1", "H1", "H2", "T1"])
+    def test_one_optimize_builds_one_row_context(self, name, monkeypatch):
+        built = []
+
+        class Counting(keyrate._RowContext):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(keyrate, "_RowContext", Counting)
+        # fresh table objects, so no earlier row's context serves them
+        link = SCAN_CFG.link_for(70.0)
+        point = optimize_mu_prime(SCAN_CFG.scenario_kind(name), link, SCAN_CFG, basis_tables(link))
+        assert point.valid
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("name", ["W1", "H1", "H2", "T1"])
+    def test_fixed_records_are_assembled_once_per_row(self, name, monkeypatch):
+        scenario = SCAN_CFG.scenario_kind(name)
+        weak_cls = TriggerClass.TRIGGERED if scenario.heralded else TriggerClass.ALL
+        records = []
+        assemble = keyrate.series_gain
+
+        def spy(alice, bob, *args):
+            # the sides' SideWeights, whichever form the helper takes
+            records.append(tuple(getattr(s, "side", s).source for s in (alice, bob)))
+            return assemble(alice, bob, *args)
+
+        monkeypatch.setattr(keyrate, "series_gain", spy)
+        link = SCAN_CFG.link_for(70.0)
+        optimize_mu_prime(scenario, link, SCAN_CFG, basis_tables(link))
+        zero = [r for r in records if r[0].intensity == r[1].intensity == 0.0]
+        # one (0, 0) record per zero-intensity class: both classes for the
+        # coupled scenarios, one shared class otherwise
+        classes = {r[0].trigger_class for r in zero}
+        assert len(zero) == len(classes) == (2 if scenario.coupled_mu else 1)
+        if not scenario.coupled_mu:
+            heralding = zero[0][0].heralding
+            fixed = SourceSpec(scenario.distribution, SCAN_CFG.mu_fixed, heralding, weak_cls)
+            # (x, x), (x, 0) and (0, x) of the fixed weak setting
+            assert sum(fixed in r for r in records) == 3
+
+    def test_context_is_keyed_by_every_input(self):
+        link = LinkSpec(60.0)
+        farther = replace(link, total_distance_km=61.0)
+        # each call differs from the one before in one input only
+        calls = [
+            (ScenarioKind("H1", 0.9), link, 0.04, 0.4, DEFAULT_ERROR_CORRECTION),
+            (ScenarioKind("H1", 0.9), link, 0.05, 0.5, DEFAULT_ERROR_CORRECTION),
+            (ScenarioKind("H1", 0.9), link, 0.05, 0.5, 1.4),
+            (ScenarioKind("H1", 0.9), farther, 0.05, 0.5, 1.4),
+            (ScenarioKind("H1", 0.8), farther, 0.05, 0.5, 1.4),
+            (ScenarioKind("H2", 0.8), farther, 0.05, 0.5, 1.4),
+            (ScenarioKind("W1"), farther, 0.05, 0.5, 1.4),
+        ]
+        expected = [rate_for_scenario(*c[:4], basis_tables(link), c[4]) for c in calls]
+        tables = basis_tables(link)
+        assert [rate_for_scenario(*c[:4], tables, c[4]) for c in calls] == expected

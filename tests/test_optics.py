@@ -11,10 +11,12 @@ from _oracles import (
     binom_row_oracle,
     bs_probs_oracle,
     outcome_probs_oracle,
+    pattern_probs_oracle,
     relay_probs_oracle,
     yield_cell_oracle,
 )
 from mdiqkd.optics import (
+    BASIS_STATES,
     SAFETY_CAP,
     Basis,
     BB84State,
@@ -266,6 +268,27 @@ class TestPairTables:
                         assert math.isclose(
                             minus_tab[k_a, k_b], minus, rel_tol=1e-12, abs_tol=0.0
                         ), (sa, sb, k_a, k_b)
+
+
+class TestOracleMemo:
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_cached_oracles_equal_their_originals(self, basis):
+        rng = np.random.default_rng(7)
+        relay, pattern = relay_probs_oracle, pattern_probs_oracle
+        for _ in range(3):
+            misalignment = float(rng.uniform(0.005, 0.03))
+            dark = float(np.exp(rng.uniform(np.log(1e-7), np.log(1e-5))))
+            for sa in BASIS_STATES[basis]:
+                for sb in BASIS_STATES[basis]:
+                    for k_a in range(3):
+                        for k_b in range(3):
+                            args = (k_a, k_b, sa, sb, misalignment, dark)
+                            for _ in range(2):  # a miss, then a hit
+                                assert relay(*args) == relay.__wrapped__(*args)
+            for _ in range(20):
+                occ = tuple(int(k) for k in rng.integers(0, 3, size=4))
+                for _ in range(2):
+                    assert pattern(occ, dark) == pattern.__wrapped__(occ, dark)
 
 
 class TestYieldTable:

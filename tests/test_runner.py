@@ -61,6 +61,18 @@ class TestParseDistances:
             with pytest.raises(ConfigError):
                 parse_distances(bad)
 
+    @pytest.mark.parametrize("text", ["0:inf:5", "nan:10:5", "0:10:inf"])
+    def test_rejects_non_finite_parts(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_distances(text)
+
+    def test_rejects_a_range_too_long_to_build(self):
+        assert len(parse_distances(f"0:{runner.MAX_DISTANCES - 1}:1")) == runner.MAX_DISTANCES
+        # each would be expanded before anything else could reject it
+        for text in (f"0:{runner.MAX_DISTANCES}:1", "0:10:1e-300", "0:10:1e-320"):
+            with pytest.raises(ConfigError, match="more than"):
+                parse_distances(text)
+
 
 class TestParseConfig:
     def test_empty_is_default(self):
@@ -713,6 +725,21 @@ class TestCli:
         assert main(["scan", "--cutoff", "1"]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 4
+
+    @pytest.mark.parametrize("command", ["yields", "optimize"])
+    @pytest.mark.parametrize("distance", ["-5", "nan", "inf"])
+    def test_distance_flag_rejects_what_no_link_has(self, command, distance, capsys):
+        scenario = ["--scenario", "H1"] if command == "optimize" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--distance", distance] + scenario)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --distance: must be finite and >= 0" in captured.err
+
+    def test_distances_flag_rejects_non_finite_parts(self, capsys):
+        assert main(["scan", "--distances", "0:inf:5"]) == 2
+        assert capsys.readouterr().err.startswith("error: distances must be finite")
 
     def test_cutoff_flag_above_the_relay_cap_exits(self, capsys):
         assert main(["yields", "--distance", "10", "--cutoff", "9"]) == 2
