@@ -22,6 +22,10 @@ Every gain record also carries a certified truncation tail: an upper
 bound on the weight the series discards beyond the cutoff, computed from
 closed-form totals of the weight distributions.
 
+A side's weights are its photon row times the factors of its event
+class (side_factors).  A side at intensity zero has no interior weights,
+so a record with one is its vacuum rows alone (see SeriesParts).
+
 The estimator's algebra works on plain numbers (y11_from_series,
 e11_from_moments).  y11_lower_bound and e11_upper_bound feed it records
 looked up in a GainTable; the rate path in keyrate feeds it the same
@@ -40,9 +44,11 @@ import numpy as np
 from .optics import Basis, YieldTable
 from .source import (
     DistributionKind,
+    HeraldingDetector,
     SourceSpec,
     TriggerClass,
     damped_total,
+    photon_row,
     photon_weight,
 )
 
@@ -53,8 +59,10 @@ __all__ = [
     "GainRecord",
     "GainTable",
     "Y11Bound",
+    "side_factors",
     "side_weights",
     "SeriesParts",
+    "weight_parts",
     "series_parts",
     "series_gain",
     "record_qber",
@@ -108,10 +116,23 @@ class SideWeights:
 # cache is bounded
 @lru_cache(maxsize=1024)
 def _photon_row(kind: DistributionKind, intensity: float, cutoff: int) -> np.ndarray:
-    """Read-only photon_weight(kind, intensity, m) for m = 0..cutoff."""
-    row = np.array([photon_weight(kind, intensity, m) for m in range(cutoff + 1)])
+    """Read-only photon_row(kind, intensity, cutoff) as an array."""
+    row = np.array(photon_row(kind, intensity, cutoff))
     row.flags.writeable = False
     return row
+
+
+def side_factors(heralding: HeraldingDetector | None, cls: TriggerClass, cutoff: int):
+    """(a_factor, vac_factor, vac_at_zero) of an event class: a side's weights are
+    a_factor * row and vac_factor * row for its photon row, at any intensity."""
+    if cls is TriggerClass.ALL:
+        ones = np.ones(cutoff + 1)
+        return ones, ones, 1.0
+    damp = (1.0 - heralding.efficiency) ** np.arange(cutoff + 1)
+    kept = (1.0 - heralding.dark_rate) * damp
+    if cls is TriggerClass.TRIGGERED:
+        return 1.0 - damp, 1.0 - kept, heralding.dark_rate
+    return damp, kept, 1.0 - heralding.dark_rate
 
 
 def side_weights(source: SourceSpec, cutoff: int) -> SideWeights:
@@ -119,38 +140,19 @@ def side_weights(source: SourceSpec, cutoff: int) -> SideWeights:
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     p = _photon_row(source.kind, source.intensity, cutoff)
-    if source.trigger_class is TriggerClass.ALL:
-        a = vac = p
-        vac0 = 1.0
-        a_total = 1.0 - p[0]
-        vac_total = 1.0
-    else:
-        eta = source.heralding.efficiency
-        dark = source.heralding.dark_rate
-        damp = (1.0 - eta) ** np.arange(cutoff + 1)
-        survive = damped_total(source.kind, source.intensity, 1.0 - eta)
+    a_factor, vac_factor, vac0 = side_factors(source.heralding, source.trigger_class, cutoff)
+    a, vac = a_factor * p, vac_factor * p
+    a.flags.writeable = vac.flags.writeable = False
+    a_total, vac_total = 1.0 - p[0], 1.0
+    if source.trigger_class is not TriggerClass.ALL:
+        heralding = source.heralding
+        survive = damped_total(source.kind, source.intensity, 1.0 - heralding.efficiency)
+        kept = (1.0 - heralding.dark_rate) * survive
         if source.trigger_class is TriggerClass.TRIGGERED:
-            a = (1.0 - damp) * p
-            vac = (1.0 - (1.0 - dark) * damp) * p
-            vac0 = dark
-            a_total = 1.0 - survive
-            vac_total = 1.0 - (1.0 - dark) * survive
+            a_total, vac_total = 1.0 - survive, 1.0 - kept
         else:
-            a = damp * p
-            vac = (1.0 - dark) * damp * p
-            vac0 = 1.0 - dark
-            a_total = survive - p[0]
-            vac_total = (1.0 - dark) * survive
-    a.flags.writeable = False
-    vac.flags.writeable = False
-    return SideWeights(
-        source=source,
-        a=a,
-        vac=vac,
-        vac_at_zero=vac0,
-        a_total=a_total,
-        vac_total=vac_total,
-    )
+            a_total, vac_total = survive - p[0], kept
+    return SideWeights(source, a, vac, vac0, a_total, vac_total)
 
 
 @dataclass(frozen=True)
@@ -225,27 +227,35 @@ class GainTable:
 
 class SeriesParts(NamedTuple):
     """One side's factors of the double series over stacked (cutoff + 1)-square tables:
-    side.vac against each column 0 (col, as Alice) and row 0 (row, as Bob), and
-    side.a[1:] against each interior (inner, as Alice)."""
+    vac against each column 0 (col, as Alice) and row 0 (row, as Bob), and a[1:]
+    against each interior (inner, as Alice).  At intensity zero a[1:] == 0 exactly,
+    so a and inner are None and the side's records take no interior product."""
 
-    side: SideWeights
+    a: np.ndarray | None
+    vac0: float
     col: list[float]
     row: list[float]
-    inner: np.ndarray
+    inner: np.ndarray | None
 
 
 # These stride-preserving matmul forms reproduce the 1-D products a @ M[:, 0],
 # M[0, :] @ b and a @ M @ b bit for bit.  A contiguous copy of the columns, gemv over
 # stacked rows or einsum round differently on a quarter or more of random 9x9 cases.
-def series_parts(side: SideWeights, mats: np.ndarray) -> SeriesParts:
-    """The factors series_gain takes from one side, over every stacked table."""
-    vac = side.vac
+def weight_parts(a: np.ndarray | None, vac: np.ndarray, vac0: float, mats: np.ndarray):
+    """The SeriesParts of one side's weights over every stacked table."""
     return SeriesParts(
-        side,
+        a,
+        vac0,
         (vac[None, :] @ mats[:, :, :1]).ravel().tolist(),
         (mats[:, :1, :] @ vac[:, None]).ravel().tolist(),
-        side.a[1:] @ mats[:, 1:, 1:],
+        None if a is None else a[1:] @ mats[:, 1:, 1:],
     )
+
+
+def series_parts(side: SideWeights, mats: np.ndarray) -> SeriesParts:
+    """weight_parts of one side's SideWeights."""
+    a = side.a if side.source.intensity > 0.0 else None
+    return weight_parts(a, side.vac, side.vac_at_zero, mats)
 
 
 def series_gain(alice: SeriesParts, bob: SeriesParts, mats: np.ndarray) -> list[float]:
@@ -254,11 +264,15 @@ def series_gain(alice: SeriesParts, bob: SeriesParts, mats: np.ndarray) -> list[
     alice and bob are series_parts over the same mats.  Interior terms and
     vacuum rows follow the conventions of the module docstring.
     """
-    a0 = alice.side.vac_at_zero
-    b0 = bob.side.vac_at_zero
-    interior = (alice.inner[:, None, :] @ bob.side.a[1:, None]).ravel().tolist()
+    a0 = alice.vac0
+    b0 = bob.vac0
     corner = mats[:, 0, 0].tolist()
-    # float arithmetic in the per-table order, so every gain rounds as it always has
+    if alice.inner is None or bob.a is None:
+        interior = [0.0] * len(corner)
+    else:
+        interior = (alice.inner[:, None, :] @ bob.a[1:, None]).ravel().tolist()
+    # float arithmetic in the per-table order, so every gain rounds as it always has;
+    # a skipped interior enters as the +0.0 its product gave, so 0.0 + -0.0 stays 0.0
     return [
         i + (b0 * c + a0 * r - a0 * b0 * m)
         for i, c, r, m in zip(interior, alice.col, bob.row, corner)
@@ -405,42 +419,40 @@ def _unavailable(k: float = math.nan, denom: float = math.nan) -> Y11Bound:
 
 
 def y11_coefficients(
-    wa: SideWeights, wb: SideWeights, sa: SideWeights, sb: SideWeights
+    wa: np.ndarray, wb: np.ndarray, sa: np.ndarray, sb: np.ndarray
 ) -> tuple[float, float, bool, float]:
     """The weight-only half of the Y[1][1] bound: what licenses it.
 
-    Takes the side weights of the weak (wa, wb) and strong (sa, sb)
-    settings and returns (k, denominator, swapped, coefficient_margin)
-    as y11_lower_bound reports them: after canonicalisation, so when
-    swapped is set k and the denominator refer to the exchanged roles.
-    The margin is inf exactly when the bound is unavailable: the (1,2)
-    and (2,1) coefficients cannot cancel (k and denominator are then
-    nan) or the denominator is not negative.  The bound is licensed
-    when the margin is at most COEFF_REL_TOL.
+    Takes the interior weights (SideWeights.a) of the weak (wa, wb) and
+    strong (sa, sb) settings and returns (k, denominator, swapped,
+    coefficient_margin) as y11_lower_bound reports them: after
+    canonicalisation, so when swapped is set k and the denominator refer
+    to the exchanged roles.  The margin is inf exactly when the bound is
+    unavailable: the (1,2) and (2,1) coefficients cannot cancel (k and
+    denominator are then nan) or the denominator is not negative.  The
+    bound is licensed when the margin is at most COEFF_REL_TOL.
     """
-    num_k = sa.a[1] * sb.a[2] + sa.a[2] * sb.a[1]
-    den_k = wa.a[1] * wb.a[2] + wa.a[2] * wb.a[1]
+    (wa1, wa2), (wb1, wb2), (sa1, sa2), (sb1, sb2) = (w[1:3].tolist() for w in (wa, wb, sa, sb))
+    num_k = sa1 * sb2 + sa2 * sb1
+    den_k = wa1 * wb2 + wa2 * wb1
     if num_k <= 0.0 or den_k <= 0.0:
         return math.nan, math.nan, False, math.inf
     k = num_k / den_k
     swapped = False
-    denom = k * wa.a[1] * wb.a[1] - sa.a[1] * sb.a[1]
+    denom = k * wa1 * wb1 - sa1 * sb1
     if denom > 0.0:
         wa, wb, sa, sb = sa, sb, wa, wb
         k = 1.0 / k
-        denom = k * wa.a[1] * wb.a[1] - sa.a[1] * sb.a[1]
+        denom = k * sa1 * sb1 - wa1 * wb1
         swapped = True
     if denom >= 0.0:
         return k, denom, swapped, math.inf
 
-    coeff_weak = np.outer(wa.a, wb.a)
-    coeff_strong = np.outer(sa.a, sb.a)
-    combined = coeff_strong - k * coeff_weak
-    scale = np.maximum(np.maximum(coeff_strong, k * coeff_weak), 1e-300)
-    rel = combined / scale
-    rel[0, :] = -math.inf
-    rel[:, 0] = -math.inf
-    rel[1, 1] = -math.inf
+    # the relative violation of each coefficient with m, n >= 1 except (1, 1)
+    weak = k * (wa[1:, None] * wb[None, 1:])
+    strong = sa[1:, None] * sb[None, 1:]
+    rel = (strong - weak) / np.maximum(np.maximum(strong, weak), 1e-300)
+    rel[0, 0] = -math.inf
     return k, denom, swapped, float(rel.max())
 
 
@@ -489,7 +501,7 @@ def y11_lower_bound(
     """
     wa, wb = _pair_weights(weak, cutoff)
     sa, sb = _pair_weights(strong, cutoff)
-    coeffs = y11_coefficients(wa, wb, sa, sb)
+    coeffs = y11_coefficients(wa.a, wb.a, sa.a, sb.a)
     k, denom, swapped, margin = coeffs
     if margin == math.inf:
         return _unavailable(k, denom)

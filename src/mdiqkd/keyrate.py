@@ -20,13 +20,14 @@ single-photon-pair yield and error straight from the simulator.
 
 The estimated scenarios take the record path: rate_for_scenario
 assembles the gains of the weak and strong settings and their vacuum
-rows from cached side weights, through the series form gain_from_yields
-uses (decoy.series_parts and decoy.series_gain), and hands the numbers
-to the estimator core shared with the `bound` command
-(decoy.y11_from_series and decoy.e11_from_moments); no GainTable is
-built.  What no point of a row changes is kept in a row context (see
-_RowContext).  grid_rates evaluates a whole intensity grid in one array
-pass, for ranking only.
+rows through the series form gain_from_yields uses (decoy.weight_parts
+and decoy.series_gain), and hands the numbers to the estimator core
+shared with the `bound` command (decoy.y11_from_series and
+decoy.e11_from_moments); no GainTable is built.  What no point of a row
+changes, down to each event class's side factors, is kept in a row
+context (see _RowContext), so a point costs one photon row per
+intensity and a few stacked array products.  grid_rates evaluates a
+whole intensity grid in one array pass, for ranking only.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ from .decoy import (
     interior_gain,
     record_qber,
     series_gain,
-    series_parts,
+    side_factors,
     side_weights,
+    weight_parts,
     y11_coefficients,
     y11_from_series,
 )
@@ -59,6 +61,7 @@ from .source import (
     HeraldingDetector,
     SourceSpec,
     TriggerClass,
+    photon_row,
     photon_weight,
     trigger_prob,
 )
@@ -234,11 +237,13 @@ class _RowContext:
     """What every evaluation of one (scenario, link, tables, f_ec) row shares.
 
     Built on a row's first rate_for_scenario call and reused by every later
-    point: the stacked tables, heralding, classes, q1, and the zero-intensity
-    sides' series parts with their finished (0, 0) records.  The last weak
-    setting's records are kept, so a weak intensity that does not follow
-    mu' (W1, H2) is assembled once per row.  Per point, each side at mu' or
-    at a coupled weak intensity gets one series_parts pass over all four tables.
+    point: the stacked tables, q1, each class's decoy.side_factors, and the
+    zero-intensity sides' series parts with their (0, 0) records.  The last
+    weak setting's records are kept, so a weak intensity that does not
+    follow mu' (W1, H2) is assembled once per row.  Per point there is one
+    photon row per intensity, shared by signal and strong, and one
+    weight_parts pass per side, the signal's own over the Z tables only.
+    Only (x, x) records take an interior product; see decoy.SeriesParts.
     """
 
     def __init__(self, scenario: ScenarioKind, link: LinkSpec, tables, f_ec: float) -> None:
@@ -247,27 +252,30 @@ class _RowContext:
         self.scenario, self.link, self.tables, self.f_ec = scenario, link, tables, f_ec
         self.mats = _stacked_tables(tables)
         self.kind = scenario.distribution
-        self.heralding = _heralding(scenario)
+        heralding = _heralding(scenario)
         self.classes = _classes(scenario)
-        self.q1 = trigger_prob(self.heralding, 1) if self.heralding is not None else 1.0
+        self.q1 = trigger_prob(heralding, 1) if heralding is not None else 1.0
+        self.factors = {cls: side_factors(heralding, cls, link.cutoff) for cls in self.classes}
         self.zero: dict[TriggerClass, tuple[SeriesParts, list[float]]] = {}
         if not scenario.asymptotic:
+            vacuum = np.array(photon_row(self.kind, 0.0, link.cutoff))
             for cls in set(self.classes[1:]):
-                zero = series_parts(self.weights(0.0, cls), self.mats)
+                _, vac_factor, vac0 = self.factors[cls]
+                zero = weight_parts(None, vac_factor * vacuum, vac0, self.mats)
                 self.zero[cls] = (zero, series_gain(zero, zero, self.mats))
-        self.weak: tuple[SideWeights, list[tuple[float, ...]]] | None = None
+        self.weak: tuple[float, SeriesParts, list[tuple[float, ...]]] | None = None
 
-    def weights(self, intensity: float, cls: TriggerClass) -> SideWeights:
-        source = SourceSpec(self.kind, intensity, self.heralding, cls)
-        return _side_weights(source, self.link.cutoff)
+    def side(self, row: np.ndarray, cls: TriggerClass, mats: np.ndarray) -> SeriesParts:
+        """Series parts of the class's side on a photon row at a positive intensity."""
+        a_factor, vac_factor, vac0 = self.factors[cls]
+        return weight_parts(a_factor * row, vac_factor * row, vac0, mats)
 
-    def setting(self, side: SideWeights, cls: TriggerClass) -> list[tuple[float, ...]]:
+    def setting(self, x: SeriesParts, cls: TriggerClass) -> list[tuple[float, ...]]:
         """Gains of a symmetric setting's (x, x), (x, 0), (0, x) and (0, 0) records.
 
         One tuple per stacked table: [0] feeds Y11 in Z, [2] and [3] hold the
         X-basis gains and error-weighted gains.
         """
-        x = series_parts(side, self.mats)
         zero, corner = self.zero[cls]
         return list(zip(series_gain(x, x, self.mats), series_gain(x, zero, self.mats),
                         series_gain(zero, x, self.mats), corner))
@@ -275,7 +283,9 @@ class _RowContext:
     def rate(self, mu: float, mu_prime: float) -> RatePoint:
         """rate_for_scenario's point at these intensities; mu_prime is > 0."""
         signal_cls, weak_cls, strong_cls = self.classes
-        signal = self.weights(mu_prime, signal_cls)
+        cutoff = self.link.cutoff
+        photons = photon_row(self.kind, mu_prime, cutoff)
+        row = np.array(photons)
         full = None
         if self.scenario.asymptotic:
             y11 = float(self.tables[0].yields[1, 1])
@@ -283,15 +293,16 @@ class _RowContext:
         else:
             if not mu > 0.0:
                 raise ValueError(f"weak intensity must be > 0, got {mu}")
-            weak = self.weights(mu, weak_cls)
             kept = self.weak
-            if kept is None or kept[0] is not weak:
-                kept = self.weak = (weak, self.setting(weak, weak_cls))
-            strong = signal if strong_cls is signal_cls else self.weights(mu_prime, strong_cls)
-            settings = (kept[1], self.setting(strong, strong_cls))
-            if strong is signal:
+            if kept is None or kept[0] != mu:
+                weak = self.side(np.array(photon_row(self.kind, mu, cutoff)), weak_cls, self.mats)
+                kept = self.weak = (mu, weak, self.setting(weak, weak_cls))
+            weak = kept[1]
+            strong = self.side(row, strong_cls, self.mats)
+            settings = (kept[2], self.setting(strong, strong_cls))
+            if strong_cls is signal_cls:
                 full = [gains[0] for gains in settings[1]]
-            coeffs = y11_coefficients(weak, weak, strong, strong)
+            coeffs = y11_coefficients(weak.a, weak.a, strong.a, strong.a)
             y11, _, licensed = y11_from_series(coeffs, *(interior_gain(*g[0]) for g in settings))
             if not licensed:
                 return self.point(mu, mu_prime, y11, 0.0, 0.0, "bound_conditions")
@@ -307,9 +318,10 @@ class _RowContext:
             except BoundUnavailableError:
                 return self.point(mu, mu_prime, y11, 0.0, 0.0, "e11_unavailable")
         if full is None:
-            x = series_parts(signal, self.mats)
-            full = series_gain(x, x, self.mats)
-        p1 = photon_weight(self.kind, mu_prime, 1)
+            # the signal's own record only enters the Z basis
+            x = self.side(row, signal_cls, self.mats[:2])
+            full = series_gain(x, x, self.mats[:2])
+        p1 = photons[1]
         rate = key_rate(
             RateInputs(
                 y11=y11,
@@ -368,17 +380,19 @@ class _Sides(NamedTuple):
     """Side weights of one record side stacked over grid points.
 
     a and vac have one row per point (or a single row shared by every
-    point) and cutoff + 1 columns; vac0 has one entry per row.
+    point) and cutoff + 1 columns; vac0 has one entry per row.  a is None
+    for a side at intensity zero, whose interior weights are all zero.
     """
 
-    a: np.ndarray
+    a: np.ndarray | None
     vac: np.ndarray
     vac0: np.ndarray
 
 
 def _stack(weights: list[SideWeights]) -> _Sides:
     return _Sides(
-        np.array([w.a for w in weights]),
+        None if all(w.source.intensity == 0.0 for w in weights)
+        else np.array([w.a for w in weights]),
         np.array([w.vac for w in weights]),
         np.array([w.vac_at_zero for w in weights]),
     )
@@ -436,7 +450,7 @@ def _grid_constants(
 
     weak = weights(mu, weak_cls)
     strong = weights(mp, strong_cls)
-    coeffs = [y11_coefficients(w, w, st, st) for w, st in zip(weak, strong)]
+    coeffs = [y11_coefficients(w.a, w.a, st.a, st.a) for w, st in zip(weak, strong)]
     k, denom, swapped, margin = (np.array(col) for col in zip(*coeffs))
     return _GridConstants(
         usable,
@@ -457,9 +471,12 @@ def _stacked_gains(alice: _Sides, bob: _Sides, mats: np.ndarray) -> np.ndarray:
     """gain_from_yields' double series for every grid point at once.
 
     mats stacks (cutoff + 1)-square tables; the result has one row per
-    table and one column per grid point.
+    table and one column per grid point.  A side at intensity zero has
+    no interior weights, so a record with one is its vacuum rows alone.
     """
-    interior = ((alice.a[:, 1:] @ mats[:, 1:, 1:]) * bob.a[:, 1:]).sum(axis=-1)
+    interior = 0.0
+    if alice.a is not None and bob.a is not None:
+        interior = ((alice.a[:, 1:] @ mats[:, 1:, 1:]) * bob.a[:, 1:]).sum(axis=-1)
     rows = bob.vac0 * (mats[:, :, 0] @ alice.vac.T)
     rows = rows + alice.vac0 * (mats[:, 0, :] @ bob.vac.T)
     rows = rows - alice.vac0 * bob.vac0 * mats[:, 0, 0, None]

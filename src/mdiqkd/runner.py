@@ -7,11 +7,13 @@ reports the best signal intensity for one scenario and distance.
 
 Everything here is deterministic: a fixed log-spaced intensity grid,
 golden-section refinement with a fixed tolerance, and repr-based float
-serialization that round-trips exactly.  The optimizer evaluates the
-grid in one batched pass (keyrate.grid_rates) only to pick the best
-grid point; refinement and every reported row use rate_for_scenario,
-whose row context (see keyrate) assembles what no point changes once
-per row and only the sides at each point's own intensities per point.
+serialization that round-trips exactly.  The grid and its logarithms
+are built once per (mu_prime_min, mu_prime_max, grid_points).  The
+optimizer evaluates the grid in one batched pass (keyrate.grid_rates)
+only to pick the best grid point; refinement and every reported row use
+rate_for_scenario, whose row context (see keyrate) assembles what no
+point changes once per row, and per point only the photon rows and
+sides at that point's own intensities.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -155,6 +158,14 @@ def _check_cutoff(cutoff: int) -> int:
     return cutoff
 
 
+def _finite(key: str, val: str) -> float:
+    """A config value as a finite float; ValueError when it is not a number."""
+    num = float(val)
+    if not math.isfinite(num):
+        raise ConfigError(f"{key} must be finite, got {val}")
+    return num
+
+
 _UNIT_KEYS = {"e_d", "d_c", "eta_c", "eta_heralding", "d_heralding"}
 _POSITIVE_KEYS = {"mu_fixed", "mu_prime_min", "mu_prime_max", "refine_tol"}
 
@@ -186,13 +197,13 @@ def parse_config(text: str) -> ScanConfig:
                 name = key[len("eta_heralding_"):].upper()
                 if name not in SCENARIO_NAMES:
                     raise ConfigError(f"unknown scenario in key {key!r}")
-                eff = float(val)
+                eff = _finite(key, val)
                 if not 0.0 <= eff <= 1.0:
                     raise ConfigError(f"{key} must lie in [0, 1], got {val}")
                 overrides[name] = eff
             elif key in ("alpha", "e_d", "d_c", "eta_c", "eta_heralding", "d_heralding",
                          "f", "mu", "mu_fixed", "mu_prime_min", "mu_prime_max", "refine_tol"):
-                num = float(val)
+                num = _finite(key, val)
                 field_name = {"f": "f_ec", "mu": "mu_fixed"}.get(key, key)
                 if key == "alpha" and num < 0:
                     raise ConfigError(f"alpha must be >= 0, got {val}")
@@ -219,6 +230,10 @@ def parse_config(text: str) -> ScanConfig:
             raise ConfigError(msg) from None
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {val!r} for {key}") from None
+    lo = values.get("mu_prime_min", ScanConfig.mu_prime_min)
+    hi = values.get("mu_prime_max", ScanConfig.mu_prime_max)
+    if not lo < hi:
+        raise ConfigError(f"mu_prime_min must be below mu_prime_max, got {lo!r} and {hi!r}")
     values["scenario_heralding"] = overrides
     try:
         return ScanConfig(**values)
@@ -287,6 +302,17 @@ def _golden_section(cost, bracket: tuple[float, float, float], xtol: float, maxi
     return x1 if f1 < f2 else x2
 
 
+# every row of a scan searches the same grid
+@lru_cache(maxsize=8)
+def _grid(lo: float, hi: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The optimizer's log-spaced intensity grid and its logarithms, read-only."""
+    grid = np.geomspace(lo, hi, points)
+    logs = np.log(grid)
+    grid.flags.writeable = False
+    logs.flags.writeable = False
+    return grid, logs
+
+
 def optimize_mu_prime(
     scenario: ScenarioKind,
     link: LinkSpec,
@@ -314,7 +340,7 @@ def optimize_mu_prime(
             memo[mu_prime] = _evaluate(scenario, link, config, mu_prime, tables)
         return memo[mu_prime]
 
-    grid = np.geomspace(config.mu_prime_min, config.mu_prime_max, config.grid_points)
+    grid, logs = _grid(config.mu_prime_min, config.mu_prime_max, config.grid_points)
     rates = grid_rates(scenario, link, config.mu_fixed, grid, tables, config.f_ec)
     best_i = int(np.argmax(rates))
     if rates[best_i] == -math.inf:
@@ -336,8 +362,6 @@ def optimize_mu_prime(
 
     best = evaluate(grid[best_i])
     if 0 < best_i < len(grid) - 1:
-        logs = np.log(grid)
-
         def cost(lg: float) -> float:
             pt = evaluate(float(math.exp(lg)))
             if pt is None or not pt.valid:
@@ -692,9 +716,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # yields and optimize build a link at --distance; no link has a negative or infinite one
-    if not 0.0 <= getattr(args, "distance", 0.0) < math.inf:
-        parser.error(f"argument --distance: must be finite and >= 0, got {args.distance!r}")
+    # yields and optimize build a link at --distance and bound sources at --mu and
+    # --mu-prime; none of them takes a negative or infinite value
+    for flag in ("distance", "mu", "mu_prime"):
+        if not 0.0 <= getattr(args, flag, 0.0) < math.inf:
+            name = flag.replace("_", "-")
+            parser.error(f"argument --{name}: must be finite and >= 0, got {getattr(args, flag)!r}")
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, KeyError) as exc:

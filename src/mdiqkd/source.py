@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "HeraldingDetector",
     "SourceSpec",
     "photon_weight",
+    "photon_row",
     "trigger_prob",
     "effective_weight",
     "vacuum_weight",
@@ -91,14 +93,27 @@ def photon_weight(kind: DistributionKind, intensity: float, n: int) -> float:
     """
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
+    return photon_row(kind, intensity, n)[n]
+
+
+@lru_cache(maxsize=64)
+def _log_factorials(cutoff: int) -> tuple[float, ...]:
+    """log(n!) for n = 0..cutoff."""
+    return tuple(math.lgamma(n + 1) for n in range(cutoff + 1))
+
+
+def photon_row(kind: DistributionKind, intensity: float, cutoff: int) -> list[float]:
+    """photon_weight(kind, intensity, n) for n = 0..cutoff; one log(x) for the row."""
     x = float(intensity)
     if not x >= 0.0:
         raise ValueError(f"intensity must be >= 0, got {intensity}")
     if x == 0.0:
-        return 1.0 if n == 0 else 0.0
+        return [1.0] + [0.0] * cutoff
+    lx = math.log(x)
     if kind is DistributionKind.POISSON:
-        return math.exp(n * math.log(x) - x - math.lgamma(n + 1))
-    return math.exp(n * math.log(x) - (n + 1) * math.log1p(x))
+        return [math.exp(n * lx - x - lg) for n, lg in enumerate(_log_factorials(cutoff))]
+    l1x = math.log1p(x)
+    return [math.exp(n * lx - (n + 1) * l1x) for n in range(cutoff + 1)]
 
 
 def vacuum_weight(kind: DistributionKind, intensity: float) -> float:

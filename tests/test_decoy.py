@@ -20,6 +20,8 @@ from mdiqkd.decoy import (
     side_weights,
     single_pair_gain,
     symmetric_condition,
+    weight_parts,
+    y11_coefficients,
     y11_lower_bound,
     _error_moment,
 )
@@ -265,6 +267,82 @@ class TestSeriesClosure:
             coeff = pair_coefficients(pr, CUTOFF)
             interior = float(coeff[1:, 1:].ravel() @ table.yields[1:, 1:].ravel())
             assert math.isclose(full - vacuum, interior, rel_tol=1e-12, abs_tol=1e-300)
+
+
+class TestZeroSides:
+    CLASSES = ((None, TriggerClass.ALL), (DET, TriggerClass.TRIGGERED),
+               (DET, TriggerClass.NON_TRIGGERED))
+
+    @pytest.mark.parametrize("det, cls", CLASSES)
+    def test_interior_products_of_a_zero_side_are_plus_zero(self, det, cls):
+        # what lets series_gain skip the interior of (x, 0), (0, x) and (0, 0)
+        link = LinkSpec(40.0)
+        mats = np.stack([m for b in (Basis.Z, Basis.X) for t in [yield_table(link, b)]
+                         for m in (t.yields, t.yields * t.errors)])
+        zero = side_weights(SourceSpec(P, 0.0, det, cls), CUTOFF)
+        assert not zero.a[1:].any()
+        for x in (0.0, 0.01, 0.4, 1.5):
+            side = side_weights(SourceSpec(P, x, det, cls), CUTOFF)
+            for alice, bob in ((side, zero), (zero, side)):
+                inner = alice.a[1:] @ mats[:, 1:, 1:]
+                interior = (inner[:, None, :] @ bob.a[1:, None]).ravel().tolist()
+                assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in interior)
+
+    def test_zero_side_records_are_their_vacuum_rows(self):
+        rng = np.random.default_rng(5)
+        mats = rng.random((4, CUTOFF + 1, CUTOFF + 1)) ** 3
+        corner = mats[:, 0, 0].tolist()
+        for det, cls in self.CLASSES:
+            zero = series_parts(side_weights(SourceSpec(T, 0.0, det, cls), CUTOFF), mats)
+            side = series_parts(side_weights(SourceSpec(T, 0.7, det, cls), CUTOFF), mats)
+            assert zero.a is None and zero.inner is None and side.inner is not None
+            for alice, bob in ((side, zero), (zero, side), (zero, zero)):
+                a0, b0 = alice.vac0, bob.vac0
+                rows = [0.0 + (b0 * c + a0 * r - a0 * b0 * m)
+                        for c, r, m in zip(alice.col, bob.row, corner)]
+                assert series_gain(alice, bob, mats) == rows
+
+    def test_weight_parts_of_side_weights_are_series_parts(self):
+        mats = np.random.default_rng(6).random((4, CUTOFF + 1, CUTOFF + 1))
+        w = side_weights(SourceSpec(P, 0.3, DET, TriggerClass.TRIGGERED), CUTOFF)
+        got = weight_parts(w.a, w.vac, w.vac_at_zero, mats)
+        want = series_parts(w, mats)
+        assert (got.col, got.row, got.vac0) == (want.col, want.row, want.vac0)
+        assert np.array_equal(got.inner, want.inner) and got.a is w.a
+
+
+class TestY11Coefficients:
+    def test_margin_equals_the_full_outer_product_form(self):
+        # the margin as it was computed on the full (cutoff + 1)-square outer products
+        def outer_margin(wa, wb, sa, sb, k):
+            coeff_weak = np.outer(wa, wb)
+            coeff_strong = np.outer(sa, sb)
+            combined = coeff_strong - k * coeff_weak
+            scale = np.maximum(np.maximum(coeff_strong, k * coeff_weak), 1e-300)
+            rel = combined / scale
+            rel[0, :] = -math.inf
+            rel[:, 0] = -math.inf
+            rel[1, 1] = -math.inf
+            return float(rel.max())
+
+        rng = np.random.default_rng(12)
+        classes = (TriggerClass.TRIGGERED, TriggerClass.NON_TRIGGERED, TriggerClass.ALL)
+        checked = 0
+        for _ in range(400):
+            kind = (P, T)[int(rng.integers(2))]
+            det = HeraldingDetector(float(rng.uniform(0.05, 1.0)), 1e-6)
+            cutoff = int(rng.integers(2, 9))
+            weak_cls, strong_cls = (classes[int(i)] for i in rng.integers(3, size=2))
+            mu, mu_prime = rng.uniform(1e-3, 1.5, 2).tolist()
+            w = side_weights(SourceSpec(kind, mu, det, weak_cls), cutoff).a
+            st = side_weights(SourceSpec(kind, mu_prime, det, strong_cls), cutoff).a
+            k, denom, swapped, margin = y11_coefficients(w, w, st, st)
+            if margin == math.inf:
+                continue
+            lead, other = (st, w) if swapped else (w, st)
+            assert margin == outer_margin(lead, lead, other, other, k)
+            checked += 1
+        assert checked > 100
 
 
 class TestY11LowerBound:

@@ -398,6 +398,33 @@ class TestRecordRoute:
         )
         assert reasons(outcomes) == {"bound_conditions"}
 
+    def test_random_links_and_sources(self):
+        rng = np.random.default_rng(2024)
+        outcomes = []
+        for i in range(42):
+            # every scenario, so both distributions, six times over
+            name = SCENARIO_NAMES[i % len(SCENARIO_NAMES)]
+            link = LinkSpec(
+                float(rng.uniform(0.0, 250.0)),
+                attenuation_db_per_km=float(rng.uniform(0.15, 0.3)),
+                relay_efficiency=float(rng.uniform(0.05, 0.9)),
+                relay_dark_rate=float(10.0 ** rng.uniform(-8.0, -4.0)),
+                misalignment=float(rng.uniform(0.0, 0.05)),
+                cutoff=int(rng.integers(2, 9)),
+            )
+            eta = 1.0 if i % 9 == 0 else float(rng.uniform(1e-3, 1.0))
+            scenario = ScenarioKind(name, eta, float(10.0 ** rng.uniform(-8.0, -3.0)))
+            mu_fixed = float(rng.uniform(0.01, 0.3))
+            tables = basis_tables(link)
+            # one row's points back to back, as the optimizer evaluates them
+            for mp in (10.0 ** rng.uniform(-4.0, math.log10(1.5), 6)).tolist():
+                args = (scenario, link, scenario.weak_intensity(mp, mu_fixed), mp, tables)
+                got = outcome(rate_for_scenario, *args)
+                assert got == outcome(reference_rate, *args), (i, name, mp)
+                outcomes.append(got)
+        assert any(isinstance(o, RatePoint) and o.valid and o.rate > 0.0 for o in outcomes)
+        assert {"", "e11_unavailable", ValueError} <= reasons(outcomes)
+
     def test_one_evaluation_does_no_duplicate_work(self, monkeypatch):
         calls = {"side_weights": 0, "y11_coefficients": 0}
 
@@ -424,18 +451,18 @@ class TestRecordRoute:
         link = LinkSpec(40.0)
         tables = basis_tables(link)
         scenario = ScenarioKind(name, 0.9)
-        # caches the zero-intensity sides, which every evaluation shares
+        # builds the row context, with the zero-intensity sides every evaluation shares
         rate_for_scenario(scenario, link, 0.0418, 0.418, tables)
         calls = []
+        row = keyrate.photon_row
 
-        def spy(kind, intensity, n):
-            calls.append(intensity)
-            return photon_weight(kind, intensity, n)
+        def spy(kind, intensity, cutoff):
+            calls.append((intensity, cutoff))
+            return row(kind, intensity, cutoff)
 
-        monkeypatch.setattr(decoy, "photon_weight", spy)
-        # intensities no other test uses, so the rows miss the cache
+        monkeypatch.setattr(keyrate, "photon_row", spy)
         rate_for_scenario(scenario, link, 0.0419, 0.419, tables)
-        assert sorted(calls) == [0.0419] * (link.cutoff + 1) + [0.419] * (link.cutoff + 1)
+        assert sorted(calls) == [(0.0419, link.cutoff), (0.419, link.cutoff)]
 
 
 class TestRowContext:
@@ -465,23 +492,28 @@ class TestRowContext:
         assemble = keyrate.series_gain
 
         def spy(alice, bob, *args):
-            # the sides' SideWeights, whichever form the helper takes
-            records.append(tuple(getattr(s, "side", s).source for s in (alice, bob)))
+            records.append((alice, bob))
             return assemble(alice, bob, *args)
 
         monkeypatch.setattr(keyrate, "series_gain", spy)
         link = SCAN_CFG.link_for(70.0)
         optimize_mu_prime(scenario, link, SCAN_CFG, basis_tables(link))
-        zero = [r for r in records if r[0].intensity == r[1].intensity == 0.0]
+        # a side at intensity zero carries no interior weights
+        zero = [r for r in records if r[0].a is None and r[1].a is None]
         # one (0, 0) record per zero-intensity class: both classes for the
         # coupled scenarios, one shared class otherwise
-        classes = {r[0].trigger_class for r in zero}
+        classes = {r[0].vac0 for r in zero}
         assert len(zero) == len(classes) == (2 if scenario.coupled_mu else 1)
         if not scenario.coupled_mu:
-            heralding = zero[0][0].heralding
+            heralding = keyrate._heralding(scenario)
             fixed = SourceSpec(scenario.distribution, SCAN_CFG.mu_fixed, heralding, weak_cls)
+            fixed_a = side_weights(fixed, link.cutoff).a
+
+            def is_fixed(side):
+                return side.a is not None and np.array_equal(side.a, fixed_a)
+
             # (x, x), (x, 0) and (0, x) of the fixed weak setting
-            assert sum(fixed in r for r in records) == 3
+            assert sum(is_fixed(r[0]) or is_fixed(r[1]) for r in records) == 3
 
     def test_context_is_keyed_by_every_input(self):
         link = LinkSpec(60.0)

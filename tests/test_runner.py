@@ -128,6 +128,24 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             CFG.scenario_kind("Q9")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [
+        "alpha", "e_d", "d_c", "eta_c", "eta_heralding", "d_heralding", "eta_heralding_H1",
+        "f", "mu", "mu_fixed", "mu_prime_min", "mu_prime_max", "refine_tol",
+    ])
+    def test_rejects_non_finite(self, key, value):
+        with pytest.raises(ConfigError, match=f"line 1: {key} must be"):
+            parse_config(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("text", [
+        "mu_prime_min = 2.0\n",
+        "mu_prime_max = 1e-5\n",
+        "mu_prime_min = 0.5\nmu_prime_max = 0.5\n",
+    ])
+    def test_rejects_an_empty_or_inverted_grid(self, text):
+        with pytest.raises(ConfigError, match="mu_prime_min must be below mu_prime_max"):
+            parse_config(text)
+
 
 class TestOptimize:
     def test_default_point(self):
@@ -439,6 +457,23 @@ class TestGoldenSection:
         monkeypatch.setattr(runner, "_golden_section", broken)
         with pytest.raises(ValueError, match="not a bracket failure"):
             optimize_mu_prime(CFG.scenario_kind("H1"), CFG.link_for(100.0), CFG)
+
+
+class TestGrid:
+    def test_built_once_per_bounds_and_size(self):
+        cfg = replace(CFG, mu_prime_min=2e-4, mu_prime_max=1.25, grid_points=17)
+        before = runner._grid.cache_info()
+        for distance in (50.0, 60.0):
+            optimize_mu_prime(cfg.scenario_kind("H1"), cfg.link_for(distance), cfg)
+        after = runner._grid.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    def test_values_are_those_of_geomspace_and_log(self):
+        grid, logs = runner._grid(CFG.mu_prime_min, CFG.mu_prime_max, CFG.grid_points)
+        expected = np.geomspace(CFG.mu_prime_min, CFG.mu_prime_max, CFG.grid_points)
+        assert grid.tolist() == expected.tolist()
+        assert logs.tolist() == np.log(expected).tolist()
+        assert not grid.flags.writeable and not logs.flags.writeable
 
 
 class TestImport:
@@ -755,3 +790,33 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: line 2: cutoff must lie in [2, 8], got 12\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("alpha = nan", "line 2: alpha must be finite, got nan"),
+        ("f = nan", "line 2: f must be finite, got nan"),
+        ("mu_prime_min = nan", "line 2: mu_prime_min must be finite, got nan"),
+        ("refine_tol = nan", "line 2: refine_tol must be finite, got nan"),
+        ("mu_prime_min = 2.0", "mu_prime_min must be below mu_prime_max, got 2.0 and 1.5"),
+    ], ids=["alpha", "f", "mu_prime_min", "refine_tol", "inverted-grid"])
+    def test_config_rejects_what_no_scan_can_use(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(f"scenarios = H1\n{line}\n")
+        assert main(["scan", "--config", str(cfg), "--distances", "0:0:5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mu", "nan"), ("--mu", "-1"), ("--mu", "inf"),
+        ("--mu-prime", "nan"), ("--mu-prime", "-1"),
+    ])
+    def test_bound_intensity_flags_reject_what_no_source_has(self, tmp_path, capsys, flag, value):
+        gains = tmp_path / "gains.csv"
+        gains.write_text(GAIN_HEADER + "\n")
+        intensities = {"--mu": "0.1", "--mu-prime": "0.5", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--gains", str(gains)] + [t for kv in intensities.items() for t in kv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be finite and >= 0, got {float(value)!r}" in captured.err

@@ -12,6 +12,7 @@ from mdiqkd.source import (
     class_total,
     damped_total,
     effective_weight,
+    photon_row,
     photon_weight,
     trigger_prob,
     vacuum_weight,
@@ -74,6 +75,34 @@ class TestPhotonWeight:
         for i in range(1, 20):
             assert tail(0.05 * i) < 1e-6
         assert 1.1e-6 < tail(1.0) < 1.2e-6
+
+
+class TestPhotonRow:
+    XS = (0.0, 1e-300, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 1.0, 1.5, 1e3)
+
+    @pytest.mark.parametrize("kind", [P, T])
+    def test_matches_photon_weight_term_by_term(self, kind):
+        for x in self.XS:
+            for cutoff in range(17):
+                row = photon_row(kind, x, cutoff)
+                assert row == [photon_weight(kind, x, n) for n in range(cutoff + 1)], (x, cutoff)
+
+    @pytest.mark.parametrize("kind", [P, T])
+    def test_rounds_as_the_per_term_log_form(self, kind):
+        # the expression each weight was once evaluated with on its own
+        def single(x, n):
+            if x == 0.0:
+                return 1.0 if n == 0 else 0.0
+            if kind is P:
+                return math.exp(n * math.log(x) - x - math.lgamma(n + 1))
+            return math.exp(n * math.log(x) - (n + 1) * math.log1p(x))
+
+        for x in self.XS:
+            assert photon_row(kind, x, 16) == [single(x, n) for n in range(17)], x
+
+    def test_rejects_negative_intensity(self):
+        with pytest.raises(ValueError):
+            photon_row(P, -1e-9, 4)
 
 
 class TestVacuumAndTotals:
