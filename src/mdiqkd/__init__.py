@@ -9,74 +9,15 @@ Four layers, each usable on its own:
   inverts them into Y11 / e11 bounds.
 * keyrate + runner: secret key rates per scenario, per-distance
   intensity optimization, config and CSV handling, CLI.
+
+The package re-exports the names of the README's library sketch and the
+scan entry points; everything else is imported from its module.
 """
 
-from .source import (
-    DistributionKind,
-    HeraldingDetector,
-    SourceSpec,
-    TriggerClass,
-    class_total,
-    damped_total,
-    effective_weight,
-    photon_weight,
-    trigger_prob,
-    vacuum_weight,
-)
-from .optics import (
-    SAFETY_CAP,
-    Basis,
-    BB84State,
-    BsmOutcome,
-    LinkSpec,
-    YieldTable,
-    bs_output,
-    bsm_outcome_distribution,
-    thin,
-    yield_table,
-)
-from .decoy import (
-    COEFF_REL_TOL,
-    BoundUnavailableError,
-    GainRecord,
-    GainTable,
-    SideWeights,
-    Y11Bound,
-    e11_upper_bound,
-    gain_from_yields,
-    interior_tail,
-    pair_coefficients,
-    s11_gains,
-    series_terms,
-    side_weights,
-    single_pair_gain,
-    symmetric_condition,
-    y11_lower_bound,
-)
-from .keyrate import (
-    DEFAULT_ERROR_CORRECTION,
-    SCENARIO_NAMES,
-    RateInputs,
-    RatePoint,
-    ScenarioKind,
-    basis_tables,
-    binary_entropy,
-    key_rate,
-    rate_for_scenario,
-)
-from .runner import (
-    ConfigError,
-    ScanConfig,
-    emit_csv,
-    emit_gain_csv,
-    emit_yield_csv,
-    main,
-    optimize_mu_prime,
-    parse_config,
-    parse_distances,
-    parse_gain_csv,
-    parse_rate_csv,
-    scan,
-)
+from .source import DistributionKind, HeraldingDetector, SourceSpec, TriggerClass
+from .optics import Basis, LinkSpec, yield_table
+from .decoy import e11_upper_bound, gain_from_yields, side_weights, y11_lower_bound
+from .keyrate import RatePoint, ScenarioKind, rate_for_scenario
+from .runner import ConfigError, ScanConfig, main, optimize_mu_prime, scan
 
 __version__ = "0.1.0"

@@ -49,7 +49,6 @@ from .source import (
     TriggerClass,
     damped_total,
     photon_row,
-    photon_weight,
 )
 
 __all__ = [
@@ -67,8 +66,6 @@ __all__ = [
     "series_gain",
     "record_qber",
     "gain_from_yields",
-    "pair_coefficients",
-    "interior_tail",
     "series_terms",
     "y11_coefficients",
     "interior_gain",
@@ -77,7 +74,6 @@ __all__ = [
     "e11_from_moments",
     "y11_lower_bound",
     "symmetric_condition",
-    "s11_gains",
     "single_pair_gain",
     "e11_upper_bound",
 ]
@@ -299,7 +295,7 @@ def gain_from_yields(alice: SideWeights, bob: SideWeights, table: YieldTable) ->
         raise ValueError("both sides of a record must share one event class")
     mats = np.stack((table.yields, table.yields * table.errors))
     gain, wrong = series_gain(series_parts(alice, mats), series_parts(bob, mats), mats)
-    tail = interior_tail(alice, bob)
+    tail = _interior_tail(alice, bob)
     tail += bob.vac_at_zero * (alice.vac_total - float(alice.vac.sum()))
     tail += alice.vac_at_zero * (bob.vac_total - float(bob.vac.sum()))
     return GainRecord(
@@ -323,14 +319,7 @@ def _pair_weights(
     return alice, side_weights(pair[1], cutoff)
 
 
-def pair_coefficients(pair: tuple[SourceSpec, SourceSpec], cutoff: int) -> np.ndarray:
-    """Outer product of the two sides' interior weights, index (m, n)."""
-    wa = side_weights(pair[0], cutoff)
-    wb = side_weights(pair[1], cutoff)
-    return np.outer(wa.a, wb.a)
-
-
-def interior_tail(alice: SideWeights, bob: SideWeights) -> float:
+def _interior_tail(alice: SideWeights, bob: SideWeights) -> float:
     """Weight of interior terms beyond the cutoff, assuming yields <= 1."""
     part = float(alice.a[1:].sum()) * float(bob.a[1:].sum())
     return alice.a_total * bob.a_total - part
@@ -513,9 +502,9 @@ def y11_lower_bound(
         wa, wb, sa, sb = sa, sb, wa, wb
         tail_weak, tail_strong = tail_strong, tail_weak
     tail = (
-        k * (tail_weak + interior_tail(wa, wb))
+        k * (tail_weak + _interior_tail(wa, wb))
         + tail_strong
-        + interior_tail(sa, sb)
+        + _interior_tail(sa, sb)
     ) / abs(denom)
     return Y11Bound(
         value=value,
@@ -538,25 +527,6 @@ def symmetric_condition(mu: float, mu_prime: float, eta: float) -> bool:
     comparison, no tolerance.
     """
     return mu >= (1.0 - eta) * mu_prime
-
-
-def s11_gains(
-    y11: float,
-    mu_prime: float,
-    eta: float,
-    kind: DistributionKind = DistributionKind.POISSON,
-) -> tuple[float, float]:
-    """Single-photon-pair gain inside the two heralded classes at mu_prime.
-
-    Returns (triggered, non_triggered).  These are the (1,1) interior
-    coefficients eta^2 P_1^2 and (1-eta)^2 P_1^2 times the supplied
-    yield; heralding dark counts do not enter interior coefficients.
-    """
-    if y11 < 0.0:
-        raise ValueError(f"yield must be >= 0, got {y11}")
-    p1 = photon_weight(kind, mu_prime, 1)
-    base = p1 * p1 * y11
-    return (eta * eta * base, (1.0 - eta) * (1.0 - eta) * base)
 
 
 def single_pair_gain(

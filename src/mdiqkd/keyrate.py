@@ -102,7 +102,8 @@ def binary_entropy(p: float) -> float:
 
 @dataclass(frozen=True)
 class ScenarioKind:
-    """One named curve of the study."""
+    """One named curve of the study, and the one reading of its name into
+    sources: distribution, heralding detector and event classes."""
 
     name: str
     heralding_efficiency: float = 0.75
@@ -136,6 +137,21 @@ class ScenarioKind:
     def coupled_mu(self) -> bool:
         """Whether the weak intensity tracks mu = (1 - eta) mu_prime."""
         return self.name in ("H1", "T1")
+
+    @property
+    def heralding(self) -> HeraldingDetector | None:
+        """The idler detector of a heralded scenario; None for weak coherent sources."""
+        if not self.heralded:
+            return None
+        return HeraldingDetector(self.heralding_efficiency, self.heralding_dark_rate)
+
+    @property
+    def classes(self) -> tuple[TriggerClass, TriggerClass, TriggerClass]:
+        """Event classes of the signal, weak and strong records."""
+        signal_cls = TriggerClass.TRIGGERED if self.heralded else TriggerClass.ALL
+        if self.coupled_mu:
+            return signal_cls, TriggerClass.TRIGGERED, TriggerClass.NON_TRIGGERED
+        return signal_cls, signal_cls, signal_cls
 
     def weak_intensity(self, mu_prime, mu_fixed: float):
         """The weak intensity paired with mu_prime (a float or an array)."""
@@ -214,20 +230,6 @@ def basis_tables(link: LinkSpec) -> tuple[YieldTable, YieldTable]:
 _side_weights = lru_cache(maxsize=2048)(side_weights)
 
 
-def _heralding(scenario: ScenarioKind) -> HeraldingDetector | None:
-    if not scenario.heralded:
-        return None
-    return HeraldingDetector(scenario.heralding_efficiency, scenario.heralding_dark_rate)
-
-
-def _classes(scenario: ScenarioKind) -> tuple[TriggerClass, TriggerClass, TriggerClass]:
-    """Event classes of the scenario's signal, weak and strong records."""
-    signal_cls = TriggerClass.TRIGGERED if scenario.heralded else TriggerClass.ALL
-    if scenario.coupled_mu:
-        return signal_cls, TriggerClass.TRIGGERED, TriggerClass.NON_TRIGGERED
-    return signal_cls, signal_cls, signal_cls
-
-
 def _stacked_tables(tables: tuple[YieldTable, YieldTable]) -> np.ndarray:
     """Per basis, the yields and the error-weighted yields: (Y_z, Y_z e_z, Y_x, Y_x e_x)."""
     return np.stack([m for t in tables for m in (t.yields, t.yields * t.errors)])
@@ -236,14 +238,15 @@ def _stacked_tables(tables: tuple[YieldTable, YieldTable]) -> np.ndarray:
 class _RowContext:
     """What every evaluation of one (scenario, link, tables, f_ec) row shares.
 
-    Built on a row's first rate_for_scenario call and reused by every later
-    point: the stacked tables, q1, each class's decoy.side_factors, and the
-    zero-intensity sides' series parts with their (0, 0) records.  The last
-    weak setting's records are kept, so a weak intensity that does not
-    follow mu' (W1, H2) is assembled once per row.  Per point there is one
-    photon row per intensity, shared by signal and strong, and one
-    weight_parts pass per side, the signal's own over the Z tables only.
-    Only (x, x) records take an interior product; see decoy.SeriesParts.
+    Built on a row's first grid_rates or rate_for_scenario call and reused
+    by every later one: the stacked tables, q1, each class's
+    decoy.side_factors, and the zero-intensity sides' series parts with
+    their (0, 0) records.  The last weak setting's records are kept, so a
+    weak intensity that does not follow mu' (W1, H2) is assembled once per
+    row.  Per point there is one photon row per intensity, shared by signal
+    and strong, and one weight_parts pass per side, the signal's own over
+    the Z tables only.  Only (x, x) records take an interior product; see
+    decoy.SeriesParts.
     """
 
     def __init__(self, scenario: ScenarioKind, link: LinkSpec, tables, f_ec: float) -> None:
@@ -252,8 +255,8 @@ class _RowContext:
         self.scenario, self.link, self.tables, self.f_ec = scenario, link, tables, f_ec
         self.mats = _stacked_tables(tables)
         self.kind = scenario.distribution
-        heralding = _heralding(scenario)
-        self.classes = _classes(scenario)
+        heralding = scenario.heralding
+        self.classes = scenario.classes
         self.q1 = trigger_prob(heralding, 1) if heralding is not None else 1.0
         self.factors = {cls: side_factors(heralding, cls, link.cutoff) for cls in self.classes}
         self.zero: dict[TriggerClass, tuple[SeriesParts, list[float]]] = {}
@@ -341,9 +344,19 @@ class _RowContext:
                          y11, e11, rate, valid=not reason, reason=reason)
 
 
-# the row of the last rate_for_scenario call: the optimizer evaluates one
-# row's points back to back, so one slot serves every point after the first
+# the row of the last rate_for_scenario or grid_rates call: the optimizer
+# ranks one row's grid and evaluates its points back to back, so one slot
+# serves every call after the first
 _last_row: _RowContext | None = None
+
+
+def _row(scenario: ScenarioKind, link: LinkSpec, tables, f_ec: float) -> _RowContext:
+    """The row context of (scenario, link, tables, f_ec), found by the identity of the tables."""
+    global _last_row
+    row = _last_row
+    if row is None or row.key != (scenario, link, f_ec, id(tables[0]), id(tables[1])):
+        row = _last_row = _RowContext(scenario, link, tables, f_ec)
+    return row
 
 
 def rate_for_scenario(
@@ -365,15 +378,11 @@ def rate_for_scenario(
     point equals what y11_lower_bound and e11_upper_bound give on a
     GainTable of the same records.
     """
-    global _last_row
     if not mu_prime > 0.0:
         raise ValueError(f"signal intensity must be > 0, got {mu_prime}")
     if tables is None:
         tables = basis_tables(link)
-    row = _last_row
-    if row is None or row.key != (scenario, link, f_ec, id(tables[0]), id(tables[1])):
-        row = _last_row = _RowContext(scenario, link, tables, f_ec)
-    return row.rate(mu, mu_prime)
+    return _row(scenario, link, tables, f_ec).rate(mu, mu_prime)
 
 
 class _Sides(NamedTuple):
@@ -428,8 +437,8 @@ def _grid_constants(
     scenario: ScenarioKind, mu_primes: tuple[float, ...], mu_fixed: float, cutoff: int
 ) -> _GridConstants:
     kind = scenario.distribution
-    heralding = _heralding(scenario)
-    signal_cls, weak_cls, strong_cls = _classes(scenario)
+    heralding = scenario.heralding
+    signal_cls, weak_cls, strong_cls = scenario.classes
     mp = np.array(mu_primes)
     mu = np.broadcast_to(scenario.weak_intensity(mp, mu_fixed), mp.shape)
     usable = mp > 0.0
@@ -522,14 +531,15 @@ def grid_rates(
     points, and reported values come from rate_for_scenario.
     Everything that depends only on the intensities and heralding is
     cached per (scenario, grid, mu_fixed, cutoff); per link only the
-    gains and the bound algebra are computed.
+    gains and the bound algebra are computed, over the stacked tables of
+    the row context that rate_for_scenario reuses for the same row.
     """
     table_z, table_x = tables
     grid = np.asarray(mu_primes, dtype=float)
     if not f_ec >= 1.0:
         return np.full(grid.shape, -math.inf)
     const = _grid_constants(scenario, tuple(grid.tolist()), mu_fixed, link.cutoff)
-    mats = _stacked_tables(tables)
+    mats = _row(scenario, link, tables, f_ec).mats
     with np.errstate(divide="ignore", invalid="ignore"):
         gain_z, wrong_z = _stacked_gains(const.signal, const.signal, mats[:2])
         qber_z = _qber(gain_z, wrong_z)

@@ -45,7 +45,7 @@ from .keyrate import (
     rate_for_scenario,
 )
 from .optics import SAFETY_CAP, Basis, LinkSpec, YieldTable, yield_table
-from .source import DistributionKind, HeraldingDetector, SourceSpec, TriggerClass
+from .source import SourceSpec, TriggerClass
 
 __all__ = [
     "ConfigError",
@@ -66,8 +66,10 @@ RATE_HEADER = "distance_km,scenario,mu,mu_prime,y11_bound,e11_bound,rate,valid"
 GAIN_HEADER = "basis,x,y,class,gain,qber"
 YIELD_HEADER = "basis,m,n,Y,e"
 
-# a distance range is expanded into a tuple, so its length is capped first
+# a distance range is expanded into a tuple, and the optimizer's intensity
+# grid into an array, so both lengths are capped at parse time
 MAX_DISTANCES = 10_000
+MAX_GRID_POINTS = 10_000
 
 # scenarios whose curves are quoted at a better heralding detector; the
 # remaining heralded scenarios stay at the global default
@@ -218,8 +220,8 @@ def parse_config(text: str) -> ScanConfig:
                 num = int(val)
                 if key == "cutoff":
                     _check_cutoff(num)
-                if key == "grid_points" and num < 4:
-                    raise ConfigError(f"grid_points must be >= 4, got {val}")
+                if key == "grid_points" and not 4 <= num <= MAX_GRID_POINTS:
+                    raise ConfigError(f"grid_points must lie in [4, {MAX_GRID_POINTS}], got {val}")
                 values[key] = num
             else:
                 raise ConfigError(f"unknown key {key!r}")
@@ -437,7 +439,12 @@ def emit_csv(points: Iterable[RatePoint], sink: TextIO | None = None, gnuplot: b
 
 
 def parse_rate_csv(text: str) -> list[RatePoint]:
-    """Inverse of emit_csv for the comma variant."""
+    """Inverse of emit_csv for the comma variant.
+
+    Rows emit_csv never writes (an unknown scenario, a valid flag other
+    than 0 or 1, a numeric value that is not a finite float) raise
+    ConfigError naming the line.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != RATE_HEADER:
         raise ConfigError(f"bad rate CSV header, expected {RATE_HEADER!r}")
@@ -446,21 +453,18 @@ def parse_rate_csv(text: str) -> list[RatePoint]:
         cols = line.split(",")
         if len(cols) != 8:
             raise ConfigError(f"line {lineno}: expected 8 columns, got {len(cols)}")
+        if cols[1] not in SCENARIO_NAMES:
+            raise ConfigError(f"line {lineno}: unknown scenario {cols[1]!r}")
+        if cols[7] not in ("0", "1"):
+            raise ConfigError(f"line {lineno}: valid must be 0 or 1, got {cols[7]!r}")
         try:
-            points.append(
-                RatePoint(
-                    distance_km=float(cols[0]),
-                    scenario=cols[1],
-                    mu=float(cols[2]),
-                    mu_prime=float(cols[3]),
-                    y11_bound=float(cols[4]),
-                    e11_bound=float(cols[5]),
-                    rate=float(cols[6]),
-                    valid=bool(int(cols[7])),
-                )
-            )
+            nums = [float(cols[i]) for i in (0, 2, 3, 4, 5, 6)]
         except ValueError:
             raise ConfigError(f"line {lineno}: bad numeric value") from None
+        if not all(math.isfinite(x) for x in nums):
+            raise ConfigError(f"line {lineno}: numeric values must be finite, got {line!r}")
+        distance, mu, mu_prime, y11, e11, rate = nums
+        points.append(RatePoint(distance, cols[1], mu, mu_prime, y11, e11, rate, cols[7] == "1"))
     return points
 
 
@@ -539,27 +543,16 @@ def emit_yield_csv(table: YieldTable, sink: TextIO | None = None, header: bool =
 
 def _scheme_pairs(
     scheme: str, mu: float, mu_prime: float, config: ScanConfig
-) -> tuple[tuple[SourceSpec, SourceSpec], tuple[SourceSpec, SourceSpec], DistributionKind]:
-    """Source pairs of the named estimation scheme at given intensities."""
+) -> tuple[tuple[SourceSpec, SourceSpec], tuple[SourceSpec, SourceSpec]]:
+    """Weak and strong source pairs of the named estimation scheme at given intensities."""
     scheme = scheme.upper()
     if scheme not in ("H1", "H2", "W1", "T1"):
         raise ConfigError(f"unknown scheme {scheme!r}, expected H1, H2, W1 or T1")
-    kind = DistributionKind.THERMAL if scheme == "T1" else DistributionKind.POISSON
-    if scheme == "W1":
-        heralding = None
-        weak_cls = strong_cls = TriggerClass.ALL
-    else:
-        heralding = HeraldingDetector(config.eta_heralding, config.d_heralding)
-        if scheme == "H2":
-            weak_cls = strong_cls = TriggerClass.TRIGGERED
-        else:
-            weak_cls, strong_cls = TriggerClass.TRIGGERED, TriggerClass.NON_TRIGGERED
-    weak = (SourceSpec(kind, mu, heralding, weak_cls), SourceSpec(kind, mu, heralding, weak_cls))
-    strong = (
-        SourceSpec(kind, mu_prime, heralding, strong_cls),
-        SourceSpec(kind, mu_prime, heralding, strong_cls),
-    )
-    return weak, strong, kind
+    scenario = ScenarioKind(scheme, config.eta_heralding, config.d_heralding)
+    _, weak_cls, strong_cls = scenario.classes
+    weak = SourceSpec(scenario.distribution, mu, scenario.heralding, weak_cls)
+    strong = SourceSpec(scenario.distribution, mu_prime, scenario.heralding, strong_cls)
+    return (weak, weak), (strong, strong)
 
 
 def _load_config(path: str | None) -> ScanConfig:
@@ -616,7 +609,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     config = _apply_flag_overrides(_load_config(args.config), args)
     with open(args.gains, "r", encoding="utf-8") as fh:
         gains = parse_gain_csv(fh.read())
-    weak, strong, _ = _scheme_pairs(args.scheme, args.mu, args.mu_prime, config)
+    weak, strong = _scheme_pairs(args.scheme, args.mu, args.mu_prime, config)
     basis = Basis(args.basis)
     bound = y11_lower_bound(gains, weak, strong, basis, config.cutoff)
     out = sys.stdout

@@ -26,7 +26,6 @@ __all__ = [
     "photon_row",
     "trigger_prob",
     "effective_weight",
-    "vacuum_weight",
     "damped_total",
     "class_total",
 ]
@@ -114,11 +113,6 @@ def photon_row(kind: DistributionKind, intensity: float, cutoff: int) -> list[fl
         return [math.exp(n * lx - x - lg) for n, lg in enumerate(_log_factorials(cutoff))]
     l1x = math.log1p(x)
     return [math.exp(n * lx - (n + 1) * l1x) for n in range(cutoff + 1)]
-
-
-def vacuum_weight(kind: DistributionKind, intensity: float) -> float:
-    """Probability of the vacuum pulse, P_0."""
-    return photon_weight(kind, intensity, 0)
 
 
 def damped_total(kind: DistributionKind, intensity: float, damping: float) -> float:

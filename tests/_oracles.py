@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 from mdiqkd.optics import BASIS_STATES, STATE_BIT, Basis, BB84State
 from mdiqkd.source import DistributionKind, SourceSpec, TriggerClass
 
@@ -209,6 +211,29 @@ def side_lists_oracle(spec: SourceSpec, cutoff: int) -> tuple[list[float], list[
     interior = [(1.0 - eta) ** m * p[m] for m in range(cutoff + 1)]
     vac = [(1.0 - d) * (1.0 - eta) ** m * p[m] for m in range(cutoff + 1)]
     return interior, vac, 1.0 - d
+
+
+def pair_coefficients(pair: tuple[SourceSpec, SourceSpec], cutoff: int) -> np.ndarray:
+    """Products of the two sides' interior weights, index (m, n)."""
+    wa = side_lists_oracle(pair[0], cutoff)[0]
+    wb = side_lists_oracle(pair[1], cutoff)[0]
+    return np.array([[a * b for b in wb] for a in wa])
+
+
+def s11_gains(
+    y11: float, mu_prime: float, eta: float, kind: DistributionKind = DistributionKind.POISSON
+) -> tuple[float, float]:
+    """Single-photon-pair gain inside the two heralded classes at mu_prime.
+
+    Returns (triggered, non_triggered): the (1,1) interior coefficients
+    eta^2 P_1^2 and (1-eta)^2 P_1^2 times the supplied yield; heralding
+    dark counts do not enter interior coefficients.
+    """
+    if y11 < 0.0:
+        raise ValueError(f"yield must be >= 0, got {y11}")
+    p1 = pn_oracle(kind, mu_prime, 1)
+    base = p1 * p1 * y11
+    return (eta * eta * base, (1.0 - eta) * (1.0 - eta) * base)
 
 
 def record_oracle(spec_a: SourceSpec, spec_b: SourceSpec, yields, errors) -> tuple[float, float]:

@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import record_oracle, side_lists_oracle
+from _oracles import pair_coefficients, record_oracle, s11_gains, side_lists_oracle
 from mdiqkd.decoy import (
     BoundUnavailableError,
     GainRecord,
     GainTable,
     e11_upper_bound,
     gain_from_yields,
-    pair_coefficients,
-    s11_gains,
     series_gain,
     series_parts,
     series_terms,

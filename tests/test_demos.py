@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against the package source."""
+"""Every script under demos/, and the README's library sketch, runs to completion
+against the package source."""
 
 import os
 import subprocess
@@ -20,6 +21,19 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True, env=env,
+        cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
+def test_readme_library_sketch_runs(tmp_path):
+    # the sketch imports from the package root, so it guards the re-exported names
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", sketch], capture_output=True, text=True, env=env,
         cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -484,6 +484,22 @@ class TestRowContext:
         assert point.valid
         assert len(built) == 1
 
+    @pytest.mark.parametrize("name", ["W0", "W1", "H1", "H2", "T1"])
+    def test_one_optimize_stacks_the_tables_once(self, name, monkeypatch):
+        stacked = []
+        stack = keyrate._stacked_tables
+
+        def spy(tables):
+            stacked.append(tables)
+            return stack(tables)
+
+        monkeypatch.setattr(keyrate, "_stacked_tables", spy)
+        # fresh table objects, so no earlier row's context serves them; the
+        # grid ranking and every point read the one row context's stack
+        link = SCAN_CFG.link_for(70.0)
+        optimize_mu_prime(SCAN_CFG.scenario_kind(name), link, SCAN_CFG, basis_tables(link))
+        assert len(stacked) == 1
+
     @pytest.mark.parametrize("name", ["W1", "H1", "H2", "T1"])
     def test_fixed_records_are_assembled_once_per_row(self, name, monkeypatch):
         scenario = SCAN_CFG.scenario_kind(name)
@@ -505,7 +521,7 @@ class TestRowContext:
         classes = {r[0].vac0 for r in zero}
         assert len(zero) == len(classes) == (2 if scenario.coupled_mu else 1)
         if not scenario.coupled_mu:
-            heralding = keyrate._heralding(scenario)
+            heralding = scenario.heralding
             fixed = SourceSpec(scenario.distribution, SCAN_CFG.mu_fixed, heralding, weak_cls)
             fixed_a = side_weights(fixed, link.cutoff).a
 

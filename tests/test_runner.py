@@ -124,6 +124,14 @@ class TestParseConfig:
             with pytest.raises(ConfigError):
                 parse_config(text)
 
+    def test_rejects_a_grid_too_large_to_build(self):
+        cap = runner.MAX_GRID_POINTS
+        assert parse_config(f"grid_points = {cap}\n").grid_points == cap
+        # the optimizer would allocate the whole grid before anything else could reject it
+        for value in (cap + 1, 10**9):
+            with pytest.raises(ConfigError, match=rf"line 1: grid_points must lie in \[4, {cap}\]"):
+                parse_config(f"grid_points = {value}\n")
+
     def test_unknown_scenario_kind(self):
         with pytest.raises(ValueError):
             CFG.scenario_kind("Q9")
@@ -543,6 +551,19 @@ class TestRateCsv:
         with pytest.raises(ConfigError, match="line 2"):
             parse_rate_csv(RATE_HEADER + "\nx,H1,0,0.5,0,0,0,1\n")
 
+    @pytest.mark.parametrize("row", [
+        "0.0,H1,0.1,0.5,0.01,0.08,2e-05,7",
+        "0.0,H1,0.1,0.5,0.01,0.08,2e-05,-1",
+        "0.0,Q9,0.1,0.5,0.01,0.08,2e-05,1",
+        "nan,H1,0.1,0.5,0.01,0.08,2e-05,1",
+        "0.0,H1,0.1,inf,0.01,0.08,2e-05,1",
+        "0.0,H1,0.1,0.5,0.01,0.08,-inf,1",
+    ], ids=["valid-7", "valid-minus-1", "unknown-scenario", "nan-distance", "inf-mu-prime",
+            "inf-rate"])
+    def test_parse_rejects_rows_emit_csv_never_writes(self, row):
+        with pytest.raises(ConfigError, match="line 3: "):
+            parse_rate_csv(emit_csv(SAMPLE_POINTS[:1]) + row + "\n")
+
     def test_gnuplot_blocks(self):
         text = emit_csv(SAMPLE_POINTS, gnuplot=True)
         lines = text.splitlines()
@@ -711,6 +732,52 @@ class TestCli:
         assert report["conditions_ok"] == "1"
         assert math.isclose(float(report["y11_lower"]), 0.01028768762579957, rel_tol=1e-12)
         assert math.isclose(float(report["e11_upper"]), 0.0857685842221162, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    @pytest.mark.parametrize("scheme, kind, heralding, weak_cls, strong_cls", [
+        ("H2", DistributionKind.POISSON, HeraldingDetector(0.75, 1e-6),
+         TriggerClass.TRIGGERED, TriggerClass.TRIGGERED),
+        ("W1", DistributionKind.POISSON, None, TriggerClass.ALL, TriggerClass.ALL),
+        ("T1", DistributionKind.THERMAL, HeraldingDetector(0.75, 1e-6),
+         TriggerClass.TRIGGERED, TriggerClass.NON_TRIGGERED),
+    ])
+    def test_bound_report_per_scheme(
+        self, scheme, kind, heralding, weak_cls, strong_cls, basis, tmp_path, capsys
+    ):
+        weak = (SourceSpec(kind, 0.125, heralding, weak_cls),) * 2
+        strong = (SourceSpec(kind, 0.5, heralding, strong_cls),) * 2
+        tables = [yield_table(CFG.link_for(80.0), b) for b in (Basis.Z, Basis.X)]
+        gains = GainTable()
+        for source, _ in (weak, strong):
+            sides = [side_weights(replace(source, intensity=x), 8) for x in (source.intensity, 0.0)]
+            for w_a in sides:
+                for w_b in sides:
+                    for table in tables:
+                        gains.add(gain_from_yields(w_a, w_b, table))
+        path = tmp_path / "gains.csv"
+        path.write_text(emit_gain_csv(gains))
+        assert main([
+            "bound", "--gains", str(path), "--scheme", scheme,
+            "--mu", "0.125", "--mu-prime", "0.5", "--basis", basis,
+        ]) == 0
+        report = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        bound = decoy.y11_lower_bound(gains, weak, strong, Basis(basis), 8)
+        bound_x = decoy.y11_lower_bound(gains, weak, strong, Basis.X, 8)
+        e11 = decoy.e11_upper_bound(
+            gains, weak, strong,
+            decoy.single_pair_gain(weak, bound_x.value),
+            decoy.single_pair_gain(strong, bound_x.value),
+        )
+        assert bound.conditions_ok and bound_x.conditions_ok
+        assert report == {
+            "y11_lower": repr(bound.value),
+            "k_factor": repr(bound.k_factor),
+            "denominator": repr(bound.denominator),
+            "conditions_ok": "1",
+            "coefficient_margin": repr(bound.coefficient_margin),
+            "clamped": str(int(bound.clamped)),
+            "e11_upper": repr(e11),
+        }
 
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_bound_rejects_ambiguous_records(self, basis, tmp_path, capsys):

@@ -15,7 +15,6 @@ from mdiqkd.source import (
     photon_row,
     photon_weight,
     trigger_prob,
-    vacuum_weight,
 )
 
 P = DistributionKind.POISSON
@@ -106,10 +105,6 @@ class TestPhotonRow:
 
 
 class TestVacuumAndTotals:
-    def test_vacuum_weight_alias(self):
-        assert vacuum_weight(P, 0.3) == photon_weight(P, 0.3, 0)
-        assert vacuum_weight(T, 0.3) == photon_weight(T, 0.3, 0)
-
     def test_damped_total_closed_forms(self):
         for kind in (P, T):
             for x in (0.1, 0.6, 1.2):
