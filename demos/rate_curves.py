@@ -7,7 +7,7 @@ same job: `python3 -m mdiqkd scan --out curves.csv`.
 
 import argparse
 
-from mdiqkd.runner import ScanConfig, emit_csv, scan
+from mdiqkd.runner import ConfigError, ScanConfig, emit_csv, parse_distances, scan
 
 
 def main():
@@ -16,12 +16,11 @@ def main():
     ap.add_argument("--out", help="also write the CSV here")
     args = ap.parse_args()
 
-    distances = []
-    d = 0.0
-    while d <= 300.0 + 1e-9:
-        distances.append(d)
-        d += args.step
-    config = ScanConfig(distances=tuple(distances))
+    try:
+        distances = parse_distances(f"0:300:{args.step!r}")
+    except ConfigError as exc:
+        ap.error(str(exc))
+    config = ScanConfig(distances=distances)
     points = scan(config)
 
     curves = {}

@@ -112,14 +112,7 @@ class ScenarioKind:
     def __post_init__(self) -> None:
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario {self.name!r}, expected one of {SCENARIO_NAMES}")
-        if not 0.0 <= self.heralding_efficiency <= 1.0:
-            raise ValueError(
-                f"heralding efficiency must lie in [0, 1], got {self.heralding_efficiency}"
-            )
-        if not 0.0 <= self.heralding_dark_rate <= 1.0:
-            raise ValueError(
-                f"heralding dark rate must lie in [0, 1], got {self.heralding_dark_rate}"
-            )
+        HeraldingDetector(self.heralding_efficiency, self.heralding_dark_rate)  # range checks
 
     @property
     def distribution(self) -> DistributionKind:

@@ -99,10 +99,12 @@ class LinkSpec:
     cutoff: int = 8
 
     def __post_init__(self) -> None:
-        if not self.total_distance_km >= 0.0:
-            raise ValueError(f"distance must be >= 0, got {self.total_distance_km}")
-        if not self.attenuation_db_per_km >= 0.0:
-            raise ValueError(f"attenuation must be >= 0, got {self.attenuation_db_per_km}")
+        if not 0.0 <= self.total_distance_km < math.inf:
+            raise ValueError(f"distance must be finite and >= 0, got {self.total_distance_km}")
+        if not 0.0 <= self.attenuation_db_per_km < math.inf:
+            raise ValueError(
+                f"attenuation must be finite and >= 0, got {self.attenuation_db_per_km}"
+            )
         if not 0.0 <= self.relay_efficiency <= 1.0:
             raise ValueError(f"relay efficiency must lie in [0, 1], got {self.relay_efficiency}")
         if not 0.0 <= self.relay_dark_rate <= 1.0:

@@ -67,7 +67,8 @@ GAIN_HEADER = "basis,x,y,class,gain,qber"
 YIELD_HEADER = "basis,m,n,Y,e"
 
 # a distance range is expanded into a tuple, and the optimizer's intensity
-# grid into an array, so both lengths are capped at parse time
+# grid into an array, so ScanConfig caps both lengths and parse_distances
+# checks a range before it expands it
 MAX_DISTANCES = 10_000
 MAX_GRID_POINTS = 10_000
 
@@ -75,9 +76,18 @@ MAX_GRID_POINTS = 10_000
 # remaining heralded scenarios stay at the global default
 DEFAULT_SCENARIO_HERALDING = {"H0": 0.9, "H1": 0.9}
 
+# ScanConfig fields that must lie in [0, 1], and those that must be > 0
+_UNIT_FIELDS = ("e_d", "d_c", "eta_c", "eta_heralding", "d_heralding")
+_POSITIVE_FIELDS = ("mu_fixed", "mu_prime_min", "mu_prime_max", "refine_tol")
+
 
 class ConfigError(ValueError):
-    """Malformed or out-of-range configuration input."""
+    """Malformed or out-of-range configuration input; `field` names the
+    ScanConfig field a range check rejected, and starts the message."""
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 def _default_distances() -> tuple[float, ...]:
@@ -106,6 +116,38 @@ class ScanConfig:
     mu_prime_min: float = 1e-4
     mu_prime_max: float = 1.5
     refine_tol: float = 1e-4
+
+    def __post_init__(self) -> None:
+        """Reject, naming the field, any value no scan can use."""
+        unit = {name: getattr(self, name) for name in _UNIT_FIELDS}
+        unit |= {f"scenario_heralding[{k!r}]": v for k, v in self.scenario_heralding.items()}
+        positive = {name: getattr(self, name) for name in _POSITIVE_FIELDS}
+        floats = {"alpha": self.alpha, "f_ec": self.f_ec, **unit, **positive}
+        cap = SAFETY_CAP // 2  # the relay tables need up to 2 * cutoff photons
+        checks = [
+            *((name, num, math.isfinite(num), "must be finite") for name, num in floats.items()),
+            ("alpha", self.alpha, self.alpha >= 0.0, "must be >= 0"),
+            ("f_ec", self.f_ec, self.f_ec >= 1.0, "must be >= 1"),
+            *((name, num, 0.0 <= num <= 1.0, "must lie in [0, 1]") for name, num in unit.items()),
+            *((name, num, num > 0.0, "must be > 0") for name, num in positive.items()),
+            ("cutoff", self.cutoff, 2 <= self.cutoff <= cap, f"must lie in [2, {cap}]"),
+            ("grid_points", self.grid_points, 4 <= self.grid_points <= MAX_GRID_POINTS,
+             f"must lie in [4, {MAX_GRID_POINTS}]"),
+            *((f"scenario_heralding[{k!r}]", k, k in SCENARIO_NAMES, "must name a scenario")
+              for k in self.scenario_heralding),
+            *(("scenarios", name, name in SCENARIO_NAMES, f"must be among {SCENARIO_NAMES}")
+              for name in self.scenarios),
+            ("distances", len(self.distances), len(self.distances) <= MAX_DISTANCES,
+             f"must number at most {MAX_DISTANCES}"),
+            *(("distances", d, 0.0 <= d < math.inf, "must be finite and >= 0")
+              for d in self.distances),
+        ]
+        for name, value, ok, rule in checks:
+            if not ok:
+                raise ConfigError(f"{name} {rule}, got {value!r}", name)
+        lo, hi = self.mu_prime_min, self.mu_prime_max
+        if not lo < hi:
+            raise ConfigError(f"mu_prime_min must be below mu_prime_max, got {lo!r} and {hi!r}")
 
     def link_for(self, distance_km: float) -> LinkSpec:
         return LinkSpec(
@@ -140,6 +182,9 @@ def parse_distances(text: str) -> tuple[float, ...]:
     if not steps < MAX_DISTANCES:
         raise ConfigError(f"distance range {text!r} lists more than {MAX_DISTANCES} distances")
     count = int(math.floor(steps)) + 1
+    # the last distance may pass STOP by rounding, and so overflow
+    if not math.isfinite(start + (count - 1) * step):
+        raise ConfigError(f"distances must be finite, got {text!r}")
     return tuple(start + i * step for i in range(count))
 
 
@@ -147,100 +192,60 @@ def _parse_scenarios(text: str) -> tuple[str, ...]:
     names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     if not names:
         raise ConfigError("empty scenario list")
-    for name in names:
-        if name not in SCENARIO_NAMES:
-            raise ConfigError(f"unknown scenario {name!r}, expected one of {SCENARIO_NAMES}")
     return names
 
 
-def _check_cutoff(cutoff: int) -> int:
-    """A series cutoff the relay tables support: they need up to 2 * cutoff photons."""
-    if not 2 <= cutoff <= SAFETY_CAP // 2:
-        raise ConfigError(f"cutoff must lie in [2, {SAFETY_CAP // 2}], got {cutoff}")
-    return cutoff
-
-
-def _finite(key: str, val: str) -> float:
-    """A config value as a finite float; ValueError when it is not a number."""
-    num = float(val)
-    if not math.isfinite(num):
-        raise ConfigError(f"{key} must be finite, got {val}")
-    return num
-
-
-_UNIT_KEYS = {"e_d", "d_c", "eta_c", "eta_heralding", "d_heralding"}
-_POSITIVE_KEYS = {"mu_fixed", "mu_prime_min", "mu_prime_max", "refine_tol"}
+# config keys of float values, and the ScanConfig field each one sets
+_FLOAT_KEYS = {key: key for key in ("alpha", *_UNIT_FIELDS, *_POSITIVE_FIELDS)}
+_FLOAT_KEYS.update(f="f_ec", mu="mu_fixed")
 
 
 def parse_config(text: str) -> ScanConfig:
     """Parse `key = value` lines into a ScanConfig.
 
     Blank lines and `#` comments are ignored.  Unknown keys and values
-    outside their domain are rejected with the offending line number.
+    that do not parse are rejected with the offending line number, and
+    so is a value ScanConfig rejects, under the key as written there.
     Per-scenario heralding overrides use keys like `eta_heralding_H1`.
     """
     values: dict = {}
     overrides = dict(DEFAULT_SCENARIO_HERALDING)
+    written: dict[str, str] = {}  # ScanConfig field -> the line and key that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, val = (tok.strip() for tok in line.partition("="))
+        if not (eq and key and val):
             raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
-        key, _, val = (tok.strip() for tok in line.partition("="))
-        if not key or not val:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
+        target = _FLOAT_KEYS.get(key, key)
         try:
             if key == "distances":
-                values["distances"] = parse_distances(val)
+                values[target] = parse_distances(val)
             elif key == "scenarios":
-                values["scenarios"] = _parse_scenarios(val)
+                values[target] = _parse_scenarios(val)
             elif key.startswith("eta_heralding_"):
                 name = key[len("eta_heralding_"):].upper()
-                if name not in SCENARIO_NAMES:
-                    raise ConfigError(f"unknown scenario in key {key!r}")
-                eff = _finite(key, val)
-                if not 0.0 <= eff <= 1.0:
-                    raise ConfigError(f"{key} must lie in [0, 1], got {val}")
-                overrides[name] = eff
-            elif key in ("alpha", "e_d", "d_c", "eta_c", "eta_heralding", "d_heralding",
-                         "f", "mu", "mu_fixed", "mu_prime_min", "mu_prime_max", "refine_tol"):
-                num = _finite(key, val)
-                field_name = {"f": "f_ec", "mu": "mu_fixed"}.get(key, key)
-                if key == "alpha" and num < 0:
-                    raise ConfigError(f"alpha must be >= 0, got {val}")
-                if key == "f" and num < 1.0:
-                    raise ConfigError(f"f must be >= 1, got {val}")
-                if key in _UNIT_KEYS and not 0.0 <= num <= 1.0:
-                    raise ConfigError(f"{key} must lie in [0, 1], got {val}")
-                if (key in _POSITIVE_KEYS or field_name in _POSITIVE_KEYS) and num <= 0:
-                    raise ConfigError(f"{key} must be > 0, got {val}")
-                values[field_name] = num
+                target = f"scenario_heralding[{name!r}]"
+                overrides[name] = float(val)
+            elif key in _FLOAT_KEYS:
+                values[target] = float(val)
             elif key in ("cutoff", "grid_points"):
-                num = int(val)
-                if key == "cutoff":
-                    _check_cutoff(num)
-                if key == "grid_points" and not 4 <= num <= MAX_GRID_POINTS:
-                    raise ConfigError(f"grid_points must lie in [4, {MAX_GRID_POINTS}], got {val}")
-                values[key] = num
+                values[target] = int(val)
             else:
                 raise ConfigError(f"unknown key {key!r}")
         except ConfigError as exc:
-            msg = str(exc)
-            if not msg.startswith("line "):
-                msg = f"line {lineno}: {msg}"
-            raise ConfigError(msg) from None
+            raise ConfigError(f"line {lineno}: {exc}") from None
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {val!r} for {key}") from None
-    lo = values.get("mu_prime_min", ScanConfig.mu_prime_min)
-    hi = values.get("mu_prime_max", ScanConfig.mu_prime_max)
-    if not lo < hi:
-        raise ConfigError(f"mu_prime_min must be below mu_prime_max, got {lo!r} and {hi!r}")
+        written[target] = f"line {lineno}: {key}"
     values["scenario_heralding"] = overrides
     try:
         return ScanConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except ConfigError as exc:
+        if exc.field not in written:
+            raise
+        raise ConfigError(written[exc.field] + str(exc)[len(exc.field):]) from None
 
 
 def _evaluate(
@@ -548,7 +553,7 @@ def _scheme_pairs(
     scheme = scheme.upper()
     if scheme not in ("H1", "H2", "W1", "T1"):
         raise ConfigError(f"unknown scheme {scheme!r}, expected H1, H2, W1 or T1")
-    scenario = ScenarioKind(scheme, config.eta_heralding, config.d_heralding)
+    scenario = config.scenario_kind(scheme)
     _, weak_cls, strong_cls = scenario.classes
     weak = SourceSpec(scenario.distribution, mu, scenario.heralding, weak_cls)
     strong = SourceSpec(scenario.distribution, mu_prime, scenario.heralding, strong_cls)
@@ -569,7 +574,7 @@ def _apply_flag_overrides(config: ScanConfig, args: argparse.Namespace) -> ScanC
     if getattr(args, "distances", None):
         updates["distances"] = parse_distances(args.distances)
     if getattr(args, "cutoff", None) is not None:
-        updates["cutoff"] = _check_cutoff(args.cutoff)
+        updates["cutoff"] = args.cutoff
     return replace(config, **updates) if updates else config
 
 
@@ -717,7 +722,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"argument --{name}: must be finite and >= 0, got {getattr(args, flag)!r}")
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,6 +27,16 @@ def test_demo_runs(demo, tmp_path):
     assert proc.stdout.strip()
 
 
+def test_rate_curves_rejects_a_zero_step(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "rate_curves.py"), "--step", "0"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=30,
+    )
+    assert proc.returncode != 0
+    assert "bad distance range" in proc.stderr
+
+
 def test_readme_library_sketch_runs(tmp_path):
     # the sketch imports from the package root, so it guards the re-exported names
     readme = (ROOT / "README.md").read_text(encoding="utf-8")

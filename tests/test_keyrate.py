@@ -384,9 +384,20 @@ class TestRecordRoute:
         outcomes = assert_record_route_matches(SCAN_CFG, SCENARIO_NAMES, (350.0,), monkeypatch)
         assert "e11_unavailable" in reasons(outcomes)
 
-    def test_sub_unit_error_correction_still_raises(self, monkeypatch):
-        cfg = replace(SCAN_CFG, f_ec=0.99)
-        outcomes = assert_record_route_matches(cfg, SCENARIO_NAMES, (50.0,), monkeypatch)
+    def test_sub_unit_error_correction_still_raises(self):
+        # no ScanConfig carries f_ec < 1, so the default grid is evaluated directly
+        cfg = SCAN_CFG
+        link = cfg.link_for(50.0)
+        tables = basis_tables(link)
+        grid = np.geomspace(cfg.mu_prime_min, cfg.mu_prime_max, cfg.grid_points)
+        outcomes = []
+        for name in SCENARIO_NAMES:
+            scenario = cfg.scenario_kind(name)
+            for mp in map(float, grid):
+                args = (scenario, link, scenario.weak_intensity(mp, cfg.mu_fixed), mp, tables, 0.99)
+                got = outcome(rate_for_scenario, *args)
+                assert got == outcome(reference_rate, *args), (name, mp)
+                outcomes.append(got)
         assert ValueError in reasons(outcomes)
         assert not any(isinstance(o, RatePoint) and o.valid for o in outcomes)
 

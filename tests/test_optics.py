@@ -52,6 +52,13 @@ class TestLinkSpec:
         with pytest.raises(ValueError):
             LinkSpec(10.0, cutoff=0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_a_non_finite_distance_or_attenuation(self, value):
+        with pytest.raises(ValueError, match="distance must be finite"):
+            LinkSpec(value)
+        with pytest.raises(ValueError, match="attenuation must be finite"):
+            LinkSpec(10.0, attenuation_db_per_km=value)
+
 
 # survival exactly 0 and 1, the extremes next to them, and seeded random values
 THIN_SURVIVALS = (0.0, 1.0, 1e-9, 1.0 - 1e-9, *np.random.default_rng(11).random(6).tolist())

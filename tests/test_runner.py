@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -153,6 +154,34 @@ class TestParseConfig:
     def test_rejects_an_empty_or_inverted_grid(self, text):
         with pytest.raises(ConfigError, match="mu_prime_min must be below mu_prime_max"):
             parse_config(text)
+
+
+class TestScanConfig:
+    # each is rejected on construction; none of these values is ever run
+    @pytest.mark.parametrize("build, field", [
+        (lambda: ScanConfig(grid_points=10**9), "grid_points"),
+        (lambda: replace(CFG, cutoff=9), "cutoff"),
+        (lambda: ScanConfig(distances=(math.inf,)), "distances"),
+        (lambda: ScanConfig(distances=(0.0,) * (runner.MAX_DISTANCES + 1)), "distances"),
+        (lambda: ScanConfig(scenario_heralding={"Q9": 0.5}), "scenario_heralding['Q9']"),
+        (lambda: ScanConfig(scenarios=("H1", "Q9")), "scenarios"),
+        (lambda: ScanConfig(f_ec=0.99), "f_ec"),
+        (lambda: ScanConfig(alpha=math.nan), "alpha"),
+        (lambda: ScanConfig(mu_fixed=0.0), "mu_fixed"),
+        (lambda: replace(CFG, scenario_heralding={"H1": 1.5}), "scenario_heralding['H1']"),
+    ], ids=[
+        "grid_points", "cutoff", "distance", "distance-count", "heralding-key", "scenarios",
+        "f_ec", "alpha", "mu_fixed", "heralding-value",
+    ])
+    def test_rejects_what_no_scan_can_use(self, build, field):
+        with pytest.raises(ConfigError, match="^" + re.escape(field) + " must ") as exc:
+            build()
+        assert exc.value.field == field
+
+    def test_inverted_grid_names_no_single_field(self):
+        with pytest.raises(ConfigError, match="^mu_prime_min must be below mu_prime_max") as exc:
+            replace(CFG, mu_prime_min=2.0)
+        assert exc.value.field is None
 
 
 class TestOptimize:
@@ -342,12 +371,23 @@ class TestBatchedGrid:
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_sub_unit_error_correction_leaves_no_valid_point(self, name):
-        # every point that gets as far as the rate formula raises; the row
-        # reports the first grid point that did not raise, if any
-        cfg = replace(CFG, f_ec=0.99)
-        points = assert_batched_grid_matches(cfg, name, (50.0,))
-        assert all(not p.valid and p.rate == 0.0 for p in points)
-        assert {p.reason for p in points} <= {"no_valid_point", "e11_unavailable"}
+        # every point that gets as far as the rate formula raises; no ScanConfig
+        # carries f_ec < 1, so the default grid is ranked directly
+        scenario = CFG.scenario_kind(name)
+        link = CFG.link_for(50.0)
+        tables = basis_tables(link)
+        grid = np.geomspace(CFG.mu_prime_min, CFG.mu_prime_max, CFG.grid_points)
+        points = []
+        for mp in grid:
+            mu = scenario.weak_intensity(mp, CFG.mu_fixed)
+            try:
+                points.append(keyrate.rate_for_scenario(scenario, link, mu, mp, tables, 0.99))
+            except ValueError:
+                points.append(None)
+        got = grid_rates(scenario, link, CFG.mu_fixed, grid, tables, 0.99)
+        assert np.all(got == -math.inf)
+        assert all(p is None or (not p.valid and p.rate == 0.0) for p in points)
+        assert {p.reason for p in points if p is not None} <= {"e11_unavailable"}
 
     @pytest.mark.parametrize("name", ["W1", "H2"])
     def test_weak_equal_to_a_grid_point_is_unlicensed_there(self, name):
@@ -721,8 +761,10 @@ class TestCli:
                     gains.add(gain_from_yields(w_a, w_b, tx))
         path = tmp_path / "gains.csv"
         path.write_text(emit_gain_csv(gains))
+        cfg = tmp_path / "h1.cfg"
+        cfg.write_text("eta_heralding_H1 = 0.75\n")  # the detector the records were built at
         code = main([
-            "bound", "--gains", str(path), "--scheme", "H1",
+            "bound", "--config", str(cfg), "--gains", str(path), "--scheme", "H1",
             "--mu", "0.125", "--mu-prime", "0.5", "--basis", "Z",
         ])
         assert code == 0
@@ -779,6 +821,42 @@ class TestCli:
             "e11_upper": repr(e11),
         }
 
+    @pytest.mark.parametrize("distance", [0.0, 50.0, 150.0])
+    @pytest.mark.parametrize("scheme, kind, heralding, weak_cls, strong_cls", [
+        ("H1", DistributionKind.POISSON, HeraldingDetector(0.9, 1e-6),
+         TriggerClass.TRIGGERED, TriggerClass.NON_TRIGGERED),
+        ("H2", DistributionKind.POISSON, HeraldingDetector(0.75, 1e-6),
+         TriggerClass.TRIGGERED, TriggerClass.TRIGGERED),
+        ("W1", DistributionKind.POISSON, None, TriggerClass.ALL, TriggerClass.ALL),
+        ("T1", DistributionKind.THERMAL, HeraldingDetector(0.75, 1e-6),
+         TriggerClass.TRIGGERED, TriggerClass.NON_TRIGGERED),
+    ], ids=["H1", "H2", "W1", "T1"])
+    def test_bound_reproduces_the_scan_row(
+        self, scheme, kind, heralding, weak_cls, strong_cls, distance, tmp_path, capsys
+    ):
+        # bound on the records an optimized default row was computed from
+        # reports that row's own Y11 and e11 bounds
+        link = CFG.link_for(distance)
+        row = optimize_mu_prime(CFG.scenario_kind(scheme), link, CFG)
+        assert row.valid
+        tables = [yield_table(link, b) for b in (Basis.Z, Basis.X)]
+        gains = GainTable()
+        for intensity, cls in ((row.mu, weak_cls), (row.mu_prime, strong_cls)):
+            sides = [side_weights(SourceSpec(kind, x, heralding, cls), 8) for x in (intensity, 0.0)]
+            for w_a in sides:
+                for w_b in sides:
+                    for table in tables:
+                        gains.add(gain_from_yields(w_a, w_b, table))
+        path = tmp_path / "gains.csv"
+        path.write_text(emit_gain_csv(gains))
+        assert main([
+            "bound", "--gains", str(path), "--scheme", scheme,
+            "--mu", repr(row.mu), "--mu-prime", repr(row.mu_prime),
+        ]) == 0
+        report = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert report["y11_lower"] == repr(row.y11_bound)
+        assert report["e11_upper"] == repr(row.e11_bound)
+
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_bound_rejects_ambiguous_records(self, basis, tmp_path, capsys):
         # a weak intensity off every record by float noise matches both the
@@ -827,6 +905,20 @@ class TestCli:
         assert main(["scan", "--cutoff", "1"]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--config", "{dir}"],
+        ["bound", "--gains", "{dir}", "--mu", "0.1", "--mu-prime", "0.5"],
+        ["scan", "--config", "{not_utf8}"],
+    ], ids=["config-directory", "gains-directory", "config-not-utf8"])
+    def test_unreadable_files_exit(self, argv, tmp_path, capsys):
+        not_utf8 = tmp_path / "bytes.cfg"
+        not_utf8.write_bytes(b"\xff\xfe")
+        argv = [a.format(dir=tmp_path, not_utf8=not_utf8) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("command", ["yields", "optimize"])
     @pytest.mark.parametrize("distance", ["-5", "nan", "inf"])
