@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -224,8 +224,8 @@ class GainTable:
 class SeriesParts(NamedTuple):
     """One side's factors of the double series over stacked (cutoff + 1)-square tables:
     vac against each column 0 (col, as Alice) and row 0 (row, as Bob), and a[1:]
-    against each interior (inner, as Alice).  At intensity zero a[1:] == 0 exactly,
-    so a and inner are None and the side's records take no interior product."""
+    against each interior (inner, a 1 x cutoff row per table, as Alice).  At intensity
+    zero a[1:] == 0 exactly, so a and inner are None and its records take no interior."""
 
     a: np.ndarray | None
     vac0: float
@@ -234,24 +234,25 @@ class SeriesParts(NamedTuple):
     inner: np.ndarray | None
 
 
-# These stride-preserving matmul forms reproduce the 1-D products a @ M[:, 0],
-# M[0, :] @ b and a @ M @ b bit for bit.  A contiguous copy of the columns, gemv over
-# stacked rows or einsum round differently on a quarter or more of random 9x9 cases.
-def weight_parts(a: np.ndarray | None, vac: np.ndarray, vac0: float, mats: np.ndarray):
-    """The SeriesParts of one side's weights over every stacked table."""
-    return SeriesParts(
-        a,
-        vac0,
-        (vac[None, :] @ mats[:, :, :1]).ravel().tolist(),
-        (mats[:, :1, :] @ vac[:, None]).ravel().tolist(),
-        None if a is None else a[1:] @ mats[:, 1:, 1:],
-    )
+# These stride-preserving matmul forms reproduce, side by side, the 1-D products
+# a @ M[:, 0], M[0, :] @ b and a @ M @ b bit for bit.  A contiguous copy of the columns,
+# gemv over stacked rows or einsum round differently on a quarter or more of random 9x9 cases.
+def weight_parts(a: np.ndarray | None, vac: np.ndarray, vac0: Sequence[float], mats: np.ndarray):
+    """The SeriesParts of each of S sides over every stacked table: a and vac are
+    (S, cutoff + 1), vac0 has S entries, a is None when every side is at intensity zero."""
+    sides = len(vac)
+    col = (vac[:, None, None, :] @ mats[None, :, :, :1]).reshape(sides, -1).tolist()
+    row = (mats[None, :, :1, :] @ vac[:, None, :, None]).reshape(sides, -1).tolist()
+    if a is None:
+        return [SeriesParts(None, vac0[s], col[s], row[s], None) for s in range(sides)]
+    inner = a[:, None, None, 1:] @ mats[None, :, 1:, 1:]
+    return [SeriesParts(a[s], vac0[s], col[s], row[s], inner[s]) for s in range(sides)]
 
 
 def series_parts(side: SideWeights, mats: np.ndarray) -> SeriesParts:
     """weight_parts of one side's SideWeights."""
-    a = side.a if side.source.intensity > 0.0 else None
-    return weight_parts(a, side.vac, side.vac_at_zero, mats)
+    a = side.a[None] if side.source.intensity > 0.0 else None
+    return weight_parts(a, side.vac[None], (side.vac_at_zero,), mats)[0]
 
 
 def series_gain(alice: SeriesParts, bob: SeriesParts, mats: np.ndarray) -> list[float]:
@@ -266,7 +267,7 @@ def series_gain(alice: SeriesParts, bob: SeriesParts, mats: np.ndarray) -> list[
     if alice.inner is None or bob.a is None:
         interior = [0.0] * len(corner)
     else:
-        interior = (alice.inner[:, None, :] @ bob.a[1:, None]).ravel().tolist()
+        interior = (alice.inner @ bob.a[1:, None]).ravel().tolist()
     # float arithmetic in the per-table order, so every gain rounds as it always has;
     # a skipped interior enters as the +0.0 its product gave, so 0.0 + -0.0 stays 0.0
     return [

@@ -26,8 +26,9 @@ shared with the `bound` command (decoy.y11_from_series and
 decoy.e11_from_moments); no GainTable is built.  What no point of a row
 changes, down to each event class's side factors, is kept in a row
 context (see _RowContext), so a point costs one photon row per
-intensity and a few stacked array products.  grid_rates evaluates a
-whole intensity grid in one array pass, for ranking only.
+intensity, one stacked weight_parts pass over all its sides and a few
+series products.  grid_rates evaluates a whole intensity grid in one
+array pass, for ranking only.
 """
 
 from __future__ import annotations
@@ -237,9 +238,9 @@ class _RowContext:
     their (0, 0) records.  The last weak setting's records are kept, so a
     weak intensity that does not follow mu' (W1, H2) is assembled once per
     row.  Per point there is one photon row per intensity, shared by signal
-    and strong, and one weight_parts pass per side, the signal's own over
-    the Z tables only.  Only (x, x) records take an interior product; see
-    decoy.SeriesParts.
+    and strong, and one stacked weight_parts pass over its sides (H1/T1:
+    weak, strong and signal), the asymptotic signal's over the Z tables
+    only.  Only (x, x) records take an interior product; see SeriesParts.
     """
 
     def __init__(self, scenario: ScenarioKind, link: LinkSpec, tables, f_ec: float) -> None:
@@ -252,19 +253,28 @@ class _RowContext:
         self.classes = scenario.classes
         self.q1 = trigger_prob(heralding, 1) if heralding is not None else 1.0
         self.factors = {cls: side_factors(heralding, cls, link.cutoff) for cls in self.classes}
+        self.stacked: dict[tuple, tuple[np.ndarray, np.ndarray, tuple[float, ...]]] = {}
         self.zero: dict[TriggerClass, tuple[SeriesParts, list[float]]] = {}
         if not scenario.asymptotic:
-            vacuum = np.array(photon_row(self.kind, 0.0, link.cutoff))
-            for cls in set(self.classes[1:]):
-                _, vac_factor, vac0 = self.factors[cls]
-                zero = weight_parts(None, vac_factor * vacuum, vac0, self.mats)
+            vacuum = photon_row(self.kind, 0.0, link.cutoff)
+            classes = tuple(dict.fromkeys(self.classes[1:]))
+            zeros = self.sides(classes, [vacuum] * len(classes), self.mats, positive=False)
+            for cls, zero in zip(classes, zeros):
                 self.zero[cls] = (zero, series_gain(zero, zero, self.mats))
         self.weak: tuple[float, SeriesParts, list[tuple[float, ...]]] | None = None
 
-    def side(self, row: np.ndarray, cls: TriggerClass, mats: np.ndarray) -> SeriesParts:
-        """Series parts of the class's side on a photon row at a positive intensity."""
-        a_factor, vac_factor, vac0 = self.factors[cls]
-        return weight_parts(a_factor * row, vac_factor * row, vac0, mats)
+    def sides(
+        self, classes: tuple, rows, mats: np.ndarray, positive: bool = True
+    ) -> list[SeriesParts]:
+        """Series parts of each class's side on its photon row, in one weight_parts pass;
+        positive says the rows are at positive intensities, else at zero."""
+        stacked = self.stacked.get(classes)
+        if stacked is None:
+            a_factors, vac_factors, vac0 = zip(*(self.factors[cls] for cls in classes))
+            stacked = self.stacked[classes] = (np.array(a_factors), np.array(vac_factors), vac0)
+        rows = np.array(rows)
+        a = stacked[0] * rows if positive else None
+        return weight_parts(a, stacked[1] * rows, stacked[2], mats)
 
     def setting(self, x: SeriesParts, cls: TriggerClass) -> list[tuple[float, ...]]:
         """Gains of a symmetric setting's (x, x), (x, 0), (0, x) and (0, 0) records.
@@ -281,23 +291,32 @@ class _RowContext:
         signal_cls, weak_cls, strong_cls = self.classes
         cutoff = self.link.cutoff
         photons = photon_row(self.kind, mu_prime, cutoff)
-        row = np.array(photons)
-        full = None
         if self.scenario.asymptotic:
             y11 = float(self.tables[0].yields[1, 1])
             e11 = float(self.tables[1].errors[1, 1])
+            # the signal's own record only enters the Z basis
+            (x,) = self.sides((signal_cls,), [photons], self.mats[:2])
+            full = series_gain(x, x, self.mats[:2])
         else:
             if not mu > 0.0:
                 raise ValueError(f"weak intensity must be > 0, got {mu}")
             kept = self.weak
-            if kept is None or kept[0] != mu:
-                weak = self.side(np.array(photon_row(self.kind, mu, cutoff)), weak_cls, self.mats)
-                kept = self.weak = (mu, weak, self.setting(weak, weak_cls))
-            weak = kept[1]
-            strong = self.side(row, strong_cls, self.mats)
+            fresh = kept is None or kept[0] != mu
+            classes = (strong_cls,) if signal_cls is strong_cls else (strong_cls, signal_cls)
+            rows = [photons] * len(classes)
+            if fresh:
+                classes += (weak_cls,)
+                rows.append(photon_row(self.kind, mu, cutoff))
+            parts = self.sides(classes, rows, self.mats)
+            if fresh:
+                kept = self.weak = (mu, parts[-1], self.setting(parts[-1], weak_cls))
+            weak, strong = kept[1], parts[0]
             settings = (kept[2], self.setting(strong, strong_cls))
             if strong_cls is signal_cls:
                 full = [gains[0] for gains in settings[1]]
+            else:
+                # the signal's Z gain is read from the first two stacked tables
+                full = series_gain(parts[1], parts[1], self.mats)
             coeffs = y11_coefficients(weak.a, weak.a, strong.a, strong.a)
             y11, _, licensed = y11_from_series(coeffs, *(interior_gain(*g[0]) for g in settings))
             if not licensed:
@@ -313,10 +332,6 @@ class _RowContext:
                 e11 = e11_from_moments(moments, s11)
             except BoundUnavailableError:
                 return self.point(mu, mu_prime, y11, 0.0, 0.0, "e11_unavailable")
-        if full is None:
-            # the signal's own record only enters the Z basis
-            x = self.side(row, signal_cls, self.mats[:2])
-            full = series_gain(x, x, self.mats[:2])
         p1 = photons[1]
         rate = key_rate(
             RateInputs(

@@ -20,8 +20,8 @@ The sums are split by what they depend on.  Their terms' binomials,
 exponents, group boundaries and Fock normalisations depend only on the
 photon-count caps and are cached once per pair of caps.  The mode
 amplitudes (state and misalignment) and the dark-count weights depend on
-the relay; per relay only their powers are gathered and reduced, and the
-resulting tables are cached per relay setting.
+the relay; per relay and pair of bases only their powers are gathered and
+reduced, in one array pass, and the resulting tables are cached.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ STATE_BIT = {
     BB84State.PLUS: 0,
     BB84State.MINUS: 1,
 }
+
+_BASIS_OF = {state: states for states in BASIS_STATES.values() for state in states}
 
 
 class BsmOutcome(Enum):
@@ -260,18 +262,21 @@ def _pattern_terms(cap_a: int, cap_b: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-# bounded: every relay setting adds one entry per state pair and caps, and
-# a relay sweep never returns to an old setting
+# bounded: every relay setting adds one entry per pair of bases and caps,
+# and a relay sweep never returns to an old setting
 @lru_cache(maxsize=64)
 def _pair_tables(
-    state_a: BB84State,
-    state_b: BB84State,
+    states_a: tuple[BB84State, ...],
+    states_b: tuple[BB84State, ...],
     misalignment: float,
     dark_rate: float,
     cap_a: int,
     cap_b: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Psi+/Psi- probabilities for every surviving pair count up to the caps.
+    """Psi+/Psi- probabilities of every state pair for every surviving pair count up to the caps.
+
+    plus[i, j, k_a, k_b] (minus likewise) is the chance that k_a photons of states_a[i]
+    and k_b of states_b[j] announce Psi+; one array pass rounds as a pass per pair.
 
     Misalignment is modelled as a polarization rotation of Bob's arm by
     theta with sin(theta)^2 equal to the misalignment parameter.  These
@@ -286,34 +291,36 @@ def _pair_tables(
     _pattern_terms(cap_a, cap_b); only the amplitude powers are per relay.
     """
     theta = math.asin(math.sqrt(misalignment))
-    jones_a = _jones(state_a)
-    jones_b = _rotated(_jones(state_b), theta)
-    # Bob's port d picks up the minus sign
-    u = np.array([jones_a[0], jones_a[1], jones_a[0], jones_a[1]]) * _SQRT1_2
-    v = np.array([jones_b[0], jones_b[1], -jones_b[0], -jones_b[1]]) * _SQRT1_2
+    # per state, the amplitudes on modes (cH, cV, dH, dV); Bob's port d picks up the minus sign
+    jones_b = [_rotated(_jones(s), theta) for s in states_b]
+    u = np.array([(x, y, x, y) for x, y in map(_jones, states_a)]) * _SQRT1_2
+    v = np.array([(x, y, -x, -y) for x, y in jones_b]) * _SQRT1_2
     coeff, alice, bob, starts, norm, cell, single = _pattern_terms(cap_a, cap_b)
-    pow_u = u[:, None] ** np.arange(cap_a + 1)
-    pow_v = v[:, None] ** np.arange(cap_b + 1)
-    # per pattern, every product (power of mode i) * (power of mode j)
-    pair_u = (pow_u[_PATTERN_I, :, None] * pow_u[_PATTERN_J, None, :]).reshape(4, -1)
-    pair_v = (pow_v[_PATTERN_I, :, None] * pow_v[_PATTERN_J, None, :]).reshape(4, -1)
-    amps = np.add.reduceat(coeff * pair_u[:, alice] * pair_v[:, bob], starts, axis=1)
+    pow_u = u[:, :, None] ** np.arange(cap_a + 1)
+    pow_v = v[:, :, None] ** np.arange(cap_b + 1)
+    # per state and pattern, every product (power of mode i) * (power of mode j)
+    pair_u = (pow_u[:, _PATTERN_I, :, None] * pow_u[:, _PATTERN_J, None, :]).reshape(len(u), 4, -1)
+    pair_v = (pow_v[:, _PATTERN_I, :, None] * pow_v[:, _PATTERN_J, None, :]).reshape(len(v), 4, -1)
+    # group sums per (Alice's state, Bob's state, pattern); take keeps the terms contiguous
+    terms = coeff * pair_u.take(alice, axis=-1)[:, None] * pair_v.take(bob, axis=-1)[None]
+    amps = np.add.reduceat(terms, starts, axis=-1)
     shape = (cap_a + 1, cap_b + 1)
     size = shape[0] * shape[1]
+    rows = amps.shape[:-1]
     both = np.bincount(
-        (cell + size * np.arange(4)[:, None]).ravel(),
+        (cell + size * np.arange(math.prod(rows))[:, None]).ravel(),
         weights=(norm * amps * amps).ravel(),
-        minlength=4 * size,
-    ).reshape(4, *shape)
-    alone = single * (pow_u * pow_u)[:, :, None] * (pow_v * pow_v)[:, None, :]
+        minlength=math.prod(rows) * size,
+    ).reshape(*rows, *shape)
+    alone = single * (pow_u * pow_u)[:, None, :, :, None] * (pow_v * pow_v)[None, :, :, None, :]
     empty = np.zeros(shape)
     empty[0, 0] = 1.0
     d = dark_rate
     probs = (1.0 - d) ** 2 * (
-        both + d * (alone[_PATTERN_I] + alone[_PATTERN_J]) + d * d * empty
+        both + d * (alone[:, :, _PATTERN_I] + alone[:, :, _PATTERN_J]) + d * d * empty
     )
-    plus = probs[0] + probs[1]
-    minus = probs[2] + probs[3]
+    plus = probs[:, :, 0] + probs[:, :, 1]
+    minus = probs[:, :, 2] + probs[:, :, 3]
     plus.flags.writeable = False
     minus.flags.writeable = False
     return plus, minus
@@ -336,17 +343,19 @@ def bsm_outcome_distribution(
         raise ValueError(f"photon numbers must be >= 0, got ({m}, {n})")
     if m + n > SAFETY_CAP:
         raise ValueError(f"photon total {m + n} exceeds safety cap {SAFETY_CAP}")
-    # table entries do not depend on the caps, so counts within the
-    # cutoff read the cutoff-sized tables that yield_table caches; the
-    # contiguous copy keeps the products below rounding as on a table
-    # built for exactly these caps
+    # table entries do not depend on the caps, so counts within the cutoff
+    # read the cutoff-sized entry of the states' bases (yield_table's when
+    # they share one); the contiguous copy keeps the products below
+    # rounding as on a table built for exactly these caps
     cap_a, cap_b = (
         (link.cutoff, link.cutoff) if max(m, n) <= link.cutoff <= SAFETY_CAP // 2 else (m, n)
     )
+    i, j = STATE_BIT[alice_state], STATE_BIT[bob_state]
     plus_tab, minus_tab = (
-        np.ascontiguousarray(tab[: m + 1, : n + 1])
+        np.ascontiguousarray(tab[i, j, : m + 1, : n + 1])
         for tab in _pair_tables(
-            alice_state, bob_state, link.misalignment, link.relay_dark_rate, cap_a, cap_b
+            _BASIS_OF[alice_state], _BASIS_OF[bob_state],
+            link.misalignment, link.relay_dark_rate, cap_a, cap_b,
         )
     )
     t = link.survival
@@ -379,11 +388,11 @@ def yield_table(link: LinkSpec, basis: Basis) -> YieldTable:
     n_max = link.cutoff
     succ = np.zeros((n_max + 1, n_max + 1))
     wrong = np.zeros((n_max + 1, n_max + 1))
-    for sa in BASIS_STATES[basis]:
-        for sb in BASIS_STATES[basis]:
-            plus_tab, minus_tab = _pair_tables(
-                sa, sb, link.misalignment, link.relay_dark_rate, n_max, n_max
-            )
+    states = BASIS_STATES[basis]
+    tables = _pair_tables(states, states, link.misalignment, link.relay_dark_rate, n_max, n_max)
+    for i, sa in enumerate(states):
+        for j, sb in enumerate(states):
+            plus_tab, minus_tab = (tab[i, j] for tab in tables)
             succ += plus_tab
             succ += minus_tab
             same_bit = STATE_BIT[sa] == STATE_BIT[sb]

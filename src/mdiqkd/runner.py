@@ -560,11 +560,17 @@ def _scheme_pairs(
     return (weak, weak), (strong, strong)
 
 
-def _load_config(path: str | None) -> ScanConfig:
-    if path is None:
-        return ScanConfig()
+def _read_text(path: str) -> str:
+    """A config or gain file's text; one that is not UTF-8 is a ConfigError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def _load_config(path: str | None) -> ScanConfig:
+    return ScanConfig() if path is None else parse_config(_read_text(path))
 
 
 def _apply_flag_overrides(config: ScanConfig, args: argparse.Namespace) -> ScanConfig:
@@ -612,8 +618,7 @@ def _cmd_yields(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     config = _apply_flag_overrides(_load_config(args.config), args)
-    with open(args.gains, "r", encoding="utf-8") as fh:
-        gains = parse_gain_csv(fh.read())
+    gains = parse_gain_csv(_read_text(args.gains))
     weak, strong = _scheme_pairs(args.scheme, args.mu, args.mu_prime, config)
     basis = Basis(args.basis)
     bound = y11_lower_bound(gains, weak, strong, basis, config.cutoff)
@@ -722,7 +727,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"argument --{name}: must be finite and >= 0, got {getattr(args, flag)!r}")
     try:
         return args.func(args)
-    except (ConfigError, OSError, UnicodeDecodeError, KeyError) as exc:
+    except (ConfigError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -255,3 +255,48 @@ def record_oracle(spec_a: SourceSpec, spec_b: SourceSpec, yields, errors) -> tup
     gain -= a0 * b0 * yields[0][0]
     wrong -= a0 * b0 * yields[0][0] * errors[0][0]
     return gain, wrong
+
+
+def single_pair_tables_reference(
+    state_a: BB84State,
+    state_b: BB84State,
+    misalignment: float,
+    dark_rate: float,
+    cap_a: int,
+    cap_b: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """optics._pair_tables as it was written for one state pair, before batching.
+
+    Unlike the oracles above this is not independent: it is the library's
+    own former arithmetic, kept so that the batched tables can be pinned
+    to it bit for bit.
+    """
+    from mdiqkd.optics import _PATTERN_I, _PATTERN_J, _SQRT1_2, _pattern_terms, _rotated
+    from mdiqkd.optics import _jones as jones
+
+    theta = math.asin(math.sqrt(misalignment))
+    jones_a = jones(state_a)
+    jones_b = _rotated(jones(state_b), theta)
+    u = np.array([jones_a[0], jones_a[1], jones_a[0], jones_a[1]]) * _SQRT1_2
+    v = np.array([jones_b[0], jones_b[1], -jones_b[0], -jones_b[1]]) * _SQRT1_2
+    coeff, alice, bob, starts, norm, cell, single = _pattern_terms(cap_a, cap_b)
+    pow_u = u[:, None] ** np.arange(cap_a + 1)
+    pow_v = v[:, None] ** np.arange(cap_b + 1)
+    pair_u = (pow_u[_PATTERN_I, :, None] * pow_u[_PATTERN_J, None, :]).reshape(4, -1)
+    pair_v = (pow_v[_PATTERN_I, :, None] * pow_v[_PATTERN_J, None, :]).reshape(4, -1)
+    amps = np.add.reduceat(coeff * pair_u[:, alice] * pair_v[:, bob], starts, axis=1)
+    shape = (cap_a + 1, cap_b + 1)
+    size = shape[0] * shape[1]
+    both = np.bincount(
+        (cell + size * np.arange(4)[:, None]).ravel(),
+        weights=(norm * amps * amps).ravel(),
+        minlength=4 * size,
+    ).reshape(4, *shape)
+    alone = single * (pow_u * pow_u)[:, :, None] * (pow_v * pow_v)[:, None, :]
+    empty = np.zeros(shape)
+    empty[0, 0] = 1.0
+    d = dark_rate
+    probs = (1.0 - d) ** 2 * (
+        both + d * (alone[_PATTERN_I] + alone[_PATTERN_J]) + d * d * empty
+    )
+    return probs[0] + probs[1], probs[2] + probs[3]

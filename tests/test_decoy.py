@@ -173,6 +173,12 @@ class TestGainFromYields:
 
         rng = np.random.default_rng(11)
         classes = (TriggerClass.ALL, TriggerClass.TRIGGERED, TriggerClass.NON_TRIGGERED)
+
+        def draw_side(kind, x):
+            cls = classes[int(rng.integers(3))]
+            det = None if cls is TriggerClass.ALL else DET
+            return side_weights(SourceSpec(kind, x, det, cls), CUTOFF)
+
         for _ in range(300):
             kind = (P, T)[int(rng.integers(2))]
             cls = classes[int(rng.integers(3))]
@@ -184,6 +190,25 @@ class TestGainFromYields:
             mats = rng.random((4, CUTOFF + 1, CUTOFF + 1)) ** 3
             got = series_gain(series_parts(alice, mats), series_parts(bob, mats), mats)
             assert got == [per_table(alice, bob, mat) for mat in mats]
+            # S = 1, 2 and 3 sides of mixed classes in one weight_parts pass, over four
+            # tables or two, and every record any two of them form
+            zero = rng.random() < 0.3
+            mats = mats[: (2, 4)[int(rng.integers(2))]]
+            stack = [draw_side(kind, 0.0 if zero else float(rng.uniform(0.01, 1.5)))
+                     for _ in range(3)]
+            for size in (1, 2, 3):
+                sides = stack[:size]
+                parts = weight_parts(
+                    None if zero else np.array([w.a for w in sides]),
+                    np.array([w.vac for w in sides]),
+                    [w.vac_at_zero for w in sides],
+                    mats,
+                )
+                assert len(parts) == size
+                for x, x_parts in zip(sides, parts):
+                    for y, y_parts in zip(sides, parts):
+                        got = series_gain(x_parts, y_parts, mats)
+                        assert got == [per_table(x, y, mat) for mat in mats]
 
     def test_event_classes_partition_the_plain_gain(self):
         # per side the two heralded classes split the plain distribution
@@ -303,10 +328,12 @@ class TestZeroSides:
     def test_weight_parts_of_side_weights_are_series_parts(self):
         mats = np.random.default_rng(6).random((4, CUTOFF + 1, CUTOFF + 1))
         w = side_weights(SourceSpec(P, 0.3, DET, TriggerClass.TRIGGERED), CUTOFF)
-        got = weight_parts(w.a, w.vac, w.vac_at_zero, mats)
+        (got,) = weight_parts(w.a[None], w.vac[None], (w.vac_at_zero,), mats)
         want = series_parts(w, mats)
         assert (got.col, got.row, got.vac0) == (want.col, want.row, want.vac0)
-        assert np.array_equal(got.inner, want.inner) and got.a is w.a
+        assert np.array_equal(got.inner, want.inner)
+        # a side's a is a view of the weights passed in, not a copy
+        assert np.array_equal(got.a, w.a) and np.shares_memory(got.a, w.a)
 
 
 class TestY11Coefficients:

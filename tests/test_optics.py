@@ -13,15 +13,18 @@ from _oracles import (
     outcome_probs_oracle,
     pattern_probs_oracle,
     relay_probs_oracle,
+    single_pair_tables_reference,
     yield_cell_oracle,
 )
 from mdiqkd.optics import (
     BASIS_STATES,
     SAFETY_CAP,
+    STATE_BIT,
     Basis,
     BB84State,
     BsmOutcome,
     LinkSpec,
+    _BASIS_OF,
     _pair_tables,
     _thin_matrix,
     bs_output,
@@ -263,7 +266,11 @@ class TestPairTables:
     def test_few_photon_cells_match_relay_oracle(self, dark_rate, misalignment):
         for sa in BB84State:
             for sb in BB84State:
-                plus_tab, minus_tab = _pair_tables(sa, sb, misalignment, dark_rate, 2, 2)
+                tables = _pair_tables(
+                    _BASIS_OF[sa], _BASIS_OF[sb],
+                    misalignment, dark_rate, 2, 2,
+                )
+                plus_tab, minus_tab = (tab[STATE_BIT[sa], STATE_BIT[sb]] for tab in tables)
                 for k_a in range(3):
                     for k_b in range(3 - k_a):
                         plus, minus = relay_probs_oracle(
@@ -275,6 +282,28 @@ class TestPairTables:
                         assert math.isclose(
                             minus_tab[k_a, k_b], minus, rel_tol=1e-12, abs_tol=0.0
                         ), (sa, sb, k_a, k_b)
+
+    def test_batched_tables_equal_the_single_pair_reference_bit_for_bit(self):
+        # every state pair of every basis batch rounds as its own single-pair table did;
+        # 100 relays run through all 49 pairs of caps 2..8
+        rng = np.random.default_rng(12)
+        batches = [(BASIS_STATES[a], BASIS_STATES[b]) for a in Basis for b in Basis]
+        for relay in range(100):
+            misalignment = (0.0, 1.0)[relay] if relay < 2 else float(rng.uniform(0.0, 0.1))
+            dark_rate = float(np.exp(rng.uniform(np.log(1e-8), np.log(1e-4))))
+            cap_a, cap_b = 2 + relay % 7, 2 + relay // 7 % 7
+            for states_a, states_b in batches:
+                plus, minus = _pair_tables.__wrapped__(
+                    states_a, states_b, misalignment, dark_rate, cap_a, cap_b
+                )
+                for i, sa in enumerate(states_a):
+                    for j, sb in enumerate(states_b):
+                        want_plus, want_minus = single_pair_tables_reference(
+                            sa, sb, misalignment, dark_rate, cap_a, cap_b
+                        )
+                        where = (relay, sa, sb)
+                        assert np.array_equal(plus[i, j], want_plus), where
+                        assert np.array_equal(minus[i, j], want_minus), where
 
 
 class TestOracleMemo:

@@ -1,6 +1,7 @@
 """Config parsing, the scan driver, CSV formats, and the CLI."""
 
 import csv
+import hashlib
 import math
 import os
 import re
@@ -556,6 +557,11 @@ class TestScan:
         cfg = replace(CFG, distances=(0.0,), scenarios=("W0", "W0"))
         assert len(scan(cfg)) == 1
 
+    def test_default_scan_csv_is_byte_stable(self):
+        # every digit of every row of the default scan, as `mdiqkd scan` prints it
+        text = emit_csv(scan(ScanConfig()))
+        assert hashlib.md5(text.encode()).hexdigest() == "86fd30844b6bb162725878c6d4ad9329"
+
 
 SAMPLE_POINTS = [
     RatePoint(0.0, "H1", math.pi / 30, 0.5, 1e-2, 0.0857, 2.9e-5, True),
@@ -919,6 +925,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--config", "{path}"],
+        ["bound", "--gains", "{path}", "--mu", "0.1", "--mu-prime", "0.5"],
+    ], ids=["config", "gains"])
+    def test_non_utf8_file_exits_naming_its_path(self, argv, tmp_path, capsys):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"ok\xff\xfe")
+        assert main([a.format(path=path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 (invalid start byte at byte 2)\n"
 
     @pytest.mark.parametrize("command", ["yields", "optimize"])
     @pytest.mark.parametrize("distance", ["-5", "nan", "inf"])
