@@ -20,15 +20,17 @@ single-photon-pair yield and error straight from the simulator.
 
 The estimated scenarios take the record path: rate_for_scenario
 assembles the gains of the weak and strong settings and their vacuum
-rows through the series form gain_from_yields uses (decoy.weight_parts
-and decoy.series_gain), and hands the numbers to the estimator core
-shared with the `bound` command (decoy.y11_from_series and
-decoy.e11_from_moments); no GainTable is built.  What no point of a row
-changes, down to each event class's side factors, is kept in a row
-context (see _RowContext), so a point costs one photon row per
-intensity, one stacked weight_parts pass over all its sides and a few
-series products.  grid_rates evaluates a whole intensity grid in one
-array pass, for ranking only.
+rows in the series form gain_from_yields uses (decoy.weight_parts and
+decoy.series_gain), and hands the numbers to the estimator core shared
+with the `bound` command (decoy.y11_from_series and
+decoy.e11_from_moments); no GainTable is built.  The work is planned in
+three tiers: what every row of a scenario and cutoff shares (each event
+class's side factors, q1, the vacuum row) is cached by _plan; what no
+point of a row changes (the stacked tables and the zero-intensity
+sides' records) is kept in a row context (see _RowContext); so a point
+costs one photon row per intensity, one stacked multiply, four matmuls
+over all its sides and its records as Python floats.  grid_rates
+evaluates a whole intensity grid in one array pass, for ranking only.
 """
 
 from __future__ import annotations
@@ -43,10 +45,8 @@ import numpy as np
 from .decoy import (
     COEFF_REL_TOL,
     BoundUnavailableError,
-    SeriesParts,
     SideWeights,
     e11_from_moments,
-    error_moment,
     interior_gain,
     record_qber,
     series_gain,
@@ -229,116 +229,134 @@ def _stacked_tables(tables: tuple[YieldTable, YieldTable]) -> np.ndarray:
     return np.stack([m for t in tables for m in (t.yields, t.yields * t.errors)])
 
 
+@lru_cache(maxsize=64)
+def _plan(scenario: ScenarioKind, cutoff: int):
+    """What every row of one (scenario, cutoff) shares, whatever its link:
+    (q1, factors, vac0, signal, zero_vac, zero_vac0).
+
+    factors stacks decoy.side_factors as (a or vac, side, photon number) over
+    a point's sides: strong (for the asymptotic scenarios, the signal), the
+    signal when it is not strong, and weak last; vac0 has one entry per
+    side, and signal indexes the signal's.  zero_vac and zero_vac0 are the
+    zero-intensity sides of weak and strong, weak's first, one if shared.
+    """
+    heralding = scenario.heralding
+    signal_cls, weak_cls, strong_cls = scenario.classes
+    factors = {cls: side_factors(heralding, cls, cutoff) for cls in dict.fromkeys(scenario.classes)}
+    classes, zero = (signal_cls,), ()
+    if not scenario.asymptotic:
+        classes = tuple(dict.fromkeys((strong_cls, signal_cls))) + (weak_cls,)
+        zero = tuple(dict.fromkeys((weak_cls, strong_cls)))
+    a, vac, vac0 = zip(*(factors[cls] for cls in classes))
+    vacuum = np.array(photon_row(scenario.distribution, 0.0, cutoff))
+    zero_vac = np.array([factors[cls][1] * vacuum for cls in zero])
+    q1 = trigger_prob(heralding, 1) if heralding is not None else 1.0
+    return (q1, np.array((a, vac)), vac0, classes.index(signal_cls), zero_vac,
+            tuple(factors[cls][2] for cls in zero))
+
+
 class _RowContext:
     """What every evaluation of one (scenario, link, tables, f_ec) row shares.
 
     Built on a row's first grid_rates or rate_for_scenario call and reused
-    by every later one: the stacked tables, q1, each class's
-    decoy.side_factors, and the zero-intensity sides' series parts with
-    their (0, 0) records.  The last weak setting's records are kept, so a
-    weak intensity that does not follow mu' (W1, H2) is assembled once per
-    row.  Per point there is one photon row per intensity, shared by signal
-    and strong, and one stacked weight_parts pass over its sides (H1/T1:
-    weak, strong and signal), the asymptotic signal's over the Z tables
-    only.  Only (x, x) records take an interior product; see SeriesParts.
+    by every later one: _plan's part, the stacked tables with the views
+    and (0, 0) corners decoy.weight_parts and series_gain read, and each
+    zero-intensity side's vac0, column and row sums and (0, 0) record.  The
+    last weak setting's results are kept, so a weak intensity that does not
+    follow mu' (W1, H2) is assembled once per row.  A point costs one
+    photon row per intensity, one multiply by its sides' stacked factors,
+    weight_parts' three matmul forms over all its sides and one more for
+    their (x, x) interiors; the records and the estimator's inputs are then
+    Python floats in series_gain's order.
     """
 
     def __init__(self, scenario: ScenarioKind, link: LinkSpec, tables, f_ec: float) -> None:
         # the context holds the tables, so their ids cannot be reused while it lives
         self.key = (scenario, link, f_ec, id(tables[0]), id(tables[1]))
         self.scenario, self.link, self.tables, self.f_ec = scenario, link, tables, f_ec
+        self.kind, self.asymptotic = scenario.distribution, scenario.asymptotic
+        self.q1, self.factors, self.vac0, self.signal, zero_vac, zero_vac0 = _plan(
+            scenario, link.cutoff)
         self.mats = _stacked_tables(tables)
-        self.kind = scenario.distribution
-        heralding = scenario.heralding
-        self.classes = scenario.classes
-        self.q1 = trigger_prob(heralding, 1) if heralding is not None else 1.0
-        self.factors = {cls: side_factors(heralding, cls, link.cutoff) for cls in self.classes}
-        self.stacked: dict[tuple, tuple[np.ndarray, np.ndarray, tuple[float, ...]]] = {}
-        self.zero: dict[TriggerClass, tuple[SeriesParts, list[float]]] = {}
-        if not scenario.asymptotic:
-            vacuum = photon_row(self.kind, 0.0, link.cutoff)
-            classes = tuple(dict.fromkeys(self.classes[1:]))
-            zeros = self.sides(classes, [vacuum] * len(classes), self.mats, positive=False)
-            for cls, zero in zip(classes, zeros):
-                self.zero[cls] = (zero, series_gain(zero, zero, self.mats))
-        self.weak: tuple[float, SeriesParts, list[tuple[float, ...]]] | None = None
+        # the asymptotic signal's own record only enters the Z basis
+        mats = self.mats[:2] if self.asymptotic else self.mats
+        self.views = (mats[None, :, :, :1], mats[None, :, :1, :], mats[None, :, 1:, 1:])
+        self.corner = mats[:, 0, 0].tolist()
+        zeros = weight_parts(None, zero_vac, zero_vac0, mats) if zero_vac0 else []
+        self.zero = [(z.vac0, z.col, z.row, series_gain(z, z, mats)) for z in zeros]
+        self.weak: tuple[float, np.ndarray, tuple[float, float, float]] | None = None
 
-    def sides(
-        self, classes: tuple, rows, mats: np.ndarray, positive: bool = True
-    ) -> list[SeriesParts]:
-        """Series parts of each class's side on its photon row, in one weight_parts pass;
-        positive says the rows are at positive intensities, else at zero."""
-        stacked = self.stacked.get(classes)
-        if stacked is None:
-            a_factors, vac_factors, vac0 = zip(*(self.factors[cls] for cls in classes))
-            stacked = self.stacked[classes] = (np.array(a_factors), np.array(vac_factors), vac0)
-        rows = np.array(rows)
-        a = stacked[0] * rows if positive else None
-        return weight_parts(a, stacked[1] * rows, stacked[2], mats)
-
-    def setting(self, x: SeriesParts, cls: TriggerClass) -> list[tuple[float, ...]]:
-        """Gains of a symmetric setting's (x, x), (x, 0), (0, x) and (0, 0) records.
-
-        One tuple per stacked table: [0] feeds Y11 in Z, [2] and [3] hold the
-        X-basis gains and error-weighted gains.
-        """
-        zero, corner = self.zero[cls]
-        return list(zip(series_gain(x, x, self.mats), series_gain(x, zero, self.mats),
-                        series_gain(zero, x, self.mats), corner))
+    def setting(self, vac0: float, col, row, inner, zero) -> tuple[float, float, float]:
+        """A symmetric setting's interior gains in Z and X (decoy.interior_gain) and X
+        error moment (decoy.error_moment), from its side's vac0 and per-table column
+        sums, row sums and (x, x) interiors, and its zero side's."""
+        z0, zero_col, zero_row, zero_gain = zero
+        # series_gain's (x, x), (x, 0), (0, x) and (0, 0) records on each table, where a
+        # record with a zero side takes the +0.0 its skipped interior gave
+        z_gains, _, x_gains, x_wrongs = [
+            (i + (vac0 * c + vac0 * r - vac0 * vac0 * m),
+             0.0 + (z0 * c + vac0 * zr - vac0 * z0 * m),
+             0.0 + (vac0 * zc + z0 * r - z0 * vac0 * m), zz)
+            for i, c, r, zc, zr, m, zz in zip(
+                inner, col, row, zero_col, zero_row, self.corner, zero_gain)
+        ]
+        # each X record's gain times its qber, as record_qber takes it
+        x = [g * (w / g if g > 0.0 else 0.0) for g, w in zip(x_gains, x_wrongs)]
+        return interior_gain(*z_gains), interior_gain(*x_gains), x[0] - x[1] - x[2] + x[3]
 
     def rate(self, mu: float, mu_prime: float) -> RatePoint:
         """rate_for_scenario's point at these intensities; mu_prime is > 0."""
-        signal_cls, weak_cls, strong_cls = self.classes
-        cutoff = self.link.cutoff
-        photons = photon_row(self.kind, mu_prime, cutoff)
-        if self.scenario.asymptotic:
-            y11 = float(self.tables[0].yields[1, 1])
-            e11 = float(self.tables[1].errors[1, 1])
-            # the signal's own record only enters the Z basis
-            (x,) = self.sides((signal_cls,), [photons], self.mats[:2])
-            full = series_gain(x, x, self.mats[:2])
-        else:
+        kind, cutoff = self.kind, self.link.cutoff
+        photons = photon_row(kind, mu_prime, cutoff)
+        kept = self.weak
+        # every side but the weak one is at mu'
+        rows = [photons] * (len(self.vac0) - (not self.asymptotic))
+        if not self.asymptotic:
             if not mu > 0.0:
                 raise ValueError(f"weak intensity must be > 0, got {mu}")
-            kept = self.weak
-            fresh = kept is None or kept[0] != mu
-            classes = (strong_cls,) if signal_cls is strong_cls else (strong_cls, signal_cls)
-            rows = [photons] * len(classes)
-            if fresh:
-                classes += (weak_cls,)
-                rows.append(photon_row(self.kind, mu, cutoff))
-            parts = self.sides(classes, rows, self.mats)
-            if fresh:
-                kept = self.weak = (mu, parts[-1], self.setting(parts[-1], weak_cls))
-            weak, strong = kept[1], parts[0]
-            settings = (kept[2], self.setting(strong, strong_cls))
-            if strong_cls is signal_cls:
-                full = [gains[0] for gains in settings[1]]
-            else:
-                # the signal's Z gain is read from the first two stacked tables
-                full = series_gain(parts[1], parts[1], self.mats)
-            coeffs = y11_coefficients(weak.a, weak.a, strong.a, strong.a)
-            y11, _, licensed = y11_from_series(coeffs, *(interior_gain(*g[0]) for g in settings))
+            if kept is None or kept[0] != mu:
+                rows.append(photon_row(kind, mu, cutoff))
+                kept = None
+        sides = len(rows)
+        # each side's a and vac weights, as (a or vac, side, photon number)
+        w = self.factors[:, :sides] * np.array(rows)
+        col_mats, row_mats, inner_mats = self.views
+        col = (w[1, :, None, None, :] @ col_mats).reshape(sides, -1).tolist()
+        row = (row_mats @ w[1, :, None, :, None]).reshape(sides, -1).tolist()
+        inner = (w[0, :, None, None, 1:] @ inner_mats) @ w[0, :, None, 1:, None]
+        inner = inner.reshape(sides, -1).tolist()
+        if self.asymptotic:
+            y11 = float(self.tables[0].yields[1, 1])
+            e11 = float(self.tables[1].errors[1, 1])
+        else:
+            if kept is None:
+                weak = self.setting(self.vac0[-1], col[-1], row[-1], inner[-1], self.zero[0])
+                kept = self.weak = (mu, w[0, -1], weak)
+            _, wa, weak = kept
+            sa = w[0, 0]
+            strong = self.setting(self.vac0[0], col[0], row[0], inner[0], self.zero[-1])
+            coeffs = y11_coefficients(wa, wa, sa, sa)
+            y11, _, licensed = y11_from_series(coeffs, weak[0], strong[0])
             if not licensed:
                 return self.point(mu, mu_prime, y11, 0.0, 0.0, "bound_conditions")
-            y11_x, _, _ = y11_from_series(coeffs, *(interior_gain(*g[2]) for g in settings))
-            moments = tuple(
-                error_moment((gain, record_qber(gain, wrong)) for gain, wrong in zip(g[2], g[3]))
-                for g in settings
-            )
+            y11_x, _, _ = y11_from_series(coeffs, weak[1], strong[1])
             # each setting's (1,1) interior coefficient, as single_pair_gain takes it
-            s11 = tuple(float(w.a[1] * w.a[1]) * y11_x for w in (weak, strong))
+            s11 = (float(wa[1] * wa[1]) * y11_x, float(sa[1] * sa[1]) * y11_x)
             try:
-                e11 = e11_from_moments(moments, s11)
+                e11 = e11_from_moments((weak[2], strong[2]), s11)
             except BoundUnavailableError:
                 return self.point(mu, mu_prime, y11, 0.0, 0.0, "e11_unavailable")
+        # the signal's (x, x) gain and error-weighted gain in Z
+        s = self.signal
+        v, c, r, i = self.vac0[s], col[s], row[s], inner[s]
+        gain_z, wrong_z = (i[t] + (v * c[t] + v * r[t] - v * v * self.corner[t]) for t in (0, 1))
         p1 = photons[1]
         rate = key_rate(
             RateInputs(
                 y11=y11,
                 e11x=e11,
-                gain_z=full[0],
-                qber_z=record_qber(full[0], full[1]),
+                gain_z=gain_z,
+                qber_z=record_qber(gain_z, wrong_z),
                 p1_sq=p1 * p1,
                 q1_sq=self.q1 * self.q1,
                 f_ec=self.f_ec,
@@ -347,7 +365,7 @@ class _RowContext:
         return self.point(mu, mu_prime, y11, e11, rate)
 
     def point(self, mu, mu_prime, y11, e11, rate, reason="") -> RatePoint:
-        mu_out = 0.0 if self.scenario.asymptotic else mu
+        mu_out = 0.0 if self.asymptotic else mu
         return RatePoint(self.link.total_distance_km, self.scenario.name, mu_out, mu_prime,
                          y11, e11, rate, valid=not reason, reason=reason)
 

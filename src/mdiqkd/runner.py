@@ -365,7 +365,8 @@ def optimize_mu_prime(
                 valid=False,
                 reason="no_valid_point",
             )
-        return replace(reported, rate=0.0, valid=False)
+        # grid and point rates differ by rounding, so the point found may be valid
+        return replace(reported, rate=0.0, valid=False, reason=reported.reason or "no_valid_point")
 
     best = evaluate(grid[best_i])
     if 0 < best_i < len(grid) - 1:

@@ -515,16 +515,22 @@ class TestRowContext:
     def test_fixed_records_are_assembled_once_per_row(self, name, monkeypatch):
         scenario = SCAN_CFG.scenario_kind(name)
         weak_cls = TriggerClass.TRIGGERED if scenario.heralded else TriggerClass.ALL
-        records = []
-        assemble = keyrate.series_gain
+        records, settings = [], []
+        assemble, setting = keyrate.series_gain, keyrate._RowContext.setting
 
         def spy(alice, bob, *args):
             records.append((alice, bob))
             return assemble(alice, bob, *args)
 
+        def setting_spy(row, vac0, col, *args):
+            settings.append(col)
+            return setting(row, vac0, col, *args)
+
         monkeypatch.setattr(keyrate, "series_gain", spy)
+        monkeypatch.setattr(keyrate._RowContext, "setting", setting_spy)
         link = SCAN_CFG.link_for(70.0)
-        optimize_mu_prime(scenario, link, SCAN_CFG, basis_tables(link))
+        tables = basis_tables(link)
+        optimize_mu_prime(scenario, link, SCAN_CFG, tables)
         # a side at intensity zero carries no interior weights
         zero = [r for r in records if r[0].a is None and r[1].a is None]
         # one (0, 0) record per zero-intensity class: both classes for the
@@ -534,13 +540,65 @@ class TestRowContext:
         if not scenario.coupled_mu:
             heralding = scenario.heralding
             fixed = SourceSpec(scenario.distribution, SCAN_CFG.mu_fixed, heralding, weak_cls)
-            fixed_a = side_weights(fixed, link.cutoff).a
+            mats = keyrate._stacked_tables(tables)
+            fixed_col = decoy.series_parts(side_weights(fixed, link.cutoff), mats).col
+            # one setting call assembles (x, x), (x, 0) and (0, x) of the fixed
+            # weak setting, which its side's column sums identify
+            assert sum(col == fixed_col for col in settings) == 1
 
-            def is_fixed(side):
-                return side.a is not None and np.array_equal(side.a, fixed_a)
+    def test_side_factors_are_shared_by_every_row_of_a_scenario(self, monkeypatch):
+        calls = []
+        factors = keyrate.side_factors
 
-            # (x, x), (x, 0) and (0, x) of the fixed weak setting
-            assert sum(is_fixed(r[0]) or is_fixed(r[1]) for r in records) == 3
+        def spy(heralding, cls, cutoff):
+            calls.append((heralding, cls, cutoff))
+            return factors(heralding, cls, cutoff)
+
+        monkeypatch.setattr(keyrate, "side_factors", spy)
+        keyrate._plan.cache_clear()
+        names = ("W1", "H1", "H2", "T1")
+        cfg = replace(SCAN_CFG, scenarios=names, distances=(0.0, 60.0, 120.0))
+        rows = runner.scan(cfg)
+        assert len(rows) == 12 and all(row.valid for row in rows)
+        # one call per distinct event class of each (scenario, cutoff), not one per row
+        assert len(calls) == sum(len(set(cfg.scenario_kind(n).classes)) for n in names) == 6
+
+    def test_random_points_match_the_record_route(self):
+        rng = np.random.default_rng(1313)
+        outcomes, kept = [], 0
+        for i in range(170):
+            name = SCENARIO_NAMES[i % len(SCENARIO_NAMES)]
+            link = LinkSpec(
+                float(rng.uniform(0.0, 250.0)),
+                relay_efficiency=float(rng.uniform(0.05, 0.9)),
+                relay_dark_rate=float(10.0 ** rng.uniform(-8.0, -4.0)),
+                misalignment=float(rng.uniform(0.0, 0.5 if i % 2 else 0.05)),
+                cutoff=2 + i % 7,
+            )
+            eta = 1.0 if i % 13 == 0 else float(rng.uniform(1e-3, 1.0))
+            scenario = ScenarioKind(name, eta, float(10.0 ** rng.uniform(-8.0, -3.0)))
+            mu_fixed = float(rng.uniform(0.01, 0.3))
+            f_ec = float(rng.uniform(0.99, 1.2))
+            tables = basis_tables(link)
+            # one row's points back to back, as the optimizer evaluates them: on the
+            # scenario's weak intensity, off the coupled line, or not positive
+            last_mu = None
+            for mp in (10.0 ** rng.uniform(-4.0, math.log10(1.5), 12)).tolist():
+                mu = scenario.weak_intensity(mp, mu_fixed)
+                draw = rng.random()
+                if draw < 0.3:
+                    mu = float(rng.uniform(0.01, 1.0)) * mp
+                elif draw < 0.36:
+                    mu = -float(rng.uniform(0.0, 0.1))
+                kept += mu == last_mu and not scenario.asymptotic
+                last_mu = mu
+                args = (scenario, link, mu, mp, tables, f_ec)
+                got = outcome(rate_for_scenario, *args)
+                assert got == outcome(reference_rate, *args), (i, name, mp, mu)
+                outcomes.append(got)
+        assert len(outcomes) >= 2000 and kept >= 200
+        assert {"", "bound_conditions", "e11_unavailable", ValueError} <= reasons(outcomes)
+        assert any(isinstance(o, RatePoint) and o.valid and o.rate > 0.0 for o in outcomes)
 
     def test_context_is_keyed_by_every_input(self):
         link = LinkSpec(60.0)

@@ -230,6 +230,20 @@ class TestOptimize:
         assert point.rate == 0.0
         assert point.reason == "no_valid_point"
 
+    @pytest.mark.parametrize("name", ["W0", "H1"])
+    def test_no_valid_grid_point_names_its_reason(self, name, monkeypatch):
+        # grid and point rates differ by rounding, so a grid with no valid
+        # rate can still lead to a valid first point, which the row reports
+        def no_valid_rate(scenario, link, mu_fixed, mu_primes, *args):
+            return np.full(len(mu_primes), -math.inf)
+
+        monkeypatch.setattr(runner, "grid_rates", no_valid_rate)
+        link = CFG.link_for(50.0)
+        first = _evaluate(CFG.scenario_kind(name), link, CFG, CFG.mu_prime_min, basis_tables(link))
+        assert first.valid
+        point = optimize_mu_prime(CFG.scenario_kind(name), link, CFG)
+        assert (point.valid, point.rate, point.reason) == (False, 0.0, "no_valid_point")
+
     @pytest.mark.parametrize("name", ["W1", "H1", "T1"])
     def test_never_evaluates_a_point_twice(self, name, monkeypatch):
         seen = []
