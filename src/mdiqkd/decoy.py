@@ -23,8 +23,10 @@ bound on the weight the series discards beyond the cutoff, computed from
 closed-form totals of the weight distributions.
 
 A side's weights are its photon row times the factors of its event
-class (side_factors).  A side at intensity zero has no interior weights,
-so a record with one is its vacuum rows alone (see SeriesParts).
+class (side_factors).  Those factors are cached per (heralding detector,
+class, cutoff) and shared read-only by every caller, as photon rows are.
+A side at intensity zero has no interior weights, so a record with one
+is its vacuum rows alone (see SeriesParts).
 
 The estimator's algebra works on plain numbers (y11_from_series,
 e11_from_moments).  y11_lower_bound and e11_upper_bound feed it records
@@ -118,17 +120,25 @@ def _photon_row(kind: DistributionKind, intensity: float, cutoff: int) -> np.nda
     return row
 
 
+# one bound call builds its sides from at most two classes of one detector, and a
+# scan reaches this once per (scenario, cutoff) through keyrate's plan
+@lru_cache(maxsize=64)
 def side_factors(heralding: HeraldingDetector | None, cls: TriggerClass, cutoff: int):
     """(a_factor, vac_factor, vac_at_zero) of an event class: a side's weights are
-    a_factor * row and vac_factor * row for its photon row, at any intensity."""
+    a_factor * row and vac_factor * row for its photon row, at any intensity.
+    The arrays are shared by every caller, so they are read-only."""
     if cls is TriggerClass.ALL:
-        ones = np.ones(cutoff + 1)
-        return ones, ones, 1.0
-    damp = (1.0 - heralding.efficiency) ** np.arange(cutoff + 1)
-    kept = (1.0 - heralding.dark_rate) * damp
-    if cls is TriggerClass.TRIGGERED:
-        return 1.0 - damp, 1.0 - kept, heralding.dark_rate
-    return damp, kept, 1.0 - heralding.dark_rate
+        a_factor = vac_factor = np.ones(cutoff + 1)
+        vac0 = 1.0
+    else:
+        damp = (1.0 - heralding.efficiency) ** np.arange(cutoff + 1)
+        kept = (1.0 - heralding.dark_rate) * damp
+        if cls is TriggerClass.TRIGGERED:
+            a_factor, vac_factor, vac0 = 1.0 - damp, 1.0 - kept, heralding.dark_rate
+        else:
+            a_factor, vac_factor, vac0 = damp, kept, 1.0 - heralding.dark_rate
+    a_factor.flags.writeable = vac_factor.flags.writeable = False
+    return a_factor, vac_factor, vac0
 
 
 def side_weights(source: SourceSpec, cutoff: int) -> SideWeights:
@@ -171,8 +181,9 @@ class GainRecord:
     tail: float = 0.0
 
 
+# _value_ is the member's value without the property lookup that .value costs
 def _record_key(basis: Basis, x: float, y: float, cls: TriggerClass) -> tuple:
-    return (basis.value, cls.value, float(x), float(y))
+    return (basis._value_, cls._value_, float(x), float(y))
 
 
 class GainTable:
@@ -323,7 +334,7 @@ def _pair_weights(
 def _interior_tail(alice: SideWeights, bob: SideWeights) -> float:
     """Weight of interior terms beyond the cutoff, assuming yields <= 1."""
     part = float(alice.a[1:].sum()) * float(bob.a[1:].sum())
-    return alice.a_total * bob.a_total - part
+    return float(alice.a_total * bob.a_total - part)
 
 
 def _setting_records(
@@ -533,9 +544,15 @@ def symmetric_condition(mu: float, mu_prime: float, eta: float) -> bool:
 def single_pair_gain(
     pair: tuple[SourceSpec, SourceSpec], y11: float
 ) -> float:
-    """(1,1) interior coefficient of a record pair times a yield value."""
-    wa, wb = _pair_weights(pair, 1)
-    return float(wa.a[1] * wb.a[1]) * y11
+    """(1,1) interior coefficient of a record pair times a yield value.
+
+    Each side's coefficient is side_weights(side, 1).a[1], read from its class
+    factor and photon row without building the SideWeights."""
+    wa, wb = (
+        side_factors(s.heralding, s.trigger_class, 1)[0][1] * _photon_row(s.kind, s.intensity, 1)[1]
+        for s in pair
+    )
+    return float(wa * wb) * y11
 
 
 def _error_moment(gains: GainTable, pair: tuple[SourceSpec, SourceSpec]) -> float:

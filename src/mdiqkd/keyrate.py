@@ -271,6 +271,15 @@ class _RowContext:
     """
 
     def __init__(self, scenario: ScenarioKind, link: LinkSpec, tables, f_ec: float) -> None:
+        table_z, table_x = tables
+        if (table_z.basis, table_x.basis) != (Basis.Z, Basis.X) or not (
+            table_z.cutoff == table_x.cutoff == link.cutoff
+        ):
+            raise ValueError(
+                f"tables must be the Z and X tables at the link's cutoff {link.cutoff}, got "
+                f"{table_z.basis.value} at cutoff {table_z.cutoff} and "
+                f"{table_x.basis.value} at cutoff {table_x.cutoff}"
+            )
         # the context holds the tables, so their ids cannot be reused while it lives
         self.key = (scenario, link, f_ec, id(tables[0]), id(tables[1]))
         self.scenario, self.link, self.tables, self.f_ec = scenario, link, tables, f_ec

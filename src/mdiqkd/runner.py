@@ -351,7 +351,7 @@ def optimize_mu_prime(
     rates = grid_rates(scenario, link, config.mu_fixed, grid, tables, config.f_ec)
     best_i = int(np.argmax(rates))
     if rates[best_i] == -math.inf:
-        points = (evaluate(mp) for mp in grid)
+        points = (evaluate(mp) for mp in grid.tolist())
         reported = next((p for p in points if p is not None), None)
         if reported is None:
             reported = RatePoint(
@@ -368,7 +368,7 @@ def optimize_mu_prime(
         # grid and point rates differ by rounding, so the point found may be valid
         return replace(reported, rate=0.0, valid=False, reason=reported.reason or "no_valid_point")
 
-    best = evaluate(grid[best_i])
+    best = evaluate(float(grid[best_i]))
     if 0 < best_i < len(grid) - 1:
         def cost(lg: float) -> float:
             pt = evaluate(float(math.exp(lg)))
@@ -488,6 +488,11 @@ def emit_gain_csv(gains: GainTable, sink: TextIO | None = None) -> str:
     return text
 
 
+# the codes emit_gain_csv writes, and the member each one names
+_BASIS_CODES = {basis.value: basis for basis in Basis}
+_CLASS_CODES = {cls.value: cls for cls in TriggerClass}
+
+
 def parse_gain_csv(text: str) -> GainTable:
     """Inverse of emit_gain_csv, rejecting records no experiment produces.
 
@@ -499,38 +504,28 @@ def parse_gain_csv(text: str) -> GainTable:
     if not lines or lines[0] != GAIN_HEADER:
         raise ConfigError(f"bad gain CSV header, expected {GAIN_HEADER!r}")
     table = GainTable()
+    seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
         cols = line.split(",")
         if len(cols) != 6:
             raise ConfigError(f"line {lineno}: expected 6 columns, got {len(cols)}")
         try:
-            basis = Basis(cols[0])
-            cls = TriggerClass(cols[3])
-            rec = GainRecord(
-                basis=basis,
-                alice_intensity=float(cols[1]),
-                bob_intensity=float(cols[2]),
-                trigger_class=cls,
-                gain=float(cols[4]),
-                qber=float(cols[5]),
-                tail=0.0,
-            )
-        except ValueError:
+            basis, cls = _BASIS_CODES[cols[0]], _CLASS_CODES[cols[3]]
+            x, y, gain, qber = float(cols[1]), float(cols[2]), float(cols[4]), float(cols[5])
+        except (KeyError, ValueError):
             raise ConfigError(f"line {lineno}: bad value") from None
-        if not (
-            0.0 <= rec.alice_intensity < math.inf
-            and 0.0 <= rec.bob_intensity < math.inf
-            and 0.0 <= rec.gain <= 1.0
-            and 0.0 <= rec.qber <= 1.0
-        ):
+        if not (0.0 <= x < math.inf and 0.0 <= y < math.inf
+                and 0.0 <= gain <= 1.0 and 0.0 <= qber <= 1.0):
             raise ConfigError(
                 f"line {lineno}: intensities must be finite and >= 0 and gain and qber "
                 f"must lie in [0, 1], got {','.join(cols[1:3] + cols[4:])}"
             )
-        size = len(table)
-        table.add(rec)
-        if len(table) == size:
+        # the codes are the members' values, so this is the key GainTable files it under
+        key = (cols[0], cols[3], x, y)
+        if key in seen:
             raise ConfigError(f"line {lineno}: duplicate record for basis, class, x and y")
+        seen.add(key)
+        table.add(GainRecord(basis, x, y, cls, gain, qber))
     return table
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import pair_coefficients, record_oracle, s11_gains, side_lists_oracle
 from mdiqkd.decoy import (
@@ -15,6 +17,7 @@ from mdiqkd.decoy import (
     series_gain,
     series_parts,
     series_terms,
+    side_factors,
     side_weights,
     single_pair_gain,
     symmetric_condition,
@@ -99,6 +102,16 @@ class TestSideWeights:
                 assert np.allclose(w.a[1:], interior[1:], rtol=1e-14)
                 assert np.allclose(w.vac, vac, rtol=1e-14)
                 assert math.isclose(w.vac_at_zero, vac0, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("cls", list(TriggerClass))
+    def test_side_factors_are_shared_read_only(self, cls):
+        her = None if cls is TriggerClass.ALL else DET
+        a_factor, vac_factor, _ = side_factors(her, cls, CUTOFF)
+        assert side_factors(her, cls, CUTOFF)[0] is a_factor
+        for arr in (a_factor, vac_factor):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
 
     def test_exact_totals(self):
         w = side_weights(SourceSpec(P, 0.5, DET, TriggerClass.TRIGGERED), CUTOFF)
@@ -522,6 +535,30 @@ class TestS11Gains:
         assert math.isclose(
             single_pair_gain(pair(P, 0.5, det, TriggerClass.NON_TRIGGERED), y11), nt, rel_tol=1e-12
         )
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sides=st.lists(
+            st.tuples(
+                st.sampled_from([P, T]),
+                st.sampled_from(list(TriggerClass)),
+                st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+                st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        y11=st.floats(0.0, 1.0),
+    )
+    def test_single_pair_gain_is_the_side_weights_product(self, sides, y11):
+        pr = tuple(
+            SourceSpec(kind, x, None if cls is TriggerClass.ALL else HeraldingDetector(eta, 1e-6), cls)
+            for kind, cls, x, eta in sides
+        )
+        wa, wb = (side_weights(spec, 1).a[1] for spec in pr)
+        expected = float(wa * wb) * y11
+        assert single_pair_gain(pr, y11).hex() == expected.hex()
 
 
 def minimal_x_gains(weak, strong, weak_vals, strong_vals):

@@ -222,6 +222,33 @@ class TestRateForScenario:
         cached = rate_for_scenario(ScenarioKind("H1"), link, 0.125, 0.5, basis_tables(link))
         assert direct == cached
 
+    def test_rejects_tables_of_another_basis_or_cutoff(self):
+        h1 = ScanConfig().scenario_kind("H1")
+        link = LinkSpec(50.0)
+        table_z, table_x = basis_tables(link)
+        right = rate_for_scenario(h1, link, 0.05, 0.5, (table_z, table_x))
+        assert right.valid
+        assert math.isclose(right.rate, 2.002387556281765e-05, rel_tol=1e-12)
+        assert math.isclose(right.e11_bound, 0.04215332644533433, rel_tol=1e-12)
+        # swapped, each table read as the other's basis gave a valid-looking
+        # point (rate -1.52e-4, e11 0.0176)
+        with pytest.raises(ValueError, match="got X at cutoff 8 and Z at cutoff 8"):
+            rate_for_scenario(h1, link, 0.05, 0.5, (table_x, table_z))
+        short = basis_tables(replace(link, cutoff=6))
+        with pytest.raises(ValueError, match="cutoff 8, got Z at cutoff 6 and X at cutoff 6"):
+            rate_for_scenario(h1, link, 0.05, 0.5, short)
+        with pytest.raises(ValueError, match="got Z at cutoff 8 and X at cutoff 6"):
+            rate_for_scenario(ScenarioKind("W0"), link, 0.1, 0.5, (table_z, short[1]))
+
+    @pytest.mark.parametrize("name", ["W0", "H1"])
+    def test_optimizer_raises_on_wrong_tables(self, name):
+        # rather than report no_valid_point, or optimize on the wrong records
+        link = LinkSpec(50.0)
+        table_z, table_x = basis_tables(link)
+        config = ScanConfig()
+        with pytest.raises(ValueError, match="tables must be the Z and X tables"):
+            optimize_mu_prime(config.scenario_kind(name), link, config, (table_x, table_z))
+
     def test_point_is_a_plain_record(self):
         point = RatePoint(0.0, "H1", 0.1, 0.5, 0.0, 0.0, 0.0, False, "bound_conditions")
         assert point.reason == "bound_conditions"

@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,11 @@ from mdiqkd.runner import (
 from mdiqkd.source import DistributionKind, HeraldingDetector, SourceSpec, TriggerClass
 
 CFG = ScanConfig()
+
+
+@pytest.fixture(scope="module")
+def default_rows():
+    return scan(ScanConfig())
 
 
 class TestParseDistances:
@@ -571,10 +576,36 @@ class TestScan:
         cfg = replace(CFG, distances=(0.0,), scenarios=("W0", "W0"))
         assert len(scan(cfg)) == 1
 
-    def test_default_scan_csv_is_byte_stable(self):
+    def test_default_scan_csv_is_byte_stable(self, default_rows):
         # every digit of every row of the default scan, as `mdiqkd scan` prints it
-        text = emit_csv(scan(ScanConfig()))
+        text = emit_csv(default_rows)
         assert hashlib.md5(text.encode()).hexdigest() == "86fd30844b6bb162725878c6d4ad9329"
+
+    def test_reported_numbers_are_plain_floats(self, default_rows):
+        # np.float64 is a float subclass that prints and compares alike, so
+        # only its exact type tells it from a Python float
+        def float_fields(record):
+            return {f.name: getattr(record, f.name) for f in fields(record) if f.type == "float"}
+
+        for row in default_rows:
+            assert len(float_fields(row)) == 6
+            assert all(type(v) is float for v in float_fields(row).values()), row
+        # and so is every number of a bound on the records of one of those rows
+        row = next(r for r in default_rows if r.scenario == "H1" and r.distance_km == 50.0)
+        weak, strong = runner._scheme_pairs("H1", row.mu, row.mu_prime, CFG)
+        tables = basis_tables(CFG.link_for(row.distance_km))
+        gains = GainTable()
+        for source, _ in (weak, strong):
+            sides = [side_weights(replace(source, intensity=x), 8) for x in (source.intensity, 0.0)]
+            for w_a in sides:
+                for w_b in sides:
+                    for table in tables:
+                        gains.add(gain_from_yields(w_a, w_b, table))
+        for basis in (Basis.Z, Basis.X):
+            bound = decoy.y11_lower_bound(gains, weak, strong, basis, CFG.cutoff)
+            assert bound.conditions_ok
+            assert len(float_fields(bound)) == 5
+            assert all(type(v) is float for v in float_fields(bound).values()), bound
 
 
 SAMPLE_POINTS = [
@@ -670,10 +701,12 @@ class TestGainCsv:
         with pytest.raises(ConfigError):
             parse_gain_csv("nope\n")
         good = emit_gain_csv(self.make_gains()).splitlines()
-        corrupt = good[1].split(",")
-        corrupt[3] = "bogus"
-        with pytest.raises(ConfigError, match="line 2"):
-            parse_gain_csv(good[0] + "\n" + ",".join(corrupt) + "\n")
+        # codes are matched exactly: no padding, and no other case
+        for column, code in ((3, "bogus"), (0, " Z"), (0, "z"), (3, "T")):
+            corrupt = good[1].split(",")
+            corrupt[column] = code
+            with pytest.raises(ConfigError, match="line 2: bad value"):
+                parse_gain_csv(good[0] + "\n" + ",".join(corrupt) + "\n")
         with pytest.raises(ConfigError, match="line 2"):
             parse_gain_csv(good[0] + "\n1,2,3\n")
 
