@@ -30,8 +30,10 @@ is its vacuum rows alone (see SeriesParts).
 
 The estimator's algebra works on plain numbers (y11_from_series,
 e11_from_moments).  y11_lower_bound and e11_upper_bound feed it records
-looked up in a GainTable; the rate path in keyrate feeds it the same
-numbers assembled straight from side weights.
+(immutable GainRecord named tuples) looked up in a GainTable; the rate
+path in keyrate feeds it the same numbers assembled straight from side
+weights.  y11_lower_bound keeps a one-entry setting-pair plan (weights,
+coefficients, interior tails), so a bound call's X bound reuses its Z's.
 """
 
 from __future__ import annotations
@@ -161,9 +163,8 @@ def side_weights(source: SourceSpec, cutoff: int) -> SideWeights:
     return SideWeights(source, a, vac, vac0, a_total, vac_total)
 
 
-@dataclass(frozen=True)
-class GainRecord:
-    """One observable the estimator may use.
+class GainRecord(NamedTuple):
+    """One observable the estimator may use, an immutable named tuple.
 
     gain is the acceptance probability per pulse of the record's event
     class (un-normalised by the class weight), qber the error fraction
@@ -337,6 +338,26 @@ def _interior_tail(alice: SideWeights, bob: SideWeights) -> float:
     return float(alice.a_total * bob.a_total - part)
 
 
+# the last y11_lower_bound call's setting pair, with its margin (the licence reads
+# COEFF_REL_TOL per call): one slot lets a bound call's X bound reuse its Z bound's
+_last_pair: tuple | None = None
+
+
+def _pair_plan(weak: tuple, strong: tuple, cutoff: int) -> tuple:
+    """The basis-free work of a setting pair: (y11_coefficients over its interior
+    weights, the weak and strong settings' interior tails in canonical order)."""
+    global _last_pair
+    key, plan = (weak, strong, cutoff), _last_pair
+    if plan is None or plan[0] != key:
+        wa, wb = _pair_weights(weak, cutoff)
+        sa, sb = _pair_weights(strong, cutoff)
+        coeffs = y11_coefficients(wa.a, wb.a, sa.a, sb.a)
+        if coeffs[2]:
+            wa, wb, sa, sb = sa, sb, wa, wb
+        plan = _last_pair = key, coeffs, _interior_tail(wa, wb), _interior_tail(sa, sb)
+    return plan[1:]
+
+
 def _setting_records(
     gains: GainTable, pair: tuple[SourceSpec, SourceSpec], basis: Basis
 ) -> tuple[GainRecord, GainRecord, GainRecord, GainRecord]:
@@ -500,9 +521,7 @@ def y11_lower_bound(
     a non-triggered record) make the bound unavailable, reported via
     conditions_ok=False rather than an exception.
     """
-    wa, wb = _pair_weights(weak, cutoff)
-    sa, sb = _pair_weights(strong, cutoff)
-    coeffs = y11_coefficients(wa.a, wb.a, sa.a, sb.a)
+    coeffs, t_w, t_s = _pair_plan(weak, strong, cutoff)
     k, denom, swapped, margin = coeffs
     if margin == math.inf:
         return _unavailable(k, denom)
@@ -511,13 +530,8 @@ def y11_lower_bound(
     s_strong, vac_strong, tail_strong = series_terms(gains, strong, basis)
     value, raw, licensed = y11_from_series(coeffs, s_weak - vac_weak, s_strong - vac_strong)
     if swapped:
-        wa, wb, sa, sb = sa, sb, wa, wb
         tail_weak, tail_strong = tail_strong, tail_weak
-    tail = (
-        k * (tail_weak + _interior_tail(wa, wb))
-        + tail_strong
-        + _interior_tail(sa, sb)
-    ) / abs(denom)
+    tail = (k * (tail_weak + t_w) + tail_strong + t_s) / abs(denom)
     return Y11Bound(
         value=value,
         k_factor=k,

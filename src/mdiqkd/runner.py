@@ -504,7 +504,7 @@ def parse_gain_csv(text: str) -> GainTable:
     if not lines or lines[0] != GAIN_HEADER:
         raise ConfigError(f"bad gain CSV header, expected {GAIN_HEADER!r}")
     table = GainTable()
-    seen = set()
+    records = table._records
     for lineno, line in enumerate(lines[1:], start=2):
         cols = line.split(",")
         if len(cols) != 6:
@@ -520,12 +520,11 @@ def parse_gain_csv(text: str) -> GainTable:
                 f"line {lineno}: intensities must be finite and >= 0 and gain and qber "
                 f"must lie in [0, 1], got {','.join(cols[1:3] + cols[4:])}"
             )
-        # the codes are the members' values, so this is the key GainTable files it under
+        # the codes are the members' values, so this is the key GainTable.add files it under
         key = (cols[0], cols[3], x, y)
-        if key in seen:
+        if key in records:
             raise ConfigError(f"line {lineno}: duplicate record for basis, class, x and y")
-        seen.add(key)
-        table.add(GainRecord(basis, x, y, cls, gain, qber))
+        records[key] = GainRecord(basis, x, y, cls, gain, qber)
     return table
 
 

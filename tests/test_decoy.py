@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import pair_coefficients, record_oracle, s11_gains, side_lists_oracle
+from mdiqkd import decoy
 from mdiqkd.decoy import (
     BoundUnavailableError,
     GainRecord,
@@ -487,6 +488,49 @@ class TestY11LowerBound:
         bound = y11_lower_bound(gains, H1_WEAK, H1_STRONG, Basis.Z, CUTOFF)
         assert bound.value == 0.0
         assert bound.clamped
+
+
+    def test_pair_plan_is_rebuilt_for_other_settings(self, monkeypatch):
+        # the plan holds one setting pair: another mu', heralding efficiency or
+        # cutoff builds a new one and gets the bound a cold call gets
+        det = HeraldingDetector(0.9, 1e-6)
+        variants = [
+            (H1_WEAK, H1_STRONG, CUTOFF),
+            (H1_WEAK, pair(P, 0.4, DET, TriggerClass.NON_TRIGGERED), CUTOFF),
+            (pair(P, 0.125, det, TriggerClass.TRIGGERED),
+             pair(P, 0.5, det, TriggerClass.NON_TRIGGERED), CUTOFF),
+            (H1_WEAK, H1_STRONG, 6),
+        ]
+        table = yield_table(LinkSpec(50.0), Basis.Z)
+        gains = grid_gains([p for weak, strong, _ in variants for p in (weak, strong)], [table])
+        cold = []
+        for weak, strong, cutoff in variants:
+            monkeypatch.setattr(decoy, "_last_pair", None)
+            cold.append(y11_lower_bound(gains, weak, strong, Basis.Z, cutoff))
+        assert len({(b.k_factor, b.coefficient_margin, b.tail) for b in cold}) == len(variants)
+        built = []
+        original = decoy.y11_coefficients
+        monkeypatch.setattr(
+            decoy, "y11_coefficients", lambda *args: built.append(args) or original(*args)
+        )
+        # each call follows another pair's, so each builds its plan
+        for (weak, strong, cutoff), expected in zip(variants, cold):
+            assert y11_lower_bound(gains, weak, strong, Basis.Z, cutoff) == expected
+        assert len(built) == len(variants)
+        # the same pair again, in the other basis too, reuses the plan
+        weak, strong, cutoff = variants[-1]
+        assert y11_lower_bound(gains, weak, strong, Basis.Z, cutoff) == cold[-1]
+        x_gains = grid_gains([weak, strong], [yield_table(LinkSpec(50.0), Basis.X)])
+        y11_lower_bound(x_gains, weak, strong, Basis.X, cutoff)
+        assert len(built) == len(variants)
+
+    def test_licence_reads_the_tolerance_after_the_plan_exists(self, monkeypatch):
+        # the plan keeps the coefficient margin, never the licence it gives
+        gains = self.make_gains(yield_table(LinkSpec(50.0), Basis.Z))
+        assert y11_lower_bound(gains, H1_WEAK, H1_STRONG, Basis.Z, CUTOFF).conditions_ok
+        assert decoy._last_pair[0] == (H1_WEAK, H1_STRONG, CUTOFF)
+        monkeypatch.setattr(decoy, "COEFF_REL_TOL", -math.inf)
+        assert not y11_lower_bound(gains, H1_WEAK, H1_STRONG, Basis.Z, CUTOFF).conditions_ok
 
 
 class TestSymmetricCondition:

@@ -735,6 +735,17 @@ class TestGainCsv:
         with pytest.raises(ConfigError, match="line 3: .* got [^,]*,-0.5,"):
             parse_gain_csv(self.corrupted(2, "-0.5"))
 
+    def test_parsed_records_are_immutable(self):
+        rec = next(iter(parse_gain_csv(emit_gain_csv(self.make_gains()))))
+        with pytest.raises(AttributeError):
+            rec.gain = 0.5
+
+    def test_rejects_a_repeated_line(self):
+        lines = emit_gain_csv(self.make_gains()).splitlines()
+        text = "\n".join(lines[:4] + [lines[2]] + lines[4:]) + "\n"
+        with pytest.raises(ConfigError, match="^line 5: duplicate record for basis, class, x and y$"):
+            parse_gain_csv(text)
+
     def test_rejects_duplicate_record(self):
         lines = emit_gain_csv(self.make_gains()).splitlines()
         # same (basis, class, x, y) as line 2, different values
@@ -910,6 +921,28 @@ class TestCli:
         assert report["y11_lower"] == repr(row.y11_bound)
         assert report["e11_upper"] == repr(row.e11_bound)
 
+    def test_bound_builds_one_setting_pair_plan(self, tmp_path, monkeypatch, capsys):
+        # the Z and X bounds share the settings' weights and coefficients: one
+        # call builds each setting's (symmetric) sides once and calls
+        # y11_coefficients once
+        path = tmp_path / "gains.csv"
+        path.write_text(emit_gain_csv(TestGainCsv().make_gains()))
+        cfg = tmp_path / "h1.cfg"
+        cfg.write_text("eta_heralding_H1 = 0.75\n")
+        calls = {"side_weights": 0, "y11_coefficients": 0}
+        for name in calls:
+            def spy(*args, _name=name, _original=getattr(decoy, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(decoy, name, spy)
+        monkeypatch.setattr(decoy, "_last_pair", None)
+        assert main([
+            "bound", "--config", str(cfg), "--gains", str(path), "--scheme", "H1",
+            "--mu", "0.125", "--mu-prime", "0.5", "--basis", "Z",
+        ]) == 0
+        assert "e11_upper = " in capsys.readouterr().out
+        assert calls == {"side_weights": 2, "y11_coefficients": 1}
+
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_bound_rejects_ambiguous_records(self, basis, tmp_path, capsys):
         # a weak intensity off every record by float noise matches both the
@@ -928,7 +961,7 @@ class TestCli:
                     for table in tables:
                         gains.add(gain_from_yields(w_a, w_b, table))
         near = gains.get(Basis(basis), 0.125, 0.125, TriggerClass.TRIGGERED)
-        gains.add(replace(near, alice_intensity=0.125 * (1.0 + 2e-12)))
+        gains.add(near._replace(alice_intensity=0.125 * (1.0 + 2e-12)))
         path = tmp_path / "gains.csv"
         path.write_text(emit_gain_csv(gains))
         code = main([

@@ -1,29 +1,63 @@
-"""`python3 tools/bench.py PR` writes BENCH_<PR>.json at the repo root: perfbench/run.py 3 x 10 s per
-workload (median and IQR of each end-to-end metric), median-of-5 wall times of `import mdiqkd` and
-the default `mdiqkd scan`, the core count, versions and the git commit."""
-import json, os, platform, statistics, subprocess, sys, timeit
+"""`python3 tools/bench.py PR` writes BENCH_<PR>.json at the repo root: perfbench/run.py 3 x 10 s
+per workload (median, IQR and runs of each end-to-end metric), 5 wall times each of `import mdiqkd`,
+`mdiqkd scan` and `mdiqkd optimize --scenario H1 --distance 100`, the core count, versions and the
+git commit.  It prints each metric's change against the highest-numbered earlier BENCH_*.json,
+with that file's IQR beside it."""
+import json, math, os, platform, re, statistics, subprocess, sys, timeit
 from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+WALL = {
+    "import_s": ("-c", "import mdiqkd"),
+    "scan_s": ("-m", "mdiqkd", "scan"),
+    "optimize_s": ("-m", "mdiqkd", "optimize", "--scenario", "H1", "--distance", "100"),
+}
 
 
 def run(*args: str) -> str:
     return subprocess.run(args, cwd=ROOT, env=ENV, check=True, capture_output=True, text=True).stdout
 
 
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "iqr": q3 - q1, "runs": values}
+
+
+def medians(bench: dict) -> dict:
+    """(median, IQR) by metric name; older files hold wall times as bare medians."""
+    out = {}
+    for key, entry in bench.items():
+        if isinstance(entry, float):
+            out[key] = (entry, None)
+        elif isinstance(entry, dict) and "median" in entry:
+            out[key] = (entry["median"], entry["iqr"])
+        elif isinstance(entry, dict):
+            out.update({f"{key}.{m}": (v["median"], v["iqr"]) for m, v in entry.items() if m != "failed"})
+    return out
+
+
+pr = int(sys.argv[1])
 out = {"commit": run("git", "rev-parse", "HEAD").strip(), "nproc": os.cpu_count(),
        "python": platform.python_version(), "numpy": version("numpy")}
-for key, args in (("import_s", ("-c", "import mdiqkd")), ("scan_s", ("-m", "mdiqkd", "scan"))):
-    out[key] = statistics.median(timeit.repeat(lambda: run(sys.executable, *args), number=1, repeat=5))
+for key, args in WALL.items():
+    out[key] = summary(timeit.repeat(lambda: run(sys.executable, *args), number=1, repeat=5))
 for name in (w["name"] for w in SPEC["workloads"]):
     runs = [json.loads(run(sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
                            "--seconds", "10").splitlines()[-1]) for seed in (1, 2, 3)]
     out[name] = {"failed": sum(r["failed"] for r in runs)}
     for metric in (m["name"] for m in SPEC["end_to_end"]):
-        values = [r["metrics"][metric]["value"] for r in runs]
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        out[name][metric] = {"median": median, "iqr": q3 - q1, "runs": values}
-(ROOT / f"BENCH_{sys.argv[1]}.json").write_text(json.dumps(out, indent=1) + "\n")
+        out[name][metric] = summary([r["metrics"][metric]["value"] for r in runs])
+(ROOT / f"BENCH_{pr}.json").write_text(json.dumps(out, indent=1) + "\n")
+
+prev = max((int(m[1]) for p in ROOT.glob("BENCH_*.json")
+            if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name)) and int(m[1]) < pr), default=None)
+if prev is not None:
+    base = medians(json.loads((ROOT / f"BENCH_{prev}.json").read_text()))
+    print(f"{'metric':<26}{f'BENCH_{prev}':>12}{'IQR':>10}{f'BENCH_{pr}':>12}{'change':>9}")
+    for key, (new, _) in medians(out).items():
+        old, iqr = base.get(key, (math.nan, None))  # nan: a metric the earlier file lacks
+        iqr_text = "-" if iqr is None else f"{iqr:.3g}"
+        print(f"{key:<26}{old:>12.4g}{iqr_text:>10}{new:>12.4g}{(new - old) / old:>+9.1%}")
