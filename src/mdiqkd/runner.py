@@ -520,7 +520,7 @@ def parse_gain_csv(text: str) -> GainTable:
                 f"line {lineno}: intensities must be finite and >= 0 and gain and qber "
                 f"must lie in [0, 1], got {','.join(cols[1:3] + cols[4:])}"
             )
-        # the codes are the members' values, so this is the key GainTable.add files it under
+        # the codes are the members' values, so this is the key GainTable files it under
         key = (cols[0], cols[3], x, y)
         if key in records:
             raise ConfigError(f"line {lineno}: duplicate record for basis, class, x and y")

@@ -489,7 +489,6 @@ class TestY11LowerBound:
         assert bound.value == 0.0
         assert bound.clamped
 
-
     def test_pair_plan_is_rebuilt_for_other_settings(self, monkeypatch):
         # the plan holds one setting pair: another mu', heralding efficiency or
         # cutoff builds a new one and gets the bound a cold call gets

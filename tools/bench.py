@@ -60,4 +60,5 @@ if prev is not None:
     for key, (new, _) in medians(out).items():
         old, iqr = base.get(key, (math.nan, None))  # nan: a metric the earlier file lacks
         iqr_text = "-" if iqr is None else f"{iqr:.3g}"
-        print(f"{key:<26}{old:>12.4g}{iqr_text:>10}{new:>12.4g}{(new - old) / old:>+9.1%}")
+        change = "new" if math.isnan(old) else f"{(new - old) / old:+.1%}"
+        print(f"{key:<26}{old:>12.4g}{iqr_text:>10}{new:>12.4g}{change:>9}")
