@@ -227,6 +227,10 @@ class GainTable:
     def __len__(self) -> int:
         return len(self._records)
 
+    def has_basis(self, basis: Basis) -> bool:
+        """Whether any record is in basis, read off the keys with no sort."""
+        return any(key[0] == basis._value_ for key in self._records)
+
     def __iter__(self) -> Iterator[GainRecord]:
         return iter(sorted(self._records.values(), key=lambda r: (
             r.basis.value, r.trigger_class.value, r.alice_intensity, r.bob_intensity

@@ -29,8 +29,11 @@ class's side factors, q1, the vacuum row) is cached by _plan; what no
 point of a row changes (the stacked tables and the zero-intensity
 sides' records) is kept in a row context (see _RowContext); so a point
 costs one photon row per intensity, one stacked multiply, four matmuls
-over all its sides and its records as Python floats.  grid_rates
-evaluates a whole intensity grid in one array pass, for ranking only.
+over all its sides and its records as Python floats.  rank_grid
+evaluates a whole intensity grid in one batched pass of the same
+algebra (_RowContext.rates), exact to the point: its rates (grid_rates)
+equal rate_for_scenario's bit for bit, and it returns the best point's
+RatePoint, so the optimizer evaluates the grid winner only once.
 """
 
 from __future__ import annotations
@@ -38,14 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .decoy import (
     COEFF_REL_TOL,
     BoundUnavailableError,
-    SideWeights,
     e11_from_moments,
     interior_gain,
     record_qber,
@@ -60,10 +61,8 @@ from .optics import Basis, LinkSpec, YieldTable, yield_table
 from .source import (
     DistributionKind,
     HeraldingDetector,
-    SourceSpec,
     TriggerClass,
     photon_row,
-    photon_weight,
     trigger_prob,
 )
 
@@ -77,6 +76,7 @@ __all__ = [
     "key_rate",
     "basis_tables",
     "rate_for_scenario",
+    "rank_grid",
     "grid_rates",
 ]
 
@@ -216,11 +216,9 @@ def basis_tables(link: LinkSpec) -> tuple[YieldTable, YieldTable]:
     return yield_table(link, Basis.Z), yield_table(link, Basis.X)
 
 
-# weights are pure functions of (source, cutoff); the optimizer hits the
-# same handful of sources hundreds of times per curve.  Golden refinement
-# adds fresh float keys at every point, so the cache is bounded; the grid's
-# sources stay recently used, and a scan misses no more often than with an
-# unbounded cache
+# a side_weights cache with no caller in src/: it stays only because the
+# benchmark's spans (perfbench/spans.py) read its counters, and ROADMAP item 1
+# removes both together
 _side_weights = lru_cache(maxsize=2048)(side_weights)
 
 
@@ -255,10 +253,40 @@ def _plan(scenario: ScenarioKind, cutoff: int):
             tuple(factors[cls][2] for cls in zero))
 
 
+# keyed by the intensities and heralding only, so every link of a scan or relay sweep
+# shares one entry per scenario; it keeps margins, licensed per call by COEFF_REL_TOL
+@lru_cache(maxsize=32)
+def _grid_weights(scenario: ScenarioKind, mu_primes: tuple[float, ...], mu_fixed: float,
+                  cutoff: int):
+    """The weight-only half of _RowContext.rates over a grid: (mus, usable, w, pq,
+    coeffs, a11).  mus are the weak intensities; usable marks the points
+    rate_for_scenario does not reject outright, the others get placeholder
+    weights; w is _plan's factors times the photon rows, as (a or vac, point,
+    side, photon number); pq is q1^2 p1^2.  The estimated scenarios add each
+    point's y11_coefficients and the weak and strong (1, 1) coefficients a11."""
+    kind, estimated = scenario.distribution, not scenario.asymptotic
+    q1, factors, vac0 = _plan(scenario, cutoff)[:3]
+    mus = [scenario.weak_intensity(mu_prime, mu_fixed) for mu_prime in mu_primes]
+    usable = [mp > 0.0 and (mu > 0.0 or not estimated) for mp, mu in zip(mu_primes, mus)]
+    # every side but the weak one is at mu', as in .rate
+    rows = [[photon_row(kind, mp if ok else 1.0, cutoff)] * (len(vac0) - estimated)
+            + [photon_row(kind, mu if ok else 1.0, cutoff)] * estimated
+            for mp, mu, ok in zip(mu_primes, mus, usable)]
+    w = factors[:, None] * np.array(rows)
+    pq = np.array([q1 * q1 * (r[0][1] * r[0][1]) for r in rows])
+    coeffs = a11 = None
+    if estimated:
+        weak, strong = w[0, :, -1], w[0, :, 0]
+        coeffs = zip(*map(y11_coefficients, weak, weak, strong, strong))
+        coeffs = [np.array(c)[:, None] for c in coeffs]
+        a11 = np.stack((weak[:, 1] * weak[:, 1], strong[:, 1] * strong[:, 1]), axis=1)
+    return mus, np.array(usable), w, pq, coeffs, a11
+
+
 class _RowContext:
     """What every evaluation of one (scenario, link, tables, f_ec) row shares.
 
-    Built on a row's first grid_rates or rate_for_scenario call and reused
+    Built on a row's first rank_grid or rate_for_scenario call and reused
     by every later one: _plan's part, the stacked tables with the views
     and (0, 0) corners decoy.weight_parts and series_gain read, and each
     zero-intensity side's vac0, column and row sums and (0, 0) record.  The
@@ -291,6 +319,8 @@ class _RowContext:
         mats = self.mats[:2] if self.asymptotic else self.mats
         self.views = (mats[None, :, :, :1], mats[None, :, :1, :], mats[None, :, 1:, 1:])
         self.corner = mats[:, 0, 0].tolist()
+        # what the asymptotic scenarios read for Y11 and e11
+        self.true11 = float(table_z.yields[1, 1]), float(table_x.errors[1, 1])
         zeros = weight_parts(None, zero_vac, zero_vac0, mats) if zero_vac0 else []
         self.zero = [(z.vac0, z.col, z.row, series_gain(z, z, mats)) for z in zeros]
         self.weak: tuple[float, np.ndarray, tuple[float, float, float]] | None = None
@@ -335,8 +365,7 @@ class _RowContext:
         inner = (w[0, :, None, None, 1:] @ inner_mats) @ w[0, :, None, 1:, None]
         inner = inner.reshape(sides, -1).tolist()
         if self.asymptotic:
-            y11 = float(self.tables[0].yields[1, 1])
-            e11 = float(self.tables[1].errors[1, 1])
+            y11, e11 = self.true11
         else:
             if kept is None:
                 weak = self.setting(self.vac0[-1], col[-1], row[-1], inner[-1], self.zero[0])
@@ -378,8 +407,84 @@ class _RowContext:
         return RatePoint(self.link.total_distance_km, self.scenario.name, mu_out, mu_prime,
                          y11, e11, rate, valid=not reason, reason=reason)
 
+    def rates(self, mu_fixed: float, mu_primes: tuple[float, ...]):
+        """(rates, best): .rate's rate at each mu_prime, with the weak intensity
+        scenario.weak_intensity(mu_prime, mu_fixed), -inf where .rate returns an
+        invalid point or raises, and the first best RatePoint, or None.  Bit for
+        bit .rate's: its matmul forms with (point, side) as leading axes, its
+        algebra elementwise in its order, binary_entropy per valid point."""
+        out = np.full(len(mu_primes), -math.inf)
+        mus, usable, w, pq, coeffs, a11 = _grid_weights(
+            self.scenario, mu_primes, mu_fixed, self.link.cutoff)
+        points, sides = w.shape[1:3]
+        col_mats, row_mats, inner_mats = self.views
+        # each as (point, side, table)
+        col = (w[1, :, :, None, None, :] @ col_mats).reshape(points, sides, -1)
+        row = (row_mats @ w[1, :, :, None, :, None]).reshape(points, sides, -1)
+        inner = (w[0, :, :, None, None, 1:] @ inner_mats) @ w[0, :, :, None, 1:, None]
+        v, m = np.array(self.vac0)[:, None], np.array(self.corner)
+        # every side's (x, x) record, as series_gain sums it
+        full = inner.reshape(points, sides, -1) + (v * col + v * row - v * v * m)
+        gain_z, wrong_z = full[:, self.signal, 0], full[:, self.signal, 1]
 
-# the row of the last rate_for_scenario or grid_rates call: the optimizer
+        def qber(gain, wrong):
+            return np.where(gain > 0.0, wrong / gain, 0.0)
+
+        def clamp(x, hi):  # min(max(x, 0.0), hi), nan and -0.0 included
+            x = np.where(0.0 > x, 0.0, x)
+            return np.where(hi < x, hi, x)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            valid = usable
+            if self.asymptotic:
+                y11, e11 = self.true11
+            else:
+                # .setting's (x, 0), (0, x) and (0, 0) records of strong (side 0) and weak
+                # (last), in its order; a signal side between them takes weak's zero side
+                # and goes unused
+                zero = [self.zero[-1]] + [self.zero[0]] * (sides - 1)
+                z0, zc, zr, zz = (np.reshape(part, (sides, -1)) for part in zip(*zero))
+                row_x = 0.0 + (z0 * col + v * zr - v * z0 * m)
+                row_y = 0.0 + (v * zc + z0 * row - z0 * v * m)
+                # interior gains in Z and X, and X error moments, weak then strong
+                gains = (full - (row_x + row_y - zz))[:, :, ::2]
+                weak, strong = gains[:, -1], gains[:, 0]
+                x_records = np.stack((full, row_x, row_y))[..., 2:]
+                x = x_records[..., 0] * qber(x_records[..., 0], x_records[..., 1])
+                corner_x = zz[:, 2] * qber(zz[:, 2], zz[:, 3])
+                moments = (x[0] - x[1] - x[2] + corner_x)[:, [-1, 0]]
+                k, denom, swapped, margin = coeffs
+                # y11_from_series' value in Z and X; its licence reads the tolerance now
+                lead, other = np.where(swapped, strong, weak), np.where(swapped, weak, strong)
+                y11 = clamp((k * lead - other) / denom, 1.0)
+                y11, s11 = y11[:, 0], a11 * y11[:, 1:]
+                # e11_from_moments' min over the candidates of positive s11, in list order
+                (c_weak, c_strong), (s_weak, s_strong) = (moments / s11).T, (s11 > 0.0).T
+                pick = s_strong & (~s_weak | (c_strong < c_weak))
+                e11 = clamp(np.where(pick, c_strong, c_weak), 0.5)
+                valid = valid & (margin[:, 0] <= COEFF_REL_TOL) & (s_weak | s_strong)
+            qber_z = qber(gain_z, wrong_z)
+            # what RateInputs checks; p1^2 and q1^2 are squared probabilities
+            for value in (y11, e11, qber_z):
+                valid = valid & (0.0 <= value) & (value <= 1.0)
+            valid = valid & (gain_z >= 0.0) & (self.f_ec >= 1.0)
+        kept = np.flatnonzero(valid)
+        if not len(kept):
+            return out, None
+        if self.asymptotic:
+            gained = pq[kept] * y11 * (1.0 - binary_entropy(e11))
+        else:
+            privacy = 1.0 - np.array(list(map(binary_entropy, e11[kept].tolist())))
+            gained = pq[kept] * y11[kept] * privacy
+        spent = np.array(list(map(binary_entropy, qber_z[kept].tolist())))
+        out[kept] = gained - gain_z[kept] * self.f_ec * spent
+        best = int(np.argmax(out))
+        if not self.asymptotic:
+            y11, e11 = float(y11[best]), float(e11[best])
+        return out, self.point(mus[best], mu_primes[best], y11, e11, float(out[best]))
+
+
+# the row of the last rate_for_scenario or rank_grid call: the optimizer
 # ranks one row's grid and evaluates its points back to back, so one slot
 # serves every call after the first
 _last_row: _RowContext | None = None
@@ -420,197 +525,17 @@ def rate_for_scenario(
     return _row(scenario, link, tables, f_ec).rate(mu, mu_prime)
 
 
-class _Sides(NamedTuple):
-    """Side weights of one record side stacked over grid points.
-
-    a and vac have one row per point (or a single row shared by every
-    point) and cutoff + 1 columns; vac0 has one entry per row.  a is None
-    for a side at intensity zero, whose interior weights are all zero.
-    """
-
-    a: np.ndarray | None
-    vac: np.ndarray
-    vac0: np.ndarray
+def rank_grid(scenario: ScenarioKind, link: LinkSpec, mu_fixed: float, mu_primes: np.ndarray,
+              tables: tuple[YieldTable, YieldTable], f_ec: float = DEFAULT_ERROR_CORRECTION
+              ) -> tuple[np.ndarray, RatePoint | None]:
+    """(rates, best) of _RowContext.rates over a grid of signal intensities, in the
+    row context rate_for_scenario reuses: rates equal to its own, -inf where it
+    returns an invalid point or raises, and the first best RatePoint or None.
+    tables are basis_tables(link)."""
+    grid = tuple(np.asarray(mu_primes, dtype=float).tolist())
+    return _row(scenario, link, tables, f_ec).rates(mu_fixed, grid)
 
 
-def _stack(weights: list[SideWeights]) -> _Sides:
-    return _Sides(
-        None if all(w.source.intensity == 0.0 for w in weights)
-        else np.array([w.a for w in weights]),
-        np.array([w.vac for w in weights]),
-        np.array([w.vac_at_zero for w in weights]),
-    )
-
-
-class _GridConstants(NamedTuple):
-    """The link-independent part of grid_rates for one intensity grid.
-
-    usable marks the points rate_for_scenario does not reject outright
-    (positive intensities); the others carry placeholder weights.  The
-    estimated scenarios also need the weak and strong sides with their
-    zero-intensity counterparts and the Y11 coefficients of
-    decoy.y11_coefficients.
-    """
-
-    usable: np.ndarray
-    signal: _Sides
-    pq: np.ndarray
-    weak: _Sides | None = None
-    weak_zero: _Sides | None = None
-    strong: _Sides | None = None
-    strong_zero: _Sides | None = None
-    k: np.ndarray | None = None
-    denom: np.ndarray | None = None
-    swapped: np.ndarray | None = None
-    licensed: np.ndarray | None = None
-
-
-# keyed by the intensities and heralding only, so every link of a scan
-# or relay sweep shares one entry per scenario
-@lru_cache(maxsize=32)
-def _grid_constants(
-    scenario: ScenarioKind, mu_primes: tuple[float, ...], mu_fixed: float, cutoff: int
-) -> _GridConstants:
-    kind = scenario.distribution
-    heralding = scenario.heralding
-    signal_cls, weak_cls, strong_cls = scenario.classes
-    mp = np.array(mu_primes)
-    mu = np.broadcast_to(scenario.weak_intensity(mp, mu_fixed), mp.shape)
-    usable = mp > 0.0
-    if not scenario.asymptotic:
-        usable &= mu > 0.0
-    mp = np.where(usable, mp, 1.0).tolist()
-    mu = np.where(usable, mu, 1.0).tolist()
-
-    def weights(intensities: list[float], cls: TriggerClass) -> list[SideWeights]:
-        return [_side_weights(SourceSpec(kind, x, heralding, cls), cutoff) for x in intensities]
-
-    signal = _stack(weights(mp, signal_cls))
-    q1 = trigger_prob(heralding, 1) if heralding is not None else 1.0
-    p1 = np.array([photon_weight(kind, x, 1) for x in mp])
-    pq = (q1 * q1) * (p1 * p1)
-    if scenario.asymptotic:
-        return _GridConstants(usable, signal, pq)
-
-    weak = weights(mu, weak_cls)
-    strong = weights(mp, strong_cls)
-    coeffs = [y11_coefficients(w.a, w.a, st.a, st.a) for w, st in zip(weak, strong)]
-    k, denom, swapped, margin = (np.array(col) for col in zip(*coeffs))
-    return _GridConstants(
-        usable,
-        signal,
-        pq,
-        weak=_stack(weak),
-        weak_zero=_stack(weights([0.0], weak_cls)),
-        strong=_stack(strong),
-        strong_zero=_stack(weights([0.0], strong_cls)),
-        k=k,
-        denom=denom,
-        swapped=swapped,
-        licensed=margin <= COEFF_REL_TOL,
-    )
-
-
-def _stacked_gains(alice: _Sides, bob: _Sides, mats: np.ndarray) -> np.ndarray:
-    """gain_from_yields' double series for every grid point at once.
-
-    mats stacks (cutoff + 1)-square tables; the result has one row per
-    table and one column per grid point.  A side at intensity zero has
-    no interior weights, so a record with one is its vacuum rows alone.
-    """
-    interior = 0.0
-    if alice.a is not None and bob.a is not None:
-        interior = ((alice.a[:, 1:] @ mats[:, 1:, 1:]) * bob.a[:, 1:]).sum(axis=-1)
-    rows = bob.vac0 * (mats[:, :, 0] @ alice.vac.T)
-    rows = rows + alice.vac0 * (mats[:, 0, :] @ bob.vac.T)
-    rows = rows - alice.vac0 * bob.vac0 * mats[:, 0, 0, None]
-    return interior + rows
-
-
-def _pair_records(side: _Sides, zero: _Sides, mats: np.ndarray) -> list[np.ndarray]:
-    """The (x, x), (x, 0), (0, x) and (0, 0) records of a symmetric pair."""
-    return [
-        _stacked_gains(side, side, mats),
-        _stacked_gains(side, zero, mats),
-        _stacked_gains(zero, side, mats),
-        _stacked_gains(zero, zero, mats),
-    ]
-
-
-def _qber(gain: np.ndarray, wrong: np.ndarray) -> np.ndarray:
-    return np.where(gain > 0.0, wrong / gain, 0.0)
-
-
-def _entropy(p: np.ndarray) -> np.ndarray:
-    """binary_entropy elementwise; entries outside [0, 1] come out nan."""
-    q = 1.0 - p
-    h = -(p * np.log(p) + q * np.log(q)) / _LOG2
-    return np.where((p == 0.0) | (p == 1.0), 0.0, h)
-
-
-def grid_rates(
-    scenario: ScenarioKind,
-    link: LinkSpec,
-    mu_fixed: float,
-    mu_primes: np.ndarray,
-    tables: tuple[YieldTable, YieldTable],
-    f_ec: float = DEFAULT_ERROR_CORRECTION,
-) -> np.ndarray:
-    """rate_for_scenario's rate at every signal intensity of a grid, in one array pass.
-
-    tables are basis_tables(link).  Each point pairs mu_prime with
-    scenario.weak_intensity(mu_prime, mu_fixed).  Points where
-    rate_for_scenario returns an invalid point or raises read -inf.
-    The series are summed in a different order than the scalar path,
-    so rates agree with it to float rounding only: they rank grid
-    points, and reported values come from rate_for_scenario.
-    Everything that depends only on the intensities and heralding is
-    cached per (scenario, grid, mu_fixed, cutoff); per link only the
-    gains and the bound algebra are computed, over the stacked tables of
-    the row context that rate_for_scenario reuses for the same row.
-    """
-    table_z, table_x = tables
-    grid = np.asarray(mu_primes, dtype=float)
-    if not f_ec >= 1.0:
-        return np.full(grid.shape, -math.inf)
-    const = _grid_constants(scenario, tuple(grid.tolist()), mu_fixed, link.cutoff)
-    mats = _row(scenario, link, tables, f_ec).mats
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain_z, wrong_z = _stacked_gains(const.signal, const.signal, mats[:2])
-        qber_z = _qber(gain_z, wrong_z)
-        valid = const.usable & (gain_z >= 0.0) & (qber_z >= 0.0) & (qber_z <= 1.0)
-        if scenario.asymptotic:
-            y11 = float(table_z.yields[1, 1])
-            e11 = float(table_x.errors[1, 1])
-        else:
-            weak = _pair_records(const.weak, const.weak_zero, mats)
-            strong = _pair_records(const.strong, const.strong_zero, mats)
-
-            def y11_bound(row: int) -> np.ndarray:
-                s_weak, s_strong = (
-                    full[row] - (row_x[row] + row_y[row] - corner[row])
-                    for full, row_x, row_y, corner in (weak, strong)
-                )
-                lead = np.where(const.swapped, s_strong, s_weak)
-                other = np.where(const.swapped, s_weak, s_strong)
-                raw = (const.k * lead - other) / const.denom
-                return np.minimum(np.maximum(raw, 0.0), 1.0)
-
-            def error_moment(records: list[np.ndarray]) -> np.ndarray:
-                full, row_x, row_y, corner = (rec[2] * _qber(rec[2], rec[3]) for rec in records)
-                return full - row_x - row_y + corner
-
-            y11 = y11_bound(0)
-            y11_x = y11_bound(2)
-            # each pair's (1,1) interior coefficient times the X bound
-            s11_weak = const.weak.a[:, 1] * const.weak.a[:, 1] * y11_x
-            s11_strong = const.strong.a[:, 1] * const.strong.a[:, 1] * y11_x
-            candidates = np.minimum(
-                np.where(s11_weak > 0.0, error_moment(weak) / s11_weak, math.inf),
-                np.where(s11_strong > 0.0, error_moment(strong) / s11_strong, math.inf),
-            )
-            e11 = np.minimum(np.maximum(candidates, 0.0), 0.5)
-            valid &= const.licensed & ((s11_weak > 0.0) | (s11_strong > 0.0))
-        valid &= (y11 >= 0.0) & (y11 <= 1.0) & (e11 >= 0.0) & (e11 <= 1.0)
-        rate = const.pq * y11 * (1.0 - _entropy(e11)) - gain_z * f_ec * _entropy(qber_z)
-    return np.where(valid, rate, -math.inf)
+def grid_rates(scenario, link, mu_fixed, mu_primes, tables, f_ec=DEFAULT_ERROR_CORRECTION):
+    """rank_grid's rates alone."""
+    return rank_grid(scenario, link, mu_fixed, mu_primes, tables, f_ec)[0]

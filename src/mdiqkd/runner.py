@@ -9,11 +9,11 @@ Everything here is deterministic: a fixed log-spaced intensity grid,
 golden-section refinement with a fixed tolerance, and repr-based float
 serialization that round-trips exactly.  The grid and its logarithms
 are built once per (mu_prime_min, mu_prime_max, grid_points).  The
-optimizer evaluates the grid in one batched pass (keyrate.grid_rates)
-only to pick the best grid point; refinement and every reported row use
-rate_for_scenario, whose row context (see keyrate) assembles what no
-point changes once per row, and per point only the photon rows and
-sides at that point's own intensities.
+optimizer ranks the grid in one batched pass exact to rate_for_scenario
+(keyrate.rank_grid), which also gives the grid winner's point; the
+refinement uses rate_for_scenario, whose row context (see keyrate)
+assembles what no point changes once per row, and per point only the
+photon rows and sides at that point's own intensities.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .keyrate import (
     RatePoint,
     ScenarioKind,
     basis_tables,
-    grid_rates,
+    rank_grid,
     rate_for_scenario,
 )
 from .optics import SAFETY_CAP, Basis, LinkSpec, YieldTable, yield_table
@@ -329,12 +329,12 @@ def optimize_mu_prime(
     """Best signal intensity for one scenario and distance.
 
     A fixed log-spaced grid locates the basin, golden-section search on
-    the log axis refines it.  The grid is ranked by the batched
-    grid_rates; the winning grid point, every refinement step and the
-    fallback below are evaluated by rate_for_scenario, which computes
-    every returned point; each distinct mu_prime is evaluated once per
-    call.  If no grid point yields a positive rate the best point is
-    returned flagged invalid with rate 0.
+    the log axis refines it.  The batched rank_grid, exact to
+    rate_for_scenario, ranks the grid and returns the winning grid point;
+    every refinement step and the fallback below use rate_for_scenario,
+    and each distinct mu_prime is evaluated once per call.  If no grid
+    point yields a positive rate the best point is returned flagged
+    invalid with rate 0.
     """
     if tables is None:
         tables = basis_tables(link)
@@ -348,27 +348,17 @@ def optimize_mu_prime(
         return memo[mu_prime]
 
     grid, logs = _grid(config.mu_prime_min, config.mu_prime_max, config.grid_points)
-    rates = grid_rates(scenario, link, config.mu_fixed, grid, tables, config.f_ec)
-    best_i = int(np.argmax(rates))
-    if rates[best_i] == -math.inf:
+    rates, best = rank_grid(scenario, link, config.mu_fixed, grid, tables, config.f_ec)
+    if best is None:
+        # every point is invalid or raises: report the first that does not raise
         points = (evaluate(mp) for mp in grid.tolist())
-        reported = next((p for p in points if p is not None), None)
-        if reported is None:
-            reported = RatePoint(
-                distance_km=link.total_distance_km,
-                scenario=scenario.name,
-                mu=0.0,
-                mu_prime=float(grid[len(grid) // 2]),
-                y11_bound=0.0,
-                e11_bound=0.0,
-                rate=0.0,
-                valid=False,
-                reason="no_valid_point",
-            )
-        # grid and point rates differ by rounding, so the point found may be valid
-        return replace(reported, rate=0.0, valid=False, reason=reported.reason or "no_valid_point")
+        return next((p for p in points if p is not None), None) or RatePoint(
+            distance_km=link.total_distance_km, scenario=scenario.name, mu=0.0,
+            mu_prime=float(grid[len(grid) // 2]), y11_bound=0.0, e11_bound=0.0, rate=0.0,
+            valid=False, reason="no_valid_point")
 
-    best = evaluate(float(grid[best_i]))
+    best_i = int(np.argmax(rates))
+    memo[float(grid[best_i])] = best
     if 0 < best_i < len(grid) - 1:
         def cost(lg: float) -> float:
             pt = evaluate(float(math.exp(lg)))
@@ -626,7 +616,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     out.write(f"clamped = {int(bound.clamped)}\n")
     # a file without X-basis records gets a yield-only report; a missing
     # or ambiguous X record among others is an error like any other
-    if bound.conditions_ok and any(rec.basis is Basis.X for rec in gains):
+    if bound.conditions_ok and gains.has_basis(Basis.X):
         bound_x = (
             bound if basis is Basis.X
             else y11_lower_bound(gains, weak, strong, Basis.X, config.cutoff)

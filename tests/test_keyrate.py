@@ -22,11 +22,12 @@ from mdiqkd.keyrate import (
     RateInputs,
     RatePoint,
     ScenarioKind,
-    _grid_constants,
+    _grid_weights,
     basis_tables,
     binary_entropy,
     grid_rates,
     key_rate,
+    rank_grid,
     rate_for_scenario,
 )
 from mdiqkd.optics import Basis, LinkSpec
@@ -265,13 +266,52 @@ class TestGridRates:
             LinkSpec(120.0),
             LinkSpec(50.0, relay_dark_rate=1e-6, misalignment=0.02),
         ]
-        before = _grid_constants.cache_info()
+        before = _grid_weights.cache_info()
         for link in links:
             rates = grid_rates(ScenarioKind("H1"), link, 0.1, grid, basis_tables(link))
             assert np.isfinite(rates).all()
-        after = _grid_constants.cache_info()
+        after = _grid_weights.cache_info()
         assert after.misses - before.misses == 1
         assert after.hits - before.hits == len(links) - 1
+
+    def test_rates_equal_the_point_rates_exactly(self):
+        # random links, cutoffs, heralding, f_ec, weak intensities and grids over all
+        # seven scenarios, raising points included: unit heralding collapses the
+        # coupled weak intensity to zero and f_ec < 1 fails RateInputs.  Every rate
+        # and the best point must be rate_for_scenario's to the bit
+        rng = np.random.default_rng(1017)
+        checked = 0
+        for trial in range(7 * 15):
+            name = SCENARIO_NAMES[trial % 7]
+            eta = 1.0 if trial % 10 == 3 else float(rng.uniform(0.3, 0.95))
+            scenario = ScenarioKind(name, eta)
+            link = LinkSpec(
+                float(rng.uniform(0.0, 320.0)),
+                relay_dark_rate=float(10.0 ** rng.uniform(-8.0, -5.0)),
+                misalignment=float(rng.uniform(0.0, 0.1)),
+                cutoff=int(rng.integers(2, 9)),
+            )
+            tables = basis_tables(link)
+            f_ec = 0.99 if trial % 10 == 6 else float(rng.uniform(1.0, 1.5))
+            mu_fixed = float(10.0 ** rng.uniform(-3.0, 0.0))
+            grid = np.sort(10.0 ** rng.uniform(-5.0, 0.5, 60))
+            if trial % 5 == 0:
+                grid[30] = mu_fixed  # W1 and H2 then have equal weak and strong records
+            rates, best = rank_grid(scenario, link, mu_fixed, grid, tables, f_ec)
+            points = []
+            for mu_prime in grid.tolist():
+                mu = scenario.weak_intensity(mu_prime, mu_fixed)
+                try:
+                    points.append(rate_for_scenario(scenario, link, mu, mu_prime, tables, f_ec))
+                except ValueError:
+                    points.append(None)
+            want = [p.rate if p is not None and p.valid else -math.inf for p in points]
+            where = (trial, name)
+            assert [r.hex() for r in rates.tolist()] == [r.hex() for r in want], where
+            top = int(np.argmax(want))
+            assert repr(best) == repr(points[top] if want[top] > -math.inf else None), where
+            checked += len(grid)
+        assert checked >= 5000
 
 
 def reference_rate(scenario, link, mu, mu_prime, tables, f_ec=DEFAULT_ERROR_CORRECTION):

@@ -17,7 +17,7 @@ from scipy import optimize as sciopt
 
 from mdiqkd import decoy, keyrate, runner
 from mdiqkd.decoy import GainTable, gain_from_yields, side_weights
-from mdiqkd.keyrate import SCENARIO_NAMES, RatePoint, basis_tables, grid_rates
+from mdiqkd.keyrate import SCENARIO_NAMES, RatePoint, basis_tables, grid_rates, rank_grid
 from mdiqkd.optics import Basis, yield_table
 from mdiqkd.runner import (
     GAIN_HEADER,
@@ -237,15 +237,20 @@ class TestOptimize:
 
     @pytest.mark.parametrize("name", ["W0", "H1"])
     def test_no_valid_grid_point_names_its_reason(self, name, monkeypatch):
-        # grid and point rates differ by rounding, so a grid with no valid
-        # rate can still lead to a valid first point, which the row reports
+        # grid rates are the point rates, so a grid with no valid rate has no
+        # valid point; when every point also raises, the asymptotic and the
+        # estimated row alike report the constructed no_valid_point row
         def no_valid_rate(scenario, link, mu_fixed, mu_primes, *args):
-            return np.full(len(mu_primes), -math.inf)
+            return np.full(len(mu_primes), -math.inf), None
 
-        monkeypatch.setattr(runner, "grid_rates", no_valid_rate)
+        def degenerate(*args):
+            raise ValueError("degenerate intensities")
+
+        monkeypatch.setattr(runner, "rank_grid", no_valid_rate)
+        monkeypatch.setattr(runner, "rate_for_scenario", degenerate)
         link = CFG.link_for(50.0)
         first = _evaluate(CFG.scenario_kind(name), link, CFG, CFG.mu_prime_min, basis_tables(link))
-        assert first.valid
+        assert first is None
         point = optimize_mu_prime(CFG.scenario_kind(name), link, CFG)
         assert (point.valid, point.rate, point.reason) == (False, 0.0, "no_valid_point")
 
@@ -344,15 +349,8 @@ def reference_optimize(scenario, link, config, tables, grid, points):
     return best
 
 
-# the batched grid sums its series in another order than the scalar loop;
-# the largest difference seen over the 13,020 grid points of the default
-# scenarios at 0:300:10 km is 4.5e-8, and cancellation in the Y11
-# numerator at small mu_prime can amplify rounding further
-GRID_REL_TOL = 1e-6
-
-
 def assert_batched_grid_matches(config, name, distances):
-    """Mask, argmax and rates of grid_rates, and the optimized rows, against the scalar loop."""
+    """Rates and best point of rank_grid, and the optimized rows, against the scalar loop."""
     scenario = config.scenario_kind(name)
     points = []
     for distance in distances:
@@ -360,13 +358,12 @@ def assert_batched_grid_matches(config, name, distances):
         tables = basis_tables(link)
         grid, ref_points = reference_grid(scenario, link, config, tables)
         ref = np.array([p.rate if p is not None and p.valid else -math.inf for p in ref_points])
-        got = grid_rates(scenario, link, config.mu_fixed, grid, tables, config.f_ec)
+        got, best = rank_grid(scenario, link, config.mu_fixed, grid, tables, config.f_ec)
         where = (name, distance)
-        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(ref), err_msg=str(where))
-        assert np.argmax(got) == np.argmax(ref), where
-        finite = np.isfinite(ref)
-        scale = np.maximum(np.abs(got[finite]), np.abs(ref[finite]))
-        assert np.all(np.abs(got[finite] - ref[finite]) <= GRID_REL_TOL * scale), where
+        # exact: the batched grid is the scalar point, bit for bit
+        assert [r.hex() for r in got.tolist()] == [r.hex() for r in ref.tolist()], where
+        top = int(np.argmax(ref))
+        assert best == (ref_points[top] if ref[top] > -math.inf else None), where
         point = optimize_mu_prime(scenario, link, config, tables)
         assert point == reference_optimize(scenario, link, config, tables, grid, ref_points), where
         points.append(point)
@@ -425,11 +422,11 @@ class TestBatchedGrid:
         # leak into cached grid weights other tests read
         monkeypatch.setattr(decoy, "COEFF_REL_TOL", -math.inf)
         monkeypatch.setattr(keyrate, "COEFF_REL_TOL", -math.inf)
-        keyrate._grid_constants.cache_clear()
+        keyrate._grid_weights.cache_clear()
         try:
             points = assert_batched_grid_matches(CFG, "H1", (50.0,))
         finally:
-            keyrate._grid_constants.cache_clear()
+            keyrate._grid_weights.cache_clear()
         assert {p.reason for p in points} == {"bound_conditions"}
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -942,6 +939,26 @@ class TestCli:
         ]) == 0
         assert "e11_upper = " in capsys.readouterr().out
         assert calls == {"side_weights": 2, "y11_coefficients": 1}
+
+    def test_bound_without_x_records_reports_the_yield_only(self, tmp_path, monkeypatch, capsys):
+        # the same report as on the full file, less its e11 line; whether X records
+        # exist is read off the table's keys, without iterating its sorted records
+        gains = TestGainCsv().make_gains()
+        full, z_only = tmp_path / "gains.csv", tmp_path / "z.csv"
+        full.write_text(emit_gain_csv(gains))
+        z_only.write_text(emit_gain_csv(GainTable(r for r in gains if r.basis is Basis.Z)))
+        cfg = tmp_path / "h1.cfg"
+        cfg.write_text("eta_heralding_H1 = 0.75\n")
+        monkeypatch.setattr(GainTable, "__iter__", None)
+        reports = []
+        for path in (full, z_only):
+            assert main([
+                "bound", "--config", str(cfg), "--gains", str(path), "--scheme", "H1",
+                "--mu", "0.125", "--mu-prime", "0.5", "--basis", "Z",
+            ]) == 0
+            reports.append(capsys.readouterr().out.splitlines())
+        assert reports[0][-1].startswith("e11_upper = ")
+        assert reports[1] == reports[0][:-1]
 
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_bound_rejects_ambiguous_records(self, basis, tmp_path, capsys):
