@@ -458,7 +458,11 @@ def y11_coefficients(
     denominator are then nan) or the denominator is not negative.  The
     bound is licensed when the margin is at most COEFF_REL_TOL.
     """
-    (wa1, wa2), (wb1, wb2), (sa1, sa2), (sb1, sb2) = (w[1:3].tolist() for w in (wa, wb, sa, sb))
+    # a symmetric setting passes one array as both sides; it is read once
+    wa1, wa2 = wa[1:3].tolist()
+    wb1, wb2 = (wa1, wa2) if wb is wa else wb[1:3].tolist()
+    sa1, sa2 = sa[1:3].tolist()
+    sb1, sb2 = (sa1, sa2) if sb is sa else sb[1:3].tolist()
     num_k = sa1 * sb2 + sa2 * sb1
     den_k = wa1 * wb2 + wa2 * wb1
     if num_k <= 0.0 or den_k <= 0.0:
@@ -474,10 +478,15 @@ def y11_coefficients(
     if denom >= 0.0:
         return k, denom, swapped, math.inf
 
-    # the relative violation of each coefficient with m, n >= 1 except (1, 1)
-    weak = k * (wa[1:, None] * wb[None, 1:])
-    strong = sa[1:, None] * sb[None, 1:]
-    rel = (strong - weak) / np.maximum(np.maximum(strong, weak), 1e-300)
+    # the relative violation of each coefficient with m, n >= 1 except (1, 1),
+    # (strong - weak) / max(strong, weak, 1e-300), built in place
+    weak = wa[1:, None] * wb[1:]
+    weak *= k
+    rel = sa[1:, None] * sb[1:]
+    top = np.maximum(rel, weak)
+    np.maximum(top, 1e-300, out=top)
+    rel -= weak
+    rel /= top
     rel[0, 0] = -math.inf
     return k, denom, swapped, float(rel.max())
 

@@ -33,7 +33,10 @@ over all its sides and its records as Python floats.  rank_grid
 evaluates a whole intensity grid in one batched pass of the same
 algebra (_RowContext.rates), exact to the point: its rates (grid_rates)
 equal rate_for_scenario's bit for bit, and it returns the best point's
-RatePoint, so the optimizer evaluates the grid winner only once.
+RatePoint, so the optimizer evaluates the grid winner only once.  The
+pass builds only the (side, table) sums a point reads: the signal's on
+Y_z and Y_z e_z, the strong and weak settings' on Y_z, Y_x and Y_x e_x;
+a weak side fixed at mu_fixed (W1, H2) is summed once per pass.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ DEFAULT_ERROR_CORRECTION = 1.16
 SCENARIO_NAMES = ("W0", "W1", "H0", "H1", "H2", "T0", "T1")
 
 _LOG2 = math.log(2.0)
+_log = math.log
 
 
 def binary_entropy(p: float) -> float:
@@ -93,12 +97,12 @@ def binary_entropy(p: float) -> float:
     >>> binary_entropy(0.5)
     1.0
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"entropy argument must lie in [0, 1], got {p}")
+    if 0.0 < p < 1.0:
+        q = 1.0 - p
+        return -(p * _log(p) + q * _log(q)) / _LOG2
     if p == 0.0 or p == 1.0:
         return 0.0
-    q = 1.0 - p
-    return -(p * math.log(p) + q * math.log(q)) / _LOG2
+    raise ValueError(f"entropy argument must lie in [0, 1], got {p}")
 
 
 @dataclass(frozen=True)
@@ -223,8 +227,11 @@ _side_weights = lru_cache(maxsize=2048)(side_weights)
 
 
 def _stacked_tables(tables: tuple[YieldTable, YieldTable]) -> np.ndarray:
-    """Per basis, the yields and the error-weighted yields: (Y_z, Y_z e_z, Y_x, Y_x e_x)."""
-    return np.stack([m for t in tables for m in (t.yields, t.yields * t.errors)])
+    """The tables a row's records are summed on, (Y_z e_z, Y_z, Y_x, Y_x e_x): the
+    signal reads the first two, Z's, and a setting the last three."""
+    table_z, table_x = tables
+    return np.stack((table_z.yields * table_z.errors, table_z.yields, table_x.yields,
+                     table_x.yields * table_x.errors))
 
 
 @lru_cache(maxsize=64)
@@ -258,12 +265,15 @@ def _plan(scenario: ScenarioKind, cutoff: int):
 @lru_cache(maxsize=32)
 def _grid_weights(scenario: ScenarioKind, mu_primes: tuple[float, ...], mu_fixed: float,
                   cutoff: int):
-    """The weight-only half of _RowContext.rates over a grid: (mus, usable, w, pq,
-    coeffs, a11).  mus are the weak intensities; usable marks the points
+    """The weight-only half of _RowContext.rates over a grid: (mus, usable, w, settings,
+    pq, coeffs, a11).  mus are the weak intensities; usable marks the points
     rate_for_scenario does not reject outright, the others get placeholder
     weights; w is _plan's factors times the photon rows, as (a or vac, point,
-    side, photon number); pq is q1^2 p1^2.  The estimated scenarios add each
-    point's y11_coefficients and the weak and strong (1, 1) coefficients a11."""
+    side, photon number); pq is q1^2 p1^2.  The estimated scenarios add the
+    setting rows, as (a or vac, row, photon number): the strong side at each
+    point, then the weak side at each point, or once when the weak intensity is
+    fixed at mu_fixed; and each point's y11_coefficients and the weak and strong
+    (1, 1) coefficients a11."""
     kind, estimated = scenario.distribution, not scenario.asymptotic
     q1, factors, vac0 = _plan(scenario, cutoff)[:3]
     mus = [scenario.weak_intensity(mu_prime, mu_fixed) for mu_prime in mu_primes]
@@ -274,28 +284,57 @@ def _grid_weights(scenario: ScenarioKind, mu_primes: tuple[float, ...], mu_fixed
             for mp, mu, ok in zip(mu_primes, mus, usable)]
     w = factors[:, None] * np.array(rows)
     pq = np.array([q1 * q1 * (r[0][1] * r[0][1]) for r in rows])
-    coeffs = a11 = None
+    settings = coeffs = a11 = None
     if estimated:
-        weak, strong = w[0, :, -1], w[0, :, 0]
-        coeffs = zip(*map(y11_coefficients, weak, weak, strong, strong))
+        a_weak, a_strong = w[0, :, -1], w[0, :, 0]
+        coeffs = zip(*(y11_coefficients(a, a, b, b) for a, b in zip(a_weak, a_strong)))
         coeffs = [np.array(c)[:, None] for c in coeffs]
-        a11 = np.stack((weak[:, 1] * weak[:, 1], strong[:, 1] * strong[:, 1]), axis=1)
-    return mus, np.array(usable), w, pq, coeffs, a11
+        a11 = np.stack((a_weak[:, 1] * a_weak[:, 1], a_strong[:, 1] * a_strong[:, 1]), axis=1)
+        weak = w[:, :, -1]
+        if not scenario.coupled_mu and True in usable:
+            # every usable point's weak side is the one at mu_fixed
+            first = usable.index(True)
+            weak = weak[:, first:first + 1]
+        settings = np.concatenate((w[:, :, 0], weak), axis=1)
+    return mus, np.array(usable), w, settings, pq, coeffs, a11
+
+
+def _views(mats: np.ndarray) -> tuple:
+    """The stride-preserving views of stacked tables that the matmul forms of
+    decoy.weight_parts read, column 0, row 0 and interior, and their (0, 0) corners."""
+    return mats[:, :, :1], mats[:, :1, :], mats[:, 1:, 1:], mats[:, 0, 0]
+
+
+def _side_sums(w: np.ndarray, vac0, views: tuple):
+    """(col, row, full) of each side vector of w, as (a or vac, ..., photon number), on
+    the tables of views, each as (..., table): the column and row sums weight_parts
+    takes and the (x, x) record as series_gain sums it, with the sides' vac0."""
+    col_mats, row_mats, inner_mats, corner = views
+    col = (w[1, ..., None, None, :] @ col_mats)[..., 0, 0]
+    row = (row_mats @ w[1, ..., None, :, None])[..., 0, 0]
+    inner = ((w[0, ..., None, None, 1:] @ inner_mats) @ w[0, ..., None, 1:, None])[..., 0, 0]
+    return col, row, inner + (vac0 * col + vac0 * row - vac0 * vac0 * corner)
+
+
+# the columns of _RowContext.setting_consts: vac0, z0, zero col, zero row, zero records, corner_x
+_CONST_SPANS = ((0, 1), (1, 2), (2, 5), (5, 8), (8, 11), (11, 12))
 
 
 class _RowContext:
     """What every evaluation of one (scenario, link, tables, f_ec) row shares.
 
     Built on a row's first rank_grid or rate_for_scenario call and reused
-    by every later one: _plan's part, the stacked tables with the views
-    and (0, 0) corners decoy.weight_parts and series_gain read, and each
-    zero-intensity side's vac0, column and row sums and (0, 0) record.  The
-    last weak setting's results are kept, so a weak intensity that does not
-    follow mu' (W1, H2) is assembled once per row.  A point costs one
-    photon row per intensity, one multiply by its sides' stacked factors,
-    weight_parts' three matmul forms over all its sides and one more for
-    their (x, x) interiors; the records and the estimator's inputs are then
-    Python floats in series_gain's order.
+    by every later one: _plan's part, the point's constants (distance,
+    name, q1^2, the factors of each side count), the stacked tables with
+    the views and (0, 0) corners decoy.weight_parts and series_gain read,
+    and each zero-intensity side's vac0, column and row sums and (0, 0)
+    record on the tables a setting reads.  The last weak setting's results
+    are kept, so a weak intensity that does not follow mu' (W1, H2) is
+    assembled once per row.  A point costs one photon row per intensity,
+    one multiply by its sides' stacked factors, weight_parts' three matmul
+    forms over all its sides and one more for their (x, x) interiors; the
+    records and the estimator's inputs are then Python floats in
+    series_gain's order.
     """
 
     def __init__(self, scenario: ScenarioKind, link: LinkSpec, tables, f_ec: float) -> None:
@@ -310,34 +349,52 @@ class _RowContext:
             )
         # the context holds the tables, so their ids cannot be reused while it lives
         self.key = (scenario, link, f_ec, id(tables[0]), id(tables[1]))
-        self.scenario, self.link, self.tables, self.f_ec = scenario, link, tables, f_ec
+        self.scenario, self.tables, self.f_ec = scenario, tables, f_ec
+        self.distance, self.name, self.cutoff = link.total_distance_km, scenario.name, link.cutoff
         self.kind, self.asymptotic = scenario.distribution, scenario.asymptotic
-        self.q1, self.factors, self.vac0, self.signal, zero_vac, zero_vac0 = _plan(
-            scenario, link.cutoff)
-        self.mats = _stacked_tables(tables)
-        # the asymptotic signal's own record only enters the Z basis
-        mats = self.mats[:2] if self.asymptotic else self.mats
-        self.views = (mats[None, :, :, :1], mats[None, :, :1, :], mats[None, :, 1:, 1:])
+        q1, factors, self.vac0, self.signal, zero_vac, zero_vac0 = _plan(scenario, link.cutoff)
+        self.q1_sq = q1 * q1
+        # a point's factors by its number of sides: all, or all but a kept weak side
+        self.side_factors = [factors[:, :n] for n in range(len(self.vac0) + 1)]
+        stacked = _stacked_tables(tables)
+        # the signal's tables, and a setting's: the asymptotic scenarios read no setting
+        signal, setting = stacked[:2], stacked[1:]
+        mats = signal if self.asymptotic else stacked
+        self.views = _views(mats)
         self.corner = mats[:, 0, 0].tolist()
         # what the asymptotic scenarios read for Y11 and e11
         self.true11 = float(table_z.yields[1, 1]), float(table_x.errors[1, 1])
-        zeros = weight_parts(None, zero_vac, zero_vac0, mats) if zero_vac0 else []
-        self.zero = [(z.vac0, z.col, z.row, series_gain(z, z, mats)) for z in zeros]
-        self.weak: tuple[float, np.ndarray, tuple[float, float, float]] | None = None
+        # each zero-intensity side's parts and (0, 0) record on a setting's tables
+        zeros = weight_parts(None, zero_vac, zero_vac0, setting) if zero_vac0 else []
+        self.zero = [(z.vac0, z.col, z.row, series_gain(z, z, setting)) for z in zeros]
+        self.weak: tuple[float, np.ndarray, tuple[float, float, float], float] | None = None
+        # rates' sums: the signal's on Z's two tables, the settings' on their three
+        self.signal_views = _views(signal)
+        if not self.asymptotic:
+            self.setting_corner = self.corner[1:]
+            self.setting_views = _views(setting)
+            # per setting, strong then weak: vac0, its zero side's vac0, column sums, row
+            # sums and (0, 0) records, and that record's X gain times its qber
+            self.setting_consts = np.array([
+                (v, z0, *zc, *zr, *zz, zz[1] * (zz[2] / zz[1] if zz[1] > 0.0 else 0.0))
+                for v, (z0, zc, zr, zz) in ((self.vac0[0], self.zero[-1]),
+                                            (self.vac0[-1], self.zero[0]))
+            ])
 
     def setting(self, vac0: float, col, row, inner, zero) -> tuple[float, float, float]:
         """A symmetric setting's interior gains in Z and X (decoy.interior_gain) and X
         error moment (decoy.error_moment), from its side's vac0 and per-table column
-        sums, row sums and (x, x) interiors, and its zero side's."""
+        sums, row sums and (x, x) interiors, and its zero side's on a setting's tables."""
         z0, zero_col, zero_row, zero_gain = zero
-        # series_gain's (x, x), (x, 0), (0, x) and (0, 0) records on each table, where a
-        # record with a zero side takes the +0.0 its skipped interior gave
-        z_gains, _, x_gains, x_wrongs = [
+        # series_gain's (x, x), (x, 0), (0, x) and (0, 0) records on each table a setting
+        # reads, (Y_z, Y_x, Y_x e_x), where a record with a zero side takes the +0.0 its
+        # skipped interior gave
+        z_gains, x_gains, x_wrongs = [
             (i + (vac0 * c + vac0 * r - vac0 * vac0 * m),
              0.0 + (z0 * c + vac0 * zr - vac0 * z0 * m),
              0.0 + (vac0 * zc + z0 * r - z0 * vac0 * m), zz)
-            for i, c, r, zc, zr, m, zz in zip(
-                inner, col, row, zero_col, zero_row, self.corner, zero_gain)
+            for i, c, r, m, zc, zr, zz in zip(inner[1:], col[1:], row[1:], self.setting_corner,
+                                               zero_col, zero_row, zero_gain)
         ]
         # each X record's gain times its qber, as record_qber takes it
         x = [g * (w / g if g > 0.0 else 0.0) for g, w in zip(x_gains, x_wrongs)]
@@ -345,7 +402,7 @@ class _RowContext:
 
     def rate(self, mu: float, mu_prime: float) -> RatePoint:
         """rate_for_scenario's point at these intensities; mu_prime is > 0."""
-        kind, cutoff = self.kind, self.link.cutoff
+        kind, cutoff = self.kind, self.cutoff
         photons = photon_row(kind, mu_prime, cutoff)
         kept = self.weak
         # every side but the weak one is at mu'
@@ -358,8 +415,8 @@ class _RowContext:
                 kept = None
         sides = len(rows)
         # each side's a and vac weights, as (a or vac, side, photon number)
-        w = self.factors[:, :sides] * np.array(rows)
-        col_mats, row_mats, inner_mats = self.views
+        w = self.side_factors[sides] * np.array(rows)
+        col_mats, row_mats, inner_mats, _ = self.views
         col = (w[1, :, None, None, :] @ col_mats).reshape(sides, -1).tolist()
         row = (row_mats @ w[1, :, None, :, None]).reshape(sides, -1).tolist()
         inner = (w[0, :, None, None, 1:] @ inner_mats) @ w[0, :, None, 1:, None]
@@ -367,10 +424,12 @@ class _RowContext:
         if self.asymptotic:
             y11, e11 = self.true11
         else:
+            # each side's (1,1) interior weight, as single_pair_gain takes it
+            a1 = w[0, :, 1].tolist()
             if kept is None:
                 weak = self.setting(self.vac0[-1], col[-1], row[-1], inner[-1], self.zero[0])
-                kept = self.weak = (mu, w[0, -1], weak)
-            _, wa, weak = kept
+                kept = self.weak = (mu, w[0, -1], weak, a1[-1] * a1[-1])
+            _, wa, weak, weak11 = kept
             sa = w[0, 0]
             strong = self.setting(self.vac0[0], col[0], row[0], inner[0], self.zero[-1])
             coeffs = y11_coefficients(wa, wa, sa, sa)
@@ -378,16 +437,16 @@ class _RowContext:
             if not licensed:
                 return self.point(mu, mu_prime, y11, 0.0, 0.0, "bound_conditions")
             y11_x, _, _ = y11_from_series(coeffs, weak[1], strong[1])
-            # each setting's (1,1) interior coefficient, as single_pair_gain takes it
-            s11 = (float(wa[1] * wa[1]) * y11_x, float(sa[1] * sa[1]) * y11_x)
+            s11 = (weak11 * y11_x, (a1[0] * a1[0]) * y11_x)
             try:
                 e11 = e11_from_moments((weak[2], strong[2]), s11)
             except BoundUnavailableError:
                 return self.point(mu, mu_prime, y11, 0.0, 0.0, "e11_unavailable")
-        # the signal's (x, x) gain and error-weighted gain in Z
-        s = self.signal
+        # the signal's (x, x) error-weighted gain and gain in Z
+        s, m = self.signal, self.corner
         v, c, r, i = self.vac0[s], col[s], row[s], inner[s]
-        gain_z, wrong_z = (i[t] + (v * c[t] + v * r[t] - v * v * self.corner[t]) for t in (0, 1))
+        wrong_z = i[0] + (v * c[0] + v * r[0] - v * v * m[0])
+        gain_z = i[1] + (v * c[1] + v * r[1] - v * v * m[1])
         p1 = photons[1]
         rate = key_rate(
             RateInputs(
@@ -396,7 +455,7 @@ class _RowContext:
                 gain_z=gain_z,
                 qber_z=record_qber(gain_z, wrong_z),
                 p1_sq=p1 * p1,
-                q1_sq=self.q1 * self.q1,
+                q1_sq=self.q1_sq,
                 f_ec=self.f_ec,
             )
         )
@@ -404,28 +463,25 @@ class _RowContext:
 
     def point(self, mu, mu_prime, y11, e11, rate, reason="") -> RatePoint:
         mu_out = 0.0 if self.asymptotic else mu
-        return RatePoint(self.link.total_distance_km, self.scenario.name, mu_out, mu_prime,
-                         y11, e11, rate, valid=not reason, reason=reason)
+        return RatePoint(self.distance, self.name, mu_out, mu_prime, y11, e11, rate,
+                         valid=not reason, reason=reason)
 
     def rates(self, mu_fixed: float, mu_primes: tuple[float, ...]):
         """(rates, best): .rate's rate at each mu_prime, with the weak intensity
         scenario.weak_intensity(mu_prime, mu_fixed), -inf where .rate returns an
         invalid point or raises, and the first best RatePoint, or None.  Bit for
         bit .rate's: its matmul forms with (point, side) as leading axes, its
-        algebra elementwise in its order, binary_entropy per valid point."""
+        algebra elementwise in its order, binary_entropy per valid point.  Only
+        the sums a point reads are built: the signal's on (Y_z e_z, Y_z), the
+        strong and weak settings' on (Y_z, Y_x, Y_x e_x), and a weak side fixed
+        at mu_fixed once, not once per point."""
         out = np.full(len(mu_primes), -math.inf)
-        mus, usable, w, pq, coeffs, a11 = _grid_weights(
-            self.scenario, mu_primes, mu_fixed, self.link.cutoff)
-        points, sides = w.shape[1:3]
-        col_mats, row_mats, inner_mats = self.views
-        # each as (point, side, table)
-        col = (w[1, :, :, None, None, :] @ col_mats).reshape(points, sides, -1)
-        row = (row_mats @ w[1, :, :, None, :, None]).reshape(points, sides, -1)
-        inner = (w[0, :, :, None, None, 1:] @ inner_mats) @ w[0, :, :, None, 1:, None]
-        v, m = np.array(self.vac0)[:, None], np.array(self.corner)
-        # every side's (x, x) record, as series_gain sums it
-        full = inner.reshape(points, sides, -1) + (v * col + v * row - v * v * m)
-        gain_z, wrong_z = full[:, self.signal, 0], full[:, self.signal, 1]
+        mus, usable, w, settings, pq, coeffs, a11 = _grid_weights(
+            self.scenario, mu_primes, mu_fixed, self.cutoff)
+        points = len(mus)
+        s = self.signal
+        full = _side_sums(w[:, :, s], self.vac0[s], self.signal_views)[2]
+        wrong_z, gain_z = full[:, 0], full[:, 1]
 
         def qber(gain, wrong):
             return np.where(gain > 0.0, wrong / gain, 0.0)
@@ -439,27 +495,28 @@ class _RowContext:
             if self.asymptotic:
                 y11, e11 = self.true11
             else:
-                # .setting's (x, 0), (0, x) and (0, 0) records of strong (side 0) and weak
-                # (last), in its order; a signal side between them takes weak's zero side
-                # and goes unused
-                zero = [self.zero[-1]] + [self.zero[0]] * (sides - 1)
-                z0, zc, zr, zz = (np.reshape(part, (sides, -1)) for part in zip(*zero))
+                # .setting's records, as (setting row, table): strong's rows, one per
+                # point, then weak's, one per point or one for all
+                weak_rows = settings.shape[1] - points
+                consts = np.repeat(self.setting_consts, (points, weak_rows), axis=0)
+                v, z0, zc, zr, zz, corner_x = (consts[:, a:b] for a, b in _CONST_SPANS)
+                col, row, full = _side_sums(settings, v, self.setting_views)
+                m = self.setting_views[3]
                 row_x = 0.0 + (z0 * col + v * zr - v * z0 * m)
                 row_y = 0.0 + (v * zc + z0 * row - z0 * v * m)
-                # interior gains in Z and X, and X error moments, weak then strong
-                gains = (full - (row_x + row_y - zz))[:, :, ::2]
-                weak, strong = gains[:, -1], gains[:, 0]
-                x_records = np.stack((full, row_x, row_y))[..., 2:]
-                x = x_records[..., 0] * qber(x_records[..., 0], x_records[..., 1])
-                corner_x = zz[:, 2] * qber(zz[:, 2], zz[:, 3])
-                moments = (x[0] - x[1] - x[2] + corner_x)[:, [-1, 0]]
+                # interior gains in Z and X, and X error moments
+                gains = (full - (row_x + row_y - zz))[:, :2]
+                x = [rec[:, 1] * qber(rec[:, 1], rec[:, 2]) for rec in (full, row_x, row_y)]
+                moments = x[0] - x[1] - x[2] + corner_x[:, 0]
+                strong, weak = gains[:points], gains[points:]
                 k, denom, swapped, margin = coeffs
                 # y11_from_series' value in Z and X; its licence reads the tolerance now
                 lead, other = np.where(swapped, strong, weak), np.where(swapped, weak, strong)
                 y11 = clamp((k * lead - other) / denom, 1.0)
                 y11, s11 = y11[:, 0], a11 * y11[:, 1:]
                 # e11_from_moments' min over the candidates of positive s11, in list order
-                (c_weak, c_strong), (s_weak, s_strong) = (moments / s11).T, (s11 > 0.0).T
+                c_weak, c_strong = moments[points:] / s11[:, 0], moments[:points] / s11[:, 1]
+                s_weak, s_strong = (s11 > 0.0).T
                 pick = s_strong & (~s_weak | (c_strong < c_weak))
                 e11 = clamp(np.where(pick, c_strong, c_weak), 0.5)
                 valid = valid & (margin[:, 0] <= COEFF_REL_TOL) & (s_weak | s_strong)

@@ -22,6 +22,9 @@ photon-count caps and are cached once per pair of caps.  The mode
 amplitudes (state and misalignment) and the dark-count weights depend on
 the relay; per relay and pair of bases only their powers are gathered and
 reduced, in one array pass, and the resulting tables are cached.
+Misalignment rotates only Bob's arm, so Alice's factors of those sums are
+relay-independent and cached once per her basis and the caps.  A link's
+Z and X tables share one binomial thinning matrix.
 """
 
 from __future__ import annotations
@@ -163,11 +166,15 @@ def thin(m: int, survival: float) -> np.ndarray:
     return np.array([_binom_pmf(m, k, survival) for k in range(m + 1)])
 
 
+# one slot: a link's two tables, built back to back, share one matrix
+@lru_cache(maxsize=1)
 def _thin_matrix(n_max: int, survival: float) -> np.ndarray:
-    """Matrix T with T[m, k] = P(k of m photons survive)."""
-    return np.array(
+    """Read-only matrix T with T[m, k] = P(k of m photons survive)."""
+    t_mat = np.array(
         [[_binom_pmf(m, k, survival) for k in range(n_max + 1)] for m in range(n_max + 1)]
     )
+    t_mat.flags.writeable = False
+    return t_mat
 
 
 def bs_output(j: int, k: int) -> dict[tuple[int, int], float]:
@@ -262,6 +269,23 @@ def _pattern_terms(cap_a: int, cap_b: int) -> tuple[np.ndarray, ...]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _alice_terms(states_a: tuple[BB84State, ...], cap_a: int, cap_b: int):
+    """Alice's half of _pair_tables, which no relay setting changes (misalignment
+    rotates only Bob's arm): per state of states_a, the binomials times her power
+    pairs of each pattern sum term, and the single-mode weights times her squared
+    powers, shaped to broadcast against Bob's states.  Read-only."""
+    coeff, alice, _, _, _, _, single = _pattern_terms(cap_a, cap_b)
+    u = np.array([(x, y, x, y) for x, y in map(_jones, states_a)]) * _SQRT1_2
+    pow_u = u[:, :, None] ** np.arange(cap_a + 1)
+    # per state and pattern, every product (power of mode i) * (power of mode j)
+    pair_u = (pow_u[:, _PATTERN_I, :, None] * pow_u[:, _PATTERN_J, None, :]).reshape(len(u), 4, -1)
+    terms = (coeff * pair_u.take(alice, axis=-1))[:, None]
+    alone = single * (pow_u * pow_u)[:, None, :, :, None]
+    terms.flags.writeable = alone.flags.writeable = False
+    return terms, alone
+
+
 # bounded: every relay setting adds one entry per pair of bases and caps,
 # and a relay sweep never returns to an old setting
 @lru_cache(maxsize=64)
@@ -288,21 +312,20 @@ def _pair_tables(
     clicks: (1 - d)^2 [P_ij + d (P_i + P_j) + d^2 [k = 0]], where P_ij is
     the chance that both modes are occupied and P_i the chance that all
     k photons are in mode i.  The terms of P_ij come from
-    _pattern_terms(cap_a, cap_b); only the amplitude powers are per relay.
+    _pattern_terms(cap_a, cap_b) and Alice's factors from _alice_terms; only
+    Bob's amplitude powers are per relay.
     """
     theta = math.asin(math.sqrt(misalignment))
     # per state, the amplitudes on modes (cH, cV, dH, dV); Bob's port d picks up the minus sign
     jones_b = [_rotated(_jones(s), theta) for s in states_b]
-    u = np.array([(x, y, x, y) for x, y in map(_jones, states_a)]) * _SQRT1_2
     v = np.array([(x, y, -x, -y) for x, y in jones_b]) * _SQRT1_2
-    coeff, alice, bob, starts, norm, cell, single = _pattern_terms(cap_a, cap_b)
-    pow_u = u[:, :, None] ** np.arange(cap_a + 1)
+    _, _, bob, starts, norm, cell, _ = _pattern_terms(cap_a, cap_b)
+    alice_terms, alice_alone = _alice_terms(states_a, cap_a, cap_b)
     pow_v = v[:, :, None] ** np.arange(cap_b + 1)
     # per state and pattern, every product (power of mode i) * (power of mode j)
-    pair_u = (pow_u[:, _PATTERN_I, :, None] * pow_u[:, _PATTERN_J, None, :]).reshape(len(u), 4, -1)
     pair_v = (pow_v[:, _PATTERN_I, :, None] * pow_v[:, _PATTERN_J, None, :]).reshape(len(v), 4, -1)
     # group sums per (Alice's state, Bob's state, pattern); take keeps the terms contiguous
-    terms = coeff * pair_u.take(alice, axis=-1)[:, None] * pair_v.take(bob, axis=-1)[None]
+    terms = alice_terms * pair_v.take(bob, axis=-1)[None]
     amps = np.add.reduceat(terms, starts, axis=-1)
     shape = (cap_a + 1, cap_b + 1)
     size = shape[0] * shape[1]
@@ -312,7 +335,7 @@ def _pair_tables(
         weights=(norm * amps * amps).ravel(),
         minlength=math.prod(rows) * size,
     ).reshape(*rows, *shape)
-    alone = single * (pow_u * pow_u)[:, None, :, :, None] * (pow_v * pow_v)[None, :, :, None, :]
+    alone = alice_alone * (pow_v * pow_v)[None, :, :, None, :]
     empty = np.zeros(shape)
     empty[0, 0] = 1.0
     d = dark_rate

@@ -10,10 +10,12 @@ golden-section refinement with a fixed tolerance, and repr-based float
 serialization that round-trips exactly.  The grid and its logarithms
 are built once per (mu_prime_min, mu_prime_max, grid_points).  The
 optimizer ranks the grid in one batched pass exact to rate_for_scenario
-(keyrate.rank_grid), which also gives the grid winner's point; the
-refinement uses rate_for_scenario, whose row context (see keyrate)
-assembles what no point changes once per row, and per point only the
-photon rows and sides at that point's own intensities.
+(keyrate.rank_grid), which also gives the grid winner's point; a golden
+bracket point whose mu_prime is exactly a grid value reads its cost from
+those rates.  Every other refinement point uses rate_for_scenario, whose
+row context (see keyrate) assembles what no point changes once per row,
+and per point only the photon rows and sides at that point's own
+intensities.
 """
 
 from __future__ import annotations
@@ -330,9 +332,12 @@ def optimize_mu_prime(
 
     A fixed log-spaced grid locates the basin, golden-section search on
     the log axis refines it.  The batched rank_grid, exact to
-    rate_for_scenario, ranks the grid and returns the winning grid point;
-    every refinement step and the fallback below use rate_for_scenario,
-    and each distinct mu_prime is evaluated once per call.  If no grid
+    rate_for_scenario, ranks the grid and returns the winning grid point.
+    A bracket point whose exp(log) round-trips to its grid value costs
+    what the grid rated it (-rate, or inf where the grid reads -inf), as
+    rate_for_scenario would give bit for bit; every other refinement step
+    and the fallback below use rate_for_scenario, and each distinct
+    mu_prime is evaluated at most once per call.  If no grid
     point yields a positive rate the best point is returned flagged
     invalid with rate 0.
     """
@@ -360,8 +365,16 @@ def optimize_mu_prime(
     best_i = int(np.argmax(rates))
     memo[float(grid[best_i])] = best
     if 0 < best_i < len(grid) - 1:
+        # a bracket point whose exp round-trips to its grid value costs what the
+        # grid rated it: -rate, or inf where the grid reads -inf
+        near = slice(best_i - 1, best_i + 2)
+        known = dict(zip(grid[near].tolist(), (-rates[near]).tolist()))
+
         def cost(lg: float) -> float:
-            pt = evaluate(float(math.exp(lg)))
+            mu_prime = float(math.exp(lg))
+            if mu_prime in known:
+                return known[mu_prime]
+            pt = evaluate(mu_prime)
             if pt is None or not pt.valid:
                 return math.inf
             return -pt.rate

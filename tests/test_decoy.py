@@ -384,6 +384,20 @@ class TestY11Coefficients:
         assert checked > 100
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sides=st.integers(3, 9).flatmap(
+            lambda n: st.lists(st.floats(0.0, 1.0), min_size=2 * n, max_size=2 * n)
+        )
+    )
+    def test_one_array_as_both_sides_equals_two_copies(self, sides):
+        # a symmetric setting may pass one array as both of its sides
+        w, s = np.array(sides[: len(sides) // 2]), np.array(sides[len(sides) // 2:])
+        shared = y11_coefficients(w, w, s, s)
+        copied = y11_coefficients(w, w.copy(), s, s.copy())
+        assert [float(x).hex() for x in shared] == [float(x).hex() for x in copied]
+
+
 class TestY11LowerBound:
     def make_gains(self, table):
         return grid_gains([H1_WEAK, H1_STRONG], [table])

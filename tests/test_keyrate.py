@@ -274,6 +274,25 @@ class TestGridRates:
         assert after.misses - before.misses == 1
         assert after.hits - before.hits == len(links) - 1
 
+    @pytest.mark.parametrize("name, setting_rows", [
+        ("W0", None), ("W1", 61), ("H2", 61), ("H1", 120), ("T1", 120),
+    ])
+    def test_sums_only_what_a_point_reads(self, name, setting_rows, monkeypatch):
+        # the signal's sums on (Y_z, Y_z e_z), the strong and weak settings' on
+        # (Y_z, Y_x, Y_x e_x); a weak side fixed at mu_fixed is summed once, not per point
+        passes = []
+        sums = keyrate._side_sums
+
+        def spy(w, vac0, views):
+            passes.append((w.shape[1:-1], len(views[3])))
+            return sums(w, vac0, views)
+
+        monkeypatch.setattr(keyrate, "_side_sums", spy)
+        link = LinkSpec(70.0)
+        rank_grid(ScenarioKind(name), link, 0.1, np.geomspace(1e-4, 1.5, 60), basis_tables(link))
+        expected = [((60,), 2)] + ([((setting_rows,), 3)] if setting_rows else [])
+        assert passes == expected
+
     def test_rates_equal_the_point_rates_exactly(self):
         # random links, cutoffs, heralding, f_ec, weak intensities and grids over all
         # seven scenarios, raising points included: unit heralding collapses the

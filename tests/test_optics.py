@@ -16,6 +16,7 @@ from _oracles import (
     single_pair_tables_reference,
     yield_cell_oracle,
 )
+from mdiqkd import optics
 from mdiqkd.optics import (
     BASIS_STATES,
     SAFETY_CAP,
@@ -328,6 +329,33 @@ class TestOracleMemo:
 
 
 class TestYieldTable:
+    def test_both_bases_share_one_thinning_matrix(self, monkeypatch):
+        # a survival no other test uses: the Z and X tables of one link thin through
+        # one matrix, (cutoff + 1)^2 binomials, not one matrix per basis
+        calls = []
+        pmf = optics._binom_pmf
+
+        def spy(m, k, survival):
+            calls.append((m, k))
+            return pmf(m, k, survival)
+
+        monkeypatch.setattr(optics, "_binom_pmf", spy)
+        link = LinkSpec(41.3, cutoff=6)
+        yield_table(link, Basis.Z)
+        yield_table(link, Basis.X)
+        assert len(calls) == 7 * 7
+
+    def test_alice_half_is_shared_by_every_relay_setting(self):
+        # relay settings no other test uses: each computes new pair tables, all on
+        # Alice's one relay-independent half of its basis and caps
+        terms, tables = optics._alice_terms.cache_info(), _pair_tables.cache_info()
+        for dark_rate in (1.1e-6, 1.2e-6, 1.3e-6):
+            yield_table(LinkSpec(20.0, relay_dark_rate=dark_rate, misalignment=0.0177), Basis.Z)
+        assert _pair_tables.cache_info().misses - tables.misses == 3
+        after = optics._alice_terms.cache_info()
+        assert after.misses - terms.misses <= 1
+        assert after.hits + after.misses - terms.hits - terms.misses == 3
+
     def test_single_pair_lossless_values(self):
         for basis in (Basis.Z, Basis.X):
             table = yield_table(IDEAL, basis)

@@ -44,8 +44,23 @@ CFG = ScanConfig()
 
 
 @pytest.fixture(scope="module")
-def default_rows():
-    return scan(ScanConfig())
+def default_scan():
+    """The default scan's rows, and the mu' of every rate_for_scenario call it made."""
+    seen = []
+
+    def spy(scenario, link, mu, mu_prime, *args):
+        seen.append(mu_prime)
+        return keyrate.rate_for_scenario(scenario, link, mu, mu_prime, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "rate_for_scenario", spy)
+        rows = scan(ScanConfig())
+    return rows, seen
+
+
+@pytest.fixture(scope="module")
+def default_rows(default_scan):
+    return default_scan[0]
 
 
 class TestParseDistances:
@@ -268,6 +283,33 @@ class TestOptimize:
         assert point.valid
         assert point.mu_prime in seen
         assert len(seen) == len(set(seen))
+
+
+    @pytest.mark.parametrize("name", ["W1", "H0", "H1", "T1"])
+    def test_bracket_ends_on_the_grid_are_never_evaluated(self, name, monkeypatch):
+        # a bracket end whose exp(log g) round-trips to the grid value g costs what
+        # the grid rated it, so rate_for_scenario never sees that mu'
+        seen = []
+
+        def spy(scenario, link, mu, mu_prime, *args):
+            seen.append(mu_prime)
+            return keyrate.rate_for_scenario(scenario, link, mu, mu_prime, *args)
+
+        monkeypatch.setattr(runner, "rate_for_scenario", spy)
+        grid, logs = runner._grid(CFG.mu_prime_min, CFG.mu_prime_max, CFG.grid_points)
+        link = CFG.link_for(100.0)
+        tables = basis_tables(link)
+        scenario = CFG.scenario_kind(name)
+        rates, _ = rank_grid(scenario, link, CFG.mu_fixed, grid, tables, CFG.f_ec)
+        best_i = int(np.argmax(rates))
+        ends = [
+            float(grid[i]) for i in (best_i - 1, best_i + 1)
+            if math.exp(float(logs[i])) == float(grid[i])
+        ]
+        assert 0 < best_i < len(grid) - 1 and ends
+        point = optimize_mu_prime(scenario, link, CFG, tables)
+        assert point.valid and seen
+        assert not set(ends) & set(seen)
 
 
 # rows the benchmark's reference scan recorded; tier-1 reads them too so a
@@ -577,6 +619,14 @@ class TestScan:
         # every digit of every row of the default scan, as `mdiqkd scan` prints it
         text = emit_csv(default_rows)
         assert hashlib.md5(text.encode()).hexdigest() == "86fd30844b6bb162725878c6d4ad9329"
+
+    def test_default_scan_reads_grid_rated_bracket_ends_from_the_grid(self, default_scan):
+        # 7,228 scalar evaluations when every bracket end went through
+        # rate_for_scenario; the rows stay those of the byte-stable CSV above
+        rows, seen = default_scan
+        assert len(rows) == 7 * 61
+        assert len(seen) < 7228
+        assert hashlib.md5(emit_csv(rows).encode()).hexdigest() == "86fd30844b6bb162725878c6d4ad9329"
 
     def test_reported_numbers_are_plain_floats(self, default_rows):
         # np.float64 is a float subclass that prints and compares alike, so

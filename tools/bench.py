@@ -1,5 +1,7 @@
 """`python3 tools/bench.py PR` writes BENCH_<PR>.json at the repo root: perfbench/run.py 3 x 10 s
-per workload (median, IQR and runs of each end-to-end metric), 5 wall times each of `import mdiqkd`,
+per workload (median, IQR and runs of each end-to-end metric, and of the unscaled `raw_ops_per_s`
+and the calibration probe's `kernel_ms_p50` from each run's record line, which tell a change of
+the program from a change of the probe), 5 wall times each of `import mdiqkd`,
 `mdiqkd scan` and `mdiqkd optimize --scenario H1 --distance 100`, the core count, versions and the
 git commit.  It prints each metric's change against the highest-numbered earlier BENCH_*.json,
 with that file's IQR beside it."""
@@ -15,6 +17,9 @@ WALL = {
     "scan_s": ("-m", "mdiqkd", "scan"),
     "optimize_s": ("-m", "mdiqkd", "optimize", "--scenario", "H1", "--distance", "100"),
 }
+
+# unscaled throughput and the calibration probe of each run, from its record line
+RECORD_KEYS = ("raw_ops_per_s", "kernel_ms_p50")
 
 
 def run(*args: str) -> str:
@@ -45,11 +50,16 @@ out = {"commit": run("git", "rev-parse", "HEAD").strip(), "nproc": os.cpu_count(
 for key, args in WALL.items():
     out[key] = summary(timeit.repeat(lambda: run(sys.executable, *args), number=1, repeat=5))
 for name in (w["name"] for w in SPEC["workloads"]):
-    runs = [json.loads(run(sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
-                           "--seconds", "10").splitlines()[-1]) for seed in (1, 2, 3)]
+    outputs = [run(sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
+                   "--seconds", "10").splitlines() for seed in (1, 2, 3)]
+    runs = [json.loads(lines[-1]) for lines in outputs]
+    records = [json.loads(line)["record"] for lines in outputs for line in lines
+               if line.startswith('{"record"')]
     out[name] = {"failed": sum(r["failed"] for r in runs)}
     for metric in (m["name"] for m in SPEC["end_to_end"]):
         out[name][metric] = summary([r["metrics"][metric]["value"] for r in runs])
+    for key in RECORD_KEYS:
+        out[name][key] = summary([r[key] for r in records])
 (ROOT / f"BENCH_{pr}.json").write_text(json.dumps(out, indent=1) + "\n")
 
 prev = max((int(m[1]) for p in ROOT.glob("BENCH_*.json")
