@@ -88,6 +88,7 @@ DEFAULT_ERROR_CORRECTION = 1.16
 SCENARIO_NAMES = ("W0", "W1", "H0", "H1", "H2", "T0", "T1")
 
 _LOG2 = math.log(2.0)
+# bound once: a rate point takes two entropies, a grid two per valid point
 _log = math.log
 
 
@@ -359,17 +360,15 @@ class _RowContext:
         stacked = _stacked_tables(tables)
         # the signal's tables, and a setting's: the asymptotic scenarios read no setting
         signal, setting = stacked[:2], stacked[1:]
-        mats = signal if self.asymptotic else stacked
-        self.views = _views(mats)
-        self.corner = mats[:, 0, 0].tolist()
+        self.signal_views = _views(signal)
+        self.views = self.signal_views if self.asymptotic else _views(stacked)
+        self.corner = self.views[3].tolist()
         # what the asymptotic scenarios read for Y11 and e11
         self.true11 = float(table_z.yields[1, 1]), float(table_x.errors[1, 1])
         # each zero-intensity side's parts and (0, 0) record on a setting's tables
         zeros = weight_parts(None, zero_vac, zero_vac0, setting) if zero_vac0 else []
         self.zero = [(z.vac0, z.col, z.row, series_gain(z, z, setting)) for z in zeros]
         self.weak: tuple[float, np.ndarray, tuple[float, float, float], float] | None = None
-        # rates' sums: the signal's on Z's two tables, the settings' on their three
-        self.signal_views = _views(signal)
         if not self.asymptotic:
             self.setting_corner = self.corner[1:]
             self.setting_views = _views(setting)
