@@ -278,7 +278,7 @@ class TestGridRates:
         ("W0", None), ("W1", 61), ("H2", 61), ("H1", 120), ("T1", 120),
     ])
     def test_sums_only_what_a_point_reads(self, name, setting_rows, monkeypatch):
-        # the signal's sums on (Y_z, Y_z e_z), the strong and weak settings' on
+        # the signal's sums on (Y_z e_z, Y_z), the strong and weak settings' on
         # (Y_z, Y_x, Y_x e_x); a weak side fixed at mu_fixed is summed once, not per point
         passes = []
         sums = keyrate._side_sums

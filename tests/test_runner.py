@@ -43,17 +43,21 @@ from mdiqkd.source import DistributionKind, HeraldingDetector, SourceSpec, Trigg
 CFG = ScanConfig()
 
 
-@pytest.fixture(scope="module")
-def default_scan():
-    """The default scan's rows, and the mu' of every rate_for_scenario call it made."""
-    seen = []
-
+def recording(seen):
+    """A stand-in for runner.rate_for_scenario that appends each mu' it evaluates to seen."""
     def spy(scenario, link, mu, mu_prime, *args):
         seen.append(mu_prime)
         return keyrate.rate_for_scenario(scenario, link, mu, mu_prime, *args)
 
+    return spy
+
+
+@pytest.fixture(scope="module")
+def default_scan():
+    """The default scan's rows, and the mu' of every rate_for_scenario call it made."""
+    seen = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(runner, "rate_for_scenario", spy)
+        patch.setattr(runner, "rate_for_scenario", recording(seen))
         rows = scan(ScanConfig())
     return rows, seen
 
@@ -290,12 +294,7 @@ class TestOptimize:
         # a bracket end whose exp(log g) round-trips to the grid value g costs what
         # the grid rated it, so rate_for_scenario never sees that mu'
         seen = []
-
-        def spy(scenario, link, mu, mu_prime, *args):
-            seen.append(mu_prime)
-            return keyrate.rate_for_scenario(scenario, link, mu, mu_prime, *args)
-
-        monkeypatch.setattr(runner, "rate_for_scenario", spy)
+        monkeypatch.setattr(runner, "rate_for_scenario", recording(seen))
         grid, logs = runner._grid(CFG.mu_prime_min, CFG.mu_prime_max, CFG.grid_points)
         link = CFG.link_for(100.0)
         tables = basis_tables(link)
