@@ -24,7 +24,7 @@ closed-form totals of the weight distributions.
 
 A side's weights are its photon row times the factors of its event
 class (side_factors).  Those factors are cached per (heralding detector,
-class, cutoff) and shared read-only by every caller, as photon rows are.
+class, cutoff) and shared read-only by every caller.
 A side at intensity zero has no interior weights, so a record with one
 is its vacuum rows alone (see SeriesParts).
 
@@ -47,7 +47,6 @@ import numpy as np
 
 from .optics import Basis, YieldTable
 from .source import (
-    DistributionKind,
     HeraldingDetector,
     SourceSpec,
     TriggerClass,
@@ -111,17 +110,6 @@ class SideWeights:
     vac_total: float
 
 
-# the triggered and non-triggered sides of one intensity share a row, and
-# a scan's golden refinement adds a fresh intensity at every step, so the
-# cache is bounded
-@lru_cache(maxsize=1024)
-def _photon_row(kind: DistributionKind, intensity: float, cutoff: int) -> np.ndarray:
-    """Read-only photon_row(kind, intensity, cutoff) as an array."""
-    row = np.array(photon_row(kind, intensity, cutoff))
-    row.flags.writeable = False
-    return row
-
-
 # one bound call builds its sides from at most two classes of one detector, and a
 # scan reaches this once per (scenario, cutoff) through keyrate's plan
 @lru_cache(maxsize=64)
@@ -147,7 +135,7 @@ def side_weights(source: SourceSpec, cutoff: int) -> SideWeights:
     """Series weights of one source up to the cutoff photon number."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    p = _photon_row(source.kind, source.intensity, cutoff)
+    p = np.array(photon_row(source.kind, source.intensity, cutoff))
     a_factor, vac_factor, vac0 = side_factors(source.heralding, source.trigger_class, cutoff)
     a, vac = a_factor * p, vac_factor * p
     a.flags.writeable = vac.flags.writeable = False
@@ -331,14 +319,15 @@ def _pair_weights(
 ) -> tuple[SideWeights, SideWeights]:
     """Both sides' weights of a setting; a symmetric setting computes them once."""
     alice = side_weights(pair[0], cutoff)
-    if pair[1] == pair[0]:
+    if pair[1] is pair[0] or pair[1] == pair[0]:
         return alice, alice
     return alice, side_weights(pair[1], cutoff)
 
 
 def _interior_tail(alice: SideWeights, bob: SideWeights) -> float:
     """Weight of interior terms beyond the cutoff, assuming yields <= 1."""
-    part = float(alice.a[1:].sum()) * float(bob.a[1:].sum())
+    kept = float(alice.a[1:].sum())
+    part = kept * (kept if bob is alice else float(bob.a[1:].sum()))
     return float(alice.a_total * bob.a_total - part)
 
 
@@ -365,15 +354,16 @@ def _pair_plan(weak: tuple, strong: tuple, cutoff: int) -> tuple:
 def _setting_records(
     gains: GainTable, pair: tuple[SourceSpec, SourceSpec], basis: Basis
 ) -> tuple[GainRecord, GainRecord, GainRecord, GainRecord]:
-    """The (x, y), (x, 0), (0, y) and (0, 0) records of one setting."""
-    x = pair[0].intensity
-    y = pair[1].intensity
-    cls = pair[0].trigger_class
+    """The (x, y), (x, 0), (0, y) and (0, 0) records of one setting, each read under
+    its _record_key; a miss goes through GainTable.get, its tolerance and errors."""
+    x, y, cls = pair[0].intensity, pair[1].intensity, pair[0].trigger_class
+    b, c, fx, fy = basis._value_, cls._value_, float(x), float(y)
+    find = gains._records.get
     return (
-        gains.get(basis, x, y, cls),
-        gains.get(basis, x, 0.0, cls),
-        gains.get(basis, 0.0, y, cls),
-        gains.get(basis, 0.0, 0.0, cls),
+        find((b, c, fx, fy)) or gains.get(basis, x, y, cls),
+        find((b, c, fx, 0.0)) or gains.get(basis, x, 0.0, cls),
+        find((b, c, 0.0, fy)) or gains.get(basis, 0.0, y, cls),
+        find((b, c, 0.0, 0.0)) or gains.get(basis, 0.0, 0.0, cls),
     )
 
 
@@ -433,15 +423,8 @@ class Y11Bound:
 
 
 def _unavailable(k: float = math.nan, denom: float = math.nan) -> Y11Bound:
-    return Y11Bound(
-        value=0.0,
-        k_factor=k,
-        denominator=denom,
-        conditions_ok=False,
-        coefficient_margin=math.inf,
-        clamped=False,
-        tail=math.inf,
-    )
+    return Y11Bound(value=0.0, k_factor=k, denominator=denom, conditions_ok=False,
+                    coefficient_margin=math.inf, clamped=False, tail=math.inf)
 
 
 def y11_coefficients(
@@ -479,10 +462,15 @@ def y11_coefficients(
         return k, denom, swapped, math.inf
 
     # the relative violation of each coefficient with m, n >= 1 except (1, 1),
-    # (strong - weak) / max(strong, weak, 1e-300), built in place
-    weak = wa[1:, None] * wb[1:]
+    # (strong - weak) / max(strong, weak, 1e-300), built in place; two symmetric
+    # settings form both outer products in one multiply
+    if wb is wa and sb is sa:
+        sides = np.array((wa, sa))
+        both = sides[:, 1:, None] * sides[:, None, 1:]
+        weak, rel = both[0], both[1]
+    else:
+        weak, rel = wa[1:, None] * wb[1:], sa[1:, None] * sb[1:]
     weak *= k
-    rel = sa[1:, None] * sb[1:]
     top = np.maximum(rel, weak)
     np.maximum(top, 1e-300, out=top)
     rel -= weak
@@ -574,12 +562,13 @@ def single_pair_gain(
     """(1,1) interior coefficient of a record pair times a yield value.
 
     Each side's coefficient is side_weights(side, 1).a[1], read from its class
-    factor and photon row without building the SideWeights."""
-    wa, wb = (
-        side_factors(s.heralding, s.trigger_class, 1)[0][1] * _photon_row(s.kind, s.intensity, 1)[1]
-        for s in pair
-    )
-    return float(wa * wb) * y11
+    factor and single-photon weight without building the SideWeights; a
+    symmetric pair's one side is computed once."""
+    alice, bob = pair
+    sides = (alice,) if bob is alice or bob == alice else pair
+    w = [side_factors(s.heralding, s.trigger_class, 1)[0][1] * photon_row(s.kind, s.intensity, 1)[1]
+         for s in sides]
+    return float(w[0] * w[-1]) * y11
 
 
 def _error_moment(gains: GainTable, pair: tuple[SourceSpec, SourceSpec]) -> float:

@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -394,22 +394,31 @@ def optimize_mu_prime(
 
 
 def scan(config: ScanConfig) -> list[RatePoint]:
-    """Optimized rate curve for every configured scenario and distance.
-
-    Rows are ordered by (scenario name, distance).
-    """
-    points: list[RatePoint] = []
-    for name in sorted(set(config.scenarios)):
-        scenario = config.scenario_kind(name)
-        for distance in config.distances:
-            link = config.link_for(distance)
-            tables = basis_tables(link)
-            points.append(optimize_mu_prime(scenario, link, config, tables))
-    return points
+    """Optimized rate curve for every configured scenario and distance, run
+    distance-major so that each distance's tables are built once.  Rows are
+    ordered by scenario name, then in the config's distance order."""
+    scenarios = [config.scenario_kind(name) for name in sorted(set(config.scenarios))]
+    curves: list[list[RatePoint]] = [[] for _ in scenarios]
+    for distance in config.distances:
+        link = config.link_for(distance)
+        tables = basis_tables(link)
+        for curve, scenario in zip(curves, scenarios):
+            curve.append(optimize_mu_prime(scenario, link, config, tables))
+    return [point for curve in curves for point in curve]
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _numbered_rows(text: str, header: str, what: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line after a CSV's header, in one pass and numbered
+    as the file numbers them.  The header is the first line that is not blank, and
+    a blank line after it (one column, all whitespace) is the caller's to skip."""
+    rows = enumerate(text.splitlines(), start=1)
+    if next((line for _, line in rows if line.strip()), None) != header:
+        raise ConfigError(f"bad {what} CSV header, expected {header!r}")
+    return rows
 
 
 def emit_csv(points: Iterable[RatePoint], sink: TextIO | None = None, gnuplot: bool = False) -> str:
@@ -452,15 +461,14 @@ def parse_rate_csv(text: str) -> list[RatePoint]:
 
     Rows emit_csv never writes (an unknown scenario, a valid flag other
     than 0 or 1, a numeric value that is not a finite float) raise
-    ConfigError naming the line.
+    ConfigError naming the line, numbered as the file numbers it.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != RATE_HEADER:
-        raise ConfigError(f"bad rate CSV header, expected {RATE_HEADER!r}")
     points = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in _numbered_rows(text, RATE_HEADER, "rate"):
         cols = line.split(",")
         if len(cols) != 8:
+            if not line.strip():
+                continue
             raise ConfigError(f"line {lineno}: expected 8 columns, got {len(cols)}")
         if cols[1] not in SCENARIO_NAMES:
             raise ConfigError(f"line {lineno}: unknown scenario {cols[1]!r}")
@@ -494,6 +502,8 @@ def emit_gain_csv(gains: GainTable, sink: TextIO | None = None) -> str:
 # the codes emit_gain_csv writes, and the member each one names
 _BASIS_CODES = {basis.value: basis for basis in Basis}
 _CLASS_CODES = {cls.value: cls for cls in TriggerClass}
+# builds a GainRecord from its seven fields as one tuple, past the named tuple's __new__
+_new_record = tuple.__new__
 
 
 def parse_gain_csv(text: str) -> GainTable:
@@ -501,16 +511,15 @@ def parse_gain_csv(text: str) -> GainTable:
 
     Intensities must be finite and >= 0, gain and qber must lie in
     [0, 1], and each (basis, class, x, y) may appear once; a violation
-    raises ConfigError naming the line.
+    raises ConfigError naming the line, numbered as the file numbers it.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != GAIN_HEADER:
-        raise ConfigError(f"bad gain CSV header, expected {GAIN_HEADER!r}")
     table = GainTable()
     records = table._records
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in _numbered_rows(text, GAIN_HEADER, "gain"):
         cols = line.split(",")
         if len(cols) != 6:
+            if not line.strip():
+                continue
             raise ConfigError(f"line {lineno}: expected 6 columns, got {len(cols)}")
         try:
             basis, cls = _BASIS_CODES[cols[0]], _CLASS_CODES[cols[3]]
@@ -527,7 +536,7 @@ def parse_gain_csv(text: str) -> GainTable:
         key = (cols[0], cols[3], x, y)
         if key in records:
             raise ConfigError(f"line {lineno}: duplicate record for basis, class, x and y")
-        records[key] = GainRecord(basis, x, y, cls, gain, qber)
+        records[key] = _new_record(GainRecord, (basis, x, y, cls, gain, qber, 0.0))
     return table
 
 

@@ -546,6 +546,40 @@ class TestY11LowerBound:
         assert not y11_lower_bound(gains, H1_WEAK, H1_STRONG, Basis.Z, CUTOFF).conditions_ok
 
 
+class TestRecordFetch:
+    """The estimator reads each record under its exact key, and only a miss goes
+    through GainTable.get, with its float-noise tolerance."""
+
+    def bounds(self, gains):
+        weak, strong = H1_WEAK, H1_STRONG
+        bound_z = y11_lower_bound(gains, weak, strong, Basis.Z, CUTOFF)
+        bound_x = y11_lower_bound(gains, weak, strong, Basis.X, CUTOFF)
+        e11 = e11_upper_bound(gains, weak, strong, single_pair_gain(weak, bound_x.value),
+                              single_pair_gain(strong, bound_x.value))
+        return repr((bound_z, bound_x, e11))
+
+    def test_records_off_by_float_noise_give_the_exact_bounds(self, monkeypatch):
+        link = LinkSpec(50.0)
+        exact = grid_gains([H1_WEAK, H1_STRONG], [yield_table(link, b) for b in (Basis.Z, Basis.X)])
+        # every nonzero intensity 1e-12 relative off the settings'
+        noisy = GainTable(
+            rec._replace(alice_intensity=rec.alice_intensity * (1.0 + 1e-12),
+                         bob_intensity=rec.bob_intensity * (1.0 + 1e-12))
+            for rec in exact
+        )
+        assert not any(
+            (rec.alice_intensity, rec.bob_intensity) in ((0.125, 0.125), (0.5, 0.5))
+            for rec in noisy
+        )
+        looked_up = []
+        original = GainTable.get
+        monkeypatch.setattr(GainTable, "get", lambda *args: looked_up.append(args) or original(*args))
+        expected = self.bounds(exact)
+        assert looked_up == []
+        assert self.bounds(noisy) == expected
+        assert looked_up
+
+
 class TestSymmetricCondition:
     def test_reference_points(self):
         assert symmetric_condition(0.125, 0.5, 0.75) is True
@@ -616,6 +650,23 @@ class TestS11Gains:
         wa, wb = (side_weights(spec, 1).a[1] for spec in pr)
         expected = float(wa * wb) * y11
         assert single_pair_gain(pr, y11).hex() == expected.hex()
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from([P, T]),
+        cls=st.sampled_from(list(TriggerClass)),
+        x=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+        eta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        y11=st.floats(0.0, 1.0),
+    )
+    def test_equal_sides_give_the_one_object_gain(self, kind, cls, x, eta, y11):
+        # a symmetric pair computes its side once, whether it holds one object twice
+        # or two equal ones
+        heralding = None if cls is TriggerClass.ALL else HeraldingDetector(eta, 1e-6)
+        alice, bob = (SourceSpec(kind, x, heralding, cls) for _ in range(2))
+        assert alice == bob and alice is not bob
+        assert single_pair_gain((alice, bob), y11).hex() == single_pair_gain((alice, alice), y11).hex()
 
 
 def minimal_x_gains(weak, strong, weak_vals, strong_vals):

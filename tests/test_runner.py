@@ -16,7 +16,7 @@ import pytest
 from scipy import optimize as sciopt
 
 from mdiqkd import decoy, keyrate, runner
-from mdiqkd.decoy import GainTable, gain_from_yields, side_weights
+from mdiqkd.decoy import GainRecord, GainTable, gain_from_yields, side_weights
 from mdiqkd.keyrate import SCENARIO_NAMES, RatePoint, basis_tables, grid_rates, rank_grid
 from mdiqkd.optics import Basis, yield_table
 from mdiqkd.runner import (
@@ -614,6 +614,26 @@ class TestScan:
         cfg = replace(CFG, distances=(0.0,), scenarios=("W0", "W0"))
         assert len(scan(cfg)) == 1
 
+    def test_tables_are_built_once_per_distance(self, monkeypatch):
+        # the scan runs distance-major, yet keeps its rows by scenario, then in the
+        # config's distance order, duplicates and all; each row is the one a lone
+        # optimize_mu_prime call gives
+        cfg = replace(CFG, distances=(50.0, 0.0, 50.0), scenarios=("W1", "H1", "W1"))
+        built = []
+
+        def spy(link):
+            built.append(link.total_distance_km)
+            return basis_tables(link)
+
+        monkeypatch.setattr(runner, "basis_tables", spy)
+        rows = scan(cfg)
+        assert built == [50.0, 0.0, 50.0]
+        expected = [
+            optimize_mu_prime(cfg.scenario_kind(name), cfg.link_for(d), cfg)
+            for name in ("H1", "W1") for d in cfg.distances
+        ]
+        assert [repr(row) for row in rows] == [repr(row) for row in expected]
+
     def test_default_scan_csv_is_byte_stable(self, default_rows):
         # every digit of every row of the default scan, as `mdiqkd scan` prints it
         text = emit_csv(default_rows)
@@ -680,6 +700,14 @@ class TestRateCsv:
         assert parsed == [replace(p, reason="") for p in SAMPLE_POINTS]
         assert emit_csv(parsed) == text
 
+    def test_error_lines_count_blank_lines(self):
+        # lines are numbered as the file numbers them: the bad row is line 5
+        header, row = emit_csv(SAMPLE_POINTS[:1]).splitlines()
+        text = "\n".join(["", header, row, "  ", "1,2,3"]) + "\n"
+        with pytest.raises(ConfigError, match="^line 5: expected 8 columns, got 3$"):
+            parse_rate_csv(text)
+        assert parse_rate_csv(text.replace("1,2,3\n", "")) == parse_rate_csv(header + "\n" + row)
+
     def test_parse_rejects(self):
         with pytest.raises(ConfigError):
             parse_rate_csv("nope\n")
@@ -742,6 +770,32 @@ class TestGainCsv:
             assert back.qber == rec.qber
             assert back.tail == 0.0
         assert emit_gain_csv(parsed) == text
+
+    def test_parsed_records_are_plain_gain_records(self):
+        # each parsed record is exactly the GainRecord its fields build by keyword,
+        # with a zero tail
+        gains = self.make_gains()
+        parsed = parse_gain_csv(emit_gain_csv(gains))
+        for rec in gains:
+            back = parsed.get(rec.basis, rec.alice_intensity, rec.bob_intensity, rec.trigger_class)
+            assert type(back) is GainRecord
+            assert back == GainRecord(
+                basis=rec.basis, alice_intensity=rec.alice_intensity,
+                bob_intensity=rec.bob_intensity, trigger_class=rec.trigger_class,
+                gain=rec.gain, qber=rec.qber,
+            )
+            assert back.tail == 0.0
+
+    def test_error_lines_count_blank_lines(self):
+        # a bad record on file line 5, after two blank lines, is reported as line 5
+        lines = emit_gain_csv(self.make_gains()).splitlines()
+        text = "\n".join([lines[0], lines[1], "", "  ", "Z,0.1,0.2,t,0.5"]) + "\n"
+        with pytest.raises(ConfigError, match="^line 5: expected 6 columns, got 5$"):
+            parse_gain_csv(text)
+        # and a repeat after a blank line before the header
+        text = "\n".join(["", lines[0], lines[1], "", lines[1]]) + "\n"
+        with pytest.raises(ConfigError, match="^line 5: duplicate record"):
+            parse_gain_csv(text)
 
     def test_parse_rejects(self):
         with pytest.raises(ConfigError):
