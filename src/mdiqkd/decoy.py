@@ -319,7 +319,7 @@ def _pair_weights(
 ) -> tuple[SideWeights, SideWeights]:
     """Both sides' weights of a setting; a symmetric setting computes them once."""
     alice = side_weights(pair[0], cutoff)
-    if pair[1] is pair[0] or pair[1] == pair[0]:
+    if pair[1] == pair[0]:
         return alice, alice
     return alice, side_weights(pair[1], cutoff)
 
@@ -354,16 +354,15 @@ def _pair_plan(weak: tuple, strong: tuple, cutoff: int) -> tuple:
 def _setting_records(
     gains: GainTable, pair: tuple[SourceSpec, SourceSpec], basis: Basis
 ) -> tuple[GainRecord, GainRecord, GainRecord, GainRecord]:
-    """The (x, y), (x, 0), (0, y) and (0, 0) records of one setting, each read under
-    its _record_key; a miss goes through GainTable.get, its tolerance and errors."""
-    x, y, cls = pair[0].intensity, pair[1].intensity, pair[0].trigger_class
-    b, c, fx, fy = basis._value_, cls._value_, float(x), float(y)
-    find = gains._records.get
+    """The (x, y), (x, 0), (0, y) and (0, 0) records of one setting."""
+    x = pair[0].intensity
+    y = pair[1].intensity
+    cls = pair[0].trigger_class
     return (
-        find((b, c, fx, fy)) or gains.get(basis, x, y, cls),
-        find((b, c, fx, 0.0)) or gains.get(basis, x, 0.0, cls),
-        find((b, c, 0.0, fy)) or gains.get(basis, 0.0, y, cls),
-        find((b, c, 0.0, 0.0)) or gains.get(basis, 0.0, 0.0, cls),
+        gains.get(basis, x, y, cls),
+        gains.get(basis, x, 0.0, cls),
+        gains.get(basis, 0.0, y, cls),
+        gains.get(basis, 0.0, 0.0, cls),
     )
 
 
@@ -423,8 +422,15 @@ class Y11Bound:
 
 
 def _unavailable(k: float = math.nan, denom: float = math.nan) -> Y11Bound:
-    return Y11Bound(value=0.0, k_factor=k, denominator=denom, conditions_ok=False,
-                    coefficient_margin=math.inf, clamped=False, tail=math.inf)
+    return Y11Bound(
+        value=0.0,
+        k_factor=k,
+        denominator=denom,
+        conditions_ok=False,
+        coefficient_margin=math.inf,
+        clamped=False,
+        tail=math.inf,
+    )
 
 
 def y11_coefficients(
@@ -462,15 +468,10 @@ def y11_coefficients(
         return k, denom, swapped, math.inf
 
     # the relative violation of each coefficient with m, n >= 1 except (1, 1),
-    # (strong - weak) / max(strong, weak, 1e-300), built in place; two symmetric
-    # settings form both outer products in one multiply
-    if wb is wa and sb is sa:
-        sides = np.array((wa, sa))
-        both = sides[:, 1:, None] * sides[:, None, 1:]
-        weak, rel = both[0], both[1]
-    else:
-        weak, rel = wa[1:, None] * wb[1:], sa[1:, None] * sb[1:]
+    # (strong - weak) / max(strong, weak, 1e-300), built in place
+    weak = wa[1:, None] * wb[1:]
     weak *= k
+    rel = sa[1:, None] * sb[1:]
     top = np.maximum(rel, weak)
     np.maximum(top, 1e-300, out=top)
     rel -= weak
@@ -565,7 +566,7 @@ def single_pair_gain(
     factor and single-photon weight without building the SideWeights; a
     symmetric pair's one side is computed once."""
     alice, bob = pair
-    sides = (alice,) if bob is alice or bob == alice else pair
+    sides = (alice,) if bob == alice else pair
     w = [side_factors(s.heralding, s.trigger_class, 1)[0][1] * photon_row(s.kind, s.intensity, 1)[1]
          for s in sides]
     return float(w[0] * w[-1]) * y11
