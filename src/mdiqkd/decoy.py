@@ -25,8 +25,10 @@ closed-form totals of the weight distributions.
 A side's weights are its photon row times the factors of its event
 class (side_factors).  Those factors are cached per (heralding detector,
 class, cutoff) and shared read-only by every caller.
-A side at intensity zero has no interior weights, so a record with one
-is its vacuum rows alone (see SeriesParts).
+series_sums holds the one written form of the double series, which every
+record, point and grid sums through.  A side at intensity zero has
+a[1:] == 0 exactly, so a record with one takes a +0.0 interior and is
+its vacuum rows alone.
 
 The estimator's algebra works on plain numbers (y11_from_series,
 e11_from_moments).  y11_lower_bound and e11_upper_bound feed it records
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,10 +65,8 @@ __all__ = [
     "Y11Bound",
     "side_factors",
     "side_weights",
-    "SeriesParts",
-    "weight_parts",
-    "series_parts",
-    "series_gain",
+    "table_views",
+    "series_sums",
     "record_qber",
     "gain_from_yields",
     "series_terms",
@@ -91,9 +91,8 @@ class BoundUnavailableError(ValueError):
     """Raised when an estimator quantity has no usable denominator."""
 
 
-@dataclass(frozen=True)
-class SideWeights:
-    """Per-photon-number series weights of one side for one record.
+class SideWeights(NamedTuple):
+    """Per-photon-number series weights of one side for one record, an immutable named tuple.
 
     a[m] are the interior coefficients (only m >= 1 enters the series),
     vac[m] is the full trigger-weighted distribution used in the vacuum
@@ -225,59 +224,26 @@ class GainTable:
         )))
 
 
-class SeriesParts(NamedTuple):
-    """One side's factors of the double series over stacked (cutoff + 1)-square tables:
-    vac against each column 0 (col, as Alice) and row 0 (row, as Bob), and a[1:]
-    against each interior (inner, a 1 x cutoff row per table, as Alice).  At intensity
-    zero a[1:] == 0 exactly, so a and inner are None and its records take no interior."""
-
-    a: np.ndarray | None
-    vac0: float
-    col: list[float]
-    row: list[float]
-    inner: np.ndarray | None
+def table_views(mats: np.ndarray) -> tuple:
+    """The stride-preserving views of stacked tables that series_sums reads, column 0,
+    row 0 and interior, and their (0, 0) corners."""
+    return mats[:, :, :1], mats[:, :1, :], mats[:, 1:, 1:], mats[:, 0, 0]
 
 
 # These stride-preserving matmul forms reproduce, side by side, the 1-D products
 # a @ M[:, 0], M[0, :] @ b and a @ M @ b bit for bit.  A contiguous copy of the columns,
 # gemv over stacked rows or einsum round differently on a quarter or more of random 9x9 cases.
-def weight_parts(a: np.ndarray | None, vac: np.ndarray, vac0: Sequence[float], mats: np.ndarray):
-    """The SeriesParts of each of S sides over every stacked table: a and vac are
-    (S, cutoff + 1), vac0 has S entries, a is None when every side is at intensity zero."""
-    sides = len(vac)
-    col = (vac[:, None, None, :] @ mats[None, :, :, :1]).reshape(sides, -1).tolist()
-    row = (mats[None, :, :1, :] @ vac[:, None, :, None]).reshape(sides, -1).tolist()
-    if a is None:
-        return [SeriesParts(None, vac0[s], col[s], row[s], None) for s in range(sides)]
-    inner = a[:, None, None, 1:] @ mats[None, :, 1:, 1:]
-    return [SeriesParts(a[s], vac0[s], col[s], row[s], inner[s]) for s in range(sides)]
-
-
-def series_parts(side: SideWeights, mats: np.ndarray) -> SeriesParts:
-    """weight_parts of one side's SideWeights."""
-    a = side.a[None] if side.source.intensity > 0.0 else None
-    return weight_parts(a, side.vac[None], (side.vac_at_zero,), mats)[0]
-
-
-def series_gain(alice: SeriesParts, bob: SeriesParts, mats: np.ndarray) -> list[float]:
-    """One record's truncated double series over each table of mats, one entry each.
-
-    alice and bob are series_parts over the same mats.  Interior terms and
-    vacuum rows follow the conventions of the module docstring.
-    """
-    a0 = alice.vac0
-    b0 = bob.vac0
-    corner = mats[:, 0, 0].tolist()
-    if alice.inner is None or bob.a is None:
-        interior = [0.0] * len(corner)
-    else:
-        interior = (alice.inner @ bob.a[1:, None]).ravel().tolist()
-    # float arithmetic in the per-table order, so every gain rounds as it always has;
-    # a skipped interior enters as the +0.0 its product gave, so 0.0 + -0.0 stays 0.0
-    return [
-        i + (b0 * c + a0 * r - a0 * b0 * m)
-        for i, c, r, m in zip(interior, alice.col, bob.row, corner)
-    ]
+def series_sums(alice: np.ndarray, bob: np.ndarray, views: tuple):
+    """(col, row, inner) of the double series on each table of views (table_views),
+    each as (..., table): alice's vac against column 0, bob's vac against row 0, and
+    alice's a[1:] against the interior against bob's a[1:].  alice and bob stack
+    (a, vac) as (2, ..., photon number) over any leading axes.  A record is
+    inner + (b0 * col + a0 * row - a0 * b0 * corner) for the sides' vac0, a0 and b0."""
+    col_mats, row_mats, inner_mats, _ = views
+    col = (alice[1, ..., None, None, :] @ col_mats)[..., 0, 0]
+    row = (row_mats @ bob[1, ..., None, :, None])[..., 0, 0]
+    inner = ((alice[0, ..., None, None, 1:] @ inner_mats) @ bob[0, ..., None, 1:, None])[..., 0, 0]
+    return col, row, inner
 
 
 def record_qber(gain: float, wrong: float) -> float:
@@ -298,8 +264,10 @@ def gain_from_yields(alice: SideWeights, bob: SideWeights, table: YieldTable) ->
         raise ValueError("side weights and yield table use different cutoffs")
     if alice.source.trigger_class is not bob.source.trigger_class:
         raise ValueError("both sides of a record must share one event class")
-    mats = np.stack((table.yields, table.yields * table.errors))
-    gain, wrong = series_gain(series_parts(alice, mats), series_parts(bob, mats), mats)
+    views = table_views(np.stack((table.yields, table.yields * table.errors)))
+    col, row, inner = series_sums(np.stack((alice.a, alice.vac)), np.stack((bob.a, bob.vac)), views)
+    a0, b0 = alice.vac_at_zero, bob.vac_at_zero
+    gain, wrong = (inner + (b0 * col + a0 * row - a0 * b0 * views[3])).tolist()
     tail = _interior_tail(alice, bob)
     tail += bob.vac_at_zero * (alice.vac_total - float(alice.vac.sum()))
     tail += alice.vac_at_zero * (bob.vac_total - float(bob.vac.sum()))

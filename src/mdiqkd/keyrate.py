@@ -20,18 +20,18 @@ single-photon-pair yield and error straight from the simulator.
 
 The estimated scenarios take the record path: rate_for_scenario
 assembles the gains of the weak and strong settings and their vacuum
-rows in the series form gain_from_yields uses (decoy.weight_parts and
-decoy.series_gain), and hands the numbers to the estimator core shared
-with the `bound` command (decoy.y11_from_series and
-decoy.e11_from_moments); no GainTable is built.  The work is planned in
-three tiers: what every row of a scenario and cutoff shares (each event
-class's side factors, q1, the vacuum row) is cached by _plan; what no
+rows in the series form gain_from_yields uses (decoy.series_sums), and
+hands the numbers to the estimator core shared with the `bound` command
+(decoy.y11_from_series and decoy.e11_from_moments); no GainTable is
+built.  The work is planned in three tiers: what every row of a scenario
+and cutoff shares (each event class's side factors, q1, the vacuum row,
+the zero-intensity sides' weights) is cached by _plan; what no
 point of a row changes (the stacked tables and the zero-intensity
 sides' records) is kept in a row context (see _RowContext); so a point
 costs one photon row per intensity, one stacked multiply, four matmuls
 over all its sides and its records as Python floats.  rank_grid
 evaluates a whole intensity grid in one batched pass of the same
-algebra (_RowContext.rates), exact to the point: its rates (grid_rates)
+algebra (_RowContext.rates), exact to the point: its rates
 equal rate_for_scenario's bit for bit, and it returns the best point's
 RatePoint, so the optimizer evaluates the grid winner only once.  The
 pass builds only the (side, table) sums a point reads: the signal's on
@@ -53,10 +53,10 @@ from .decoy import (
     e11_from_moments,
     interior_gain,
     record_qber,
-    series_gain,
+    series_sums,
     side_factors,
     side_weights,
-    weight_parts,
+    table_views,
     y11_coefficients,
     y11_from_series,
 )
@@ -80,7 +80,6 @@ __all__ = [
     "basis_tables",
     "rate_for_scenario",
     "rank_grid",
-    "grid_rates",
 ]
 
 DEFAULT_ERROR_CORRECTION = 1.16
@@ -238,27 +237,28 @@ def _stacked_tables(tables: tuple[YieldTable, YieldTable]) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _plan(scenario: ScenarioKind, cutoff: int):
     """What every row of one (scenario, cutoff) shares, whatever its link:
-    (q1, factors, vac0, signal, zero_vac, zero_vac0).
+    (q1, factors, vac0, signal, zero, zero_vac0).
 
     factors stacks decoy.side_factors as (a or vac, side, photon number) over
     a point's sides: strong (for the asymptotic scenarios, the signal), the
     signal when it is not strong, and weak last; vac0 has one entry per
-    side, and signal indexes the signal's.  zero_vac and zero_vac0 are the
-    zero-intensity sides of weak and strong, weak's first, one if shared.
+    side, and signal indexes the signal's.  zero stacks the zero-intensity sides
+    of weak and strong the same way, weak's first, one if shared, and zero_vac0
+    holds their vac0 as a column; the asymptotic scenarios have none (None, None).
     """
     heralding = scenario.heralding
     signal_cls, weak_cls, strong_cls = scenario.classes
     factors = {cls: side_factors(heralding, cls, cutoff) for cls in dict.fromkeys(scenario.classes)}
-    classes, zero = (signal_cls,), ()
+    classes, zero, zero_vac0 = (signal_cls,), None, None
     if not scenario.asymptotic:
         classes = tuple(dict.fromkeys((strong_cls, signal_cls))) + (weak_cls,)
-        zero = tuple(dict.fromkeys((weak_cls, strong_cls)))
+        zero_cls = tuple(dict.fromkeys((weak_cls, strong_cls)))
+        vacuum = np.array(photon_row(scenario.distribution, 0.0, cutoff))
+        zero = np.array([[factors[cls][i] for cls in zero_cls] for i in (0, 1)]) * vacuum
+        zero_vac0 = np.array([[factors[cls][2]] for cls in zero_cls])
     a, vac, vac0 = zip(*(factors[cls] for cls in classes))
-    vacuum = np.array(photon_row(scenario.distribution, 0.0, cutoff))
-    zero_vac = np.array([factors[cls][1] * vacuum for cls in zero])
     q1 = trigger_prob(heralding, 1) if heralding is not None else 1.0
-    return (q1, np.array((a, vac)), vac0, classes.index(signal_cls), zero_vac,
-            tuple(factors[cls][2] for cls in zero))
+    return q1, np.array((a, vac)), vac0, classes.index(signal_cls), zero, zero_vac0
 
 
 # keyed by the intensities and heralding only, so every link of a scan or relay sweep
@@ -300,21 +300,12 @@ def _grid_weights(scenario: ScenarioKind, mu_primes: tuple[float, ...], mu_fixed
     return mus, np.array(usable), w, settings, pq, coeffs, a11
 
 
-def _views(mats: np.ndarray) -> tuple:
-    """The stride-preserving views of stacked tables that the matmul forms of
-    decoy.weight_parts read, column 0, row 0 and interior, and their (0, 0) corners."""
-    return mats[:, :, :1], mats[:, :1, :], mats[:, 1:, 1:], mats[:, 0, 0]
-
-
 def _side_sums(w: np.ndarray, vac0, views: tuple):
     """(col, row, full) of each side vector of w, as (a or vac, ..., photon number), on
-    the tables of views, each as (..., table): the column and row sums weight_parts
-    takes and the (x, x) record as series_gain sums it, with the sides' vac0."""
-    col_mats, row_mats, inner_mats, corner = views
-    col = (w[1, ..., None, None, :] @ col_mats)[..., 0, 0]
-    row = (row_mats @ w[1, ..., None, :, None])[..., 0, 0]
-    inner = ((w[0, ..., None, None, 1:] @ inner_mats) @ w[0, ..., None, 1:, None])[..., 0, 0]
-    return col, row, inner + (vac0 * col + vac0 * row - vac0 * vac0 * corner)
+    the tables of views, each as (..., table): decoy.series_sums' column and row sums
+    and the (x, x) record it sums to, with the sides' vac0."""
+    col, row, inner = series_sums(w, w, views)
+    return col, row, inner + (vac0 * col + vac0 * row - vac0 * vac0 * views[3])
 
 
 # the columns of _RowContext.setting_consts: vac0, z0, zero col, zero row, zero records, corner_x
@@ -327,15 +318,14 @@ class _RowContext:
     Built on a row's first rank_grid or rate_for_scenario call and reused
     by every later one: _plan's part, the point's constants (distance,
     name, q1^2, the factors of each side count), the stacked tables with
-    the views and (0, 0) corners decoy.weight_parts and series_gain read,
+    the views and (0, 0) corners decoy.series_sums reads (decoy.table_views),
     and each zero-intensity side's vac0, column and row sums and (0, 0)
     record on the tables a setting reads.  The last weak setting's results
     are kept, so a weak intensity that does not follow mu' (W1, H2) is
     assembled once per row.  A point costs one photon row per intensity,
-    one multiply by its sides' stacked factors, weight_parts' three matmul
-    forms over all its sides and one more for their (x, x) interiors; the
-    records and the estimator's inputs are then Python floats in
-    series_gain's order.
+    one multiply by its sides' stacked factors and one series_sums over all
+    its sides; the records and the estimator's inputs are then Python floats
+    in the order gain_from_yields sums them.
     """
 
     def __init__(self, scenario: ScenarioKind, link: LinkSpec, tables, f_ec: float) -> None:
@@ -353,25 +343,28 @@ class _RowContext:
         self.scenario, self.tables, self.f_ec = scenario, tables, f_ec
         self.distance, self.name, self.cutoff = link.total_distance_km, scenario.name, link.cutoff
         self.kind, self.asymptotic = scenario.distribution, scenario.asymptotic
-        q1, factors, self.vac0, self.signal, zero_vac, zero_vac0 = _plan(scenario, link.cutoff)
+        q1, factors, self.vac0, self.signal, zero, zero_vac0 = _plan(scenario, link.cutoff)
         self.q1_sq = q1 * q1
         # a point's factors by its number of sides: all, or all but a kept weak side
         self.side_factors = [factors[:, :n] for n in range(len(self.vac0) + 1)]
         stacked = _stacked_tables(tables)
         # the signal's tables, and a setting's: the asymptotic scenarios read no setting
         signal, setting = stacked[:2], stacked[1:]
-        self.signal_views = _views(signal)
-        self.views = self.signal_views if self.asymptotic else _views(stacked)
+        self.signal_views = table_views(signal)
+        self.views = self.signal_views if self.asymptotic else table_views(stacked)
         self.corner = self.views[3].tolist()
         # what the asymptotic scenarios read for Y11 and e11
         self.true11 = float(table_z.yields[1, 1]), float(table_x.errors[1, 1])
-        # each zero-intensity side's parts and (0, 0) record on a setting's tables
-        zeros = weight_parts(None, zero_vac, zero_vac0, setting) if zero_vac0 else []
-        self.zero = [(z.vac0, z.col, z.row, series_gain(z, z, setting)) for z in zeros]
         self.weak: tuple[float, np.ndarray, tuple[float, float, float], float] | None = None
         if not self.asymptotic:
             self.setting_corner = self.corner[1:]
-            self.setting_views = _views(setting)
+            self.setting_views = table_views(setting)
+            # each zero-intensity side's vac0, column and row sums and (0, 0) record on a
+            # setting's tables; a zero side's interior is the +0.0 its a[1:] == 0 gives
+            col, row, inner = series_sums(zero, zero, self.setting_views)
+            v = zero_vac0
+            full = inner + (v * col + v * row - v * v * self.setting_views[3])
+            self.zero = list(zip(v[:, 0].tolist(), col.tolist(), row.tolist(), full.tolist()))
             # per setting, strong then weak: vac0, its zero side's vac0, column sums, row
             # sums and (0, 0) records, and that record's X gain times its qber
             self.setting_consts = np.array([
@@ -385,9 +378,9 @@ class _RowContext:
         error moment (decoy.error_moment), from its side's vac0 and per-table column
         sums, row sums and (x, x) interiors, and its zero side's on a setting's tables."""
         z0, zero_col, zero_row, zero_gain = zero
-        # series_gain's (x, x), (x, 0), (0, x) and (0, 0) records on each table a setting
-        # reads, (Y_z, Y_x, Y_x e_x), where a record with a zero side takes the +0.0 its
-        # skipped interior gave
+        # the (x, x), (x, 0), (0, x) and (0, 0) records on each table a setting reads,
+        # (Y_z, Y_x, Y_x e_x), where a record with a zero side takes the +0.0 interior
+        # series_sums gives it
         z_gains, x_gains, x_wrongs = [
             (i + (vac0 * c + vac0 * r - vac0 * vac0 * m),
              0.0 + (z0 * c + vac0 * zr - vac0 * z0 * m),
@@ -412,14 +405,9 @@ class _RowContext:
             if kept is None or kept[0] != mu:
                 rows.append(photon_row(kind, mu, cutoff))
                 kept = None
-        sides = len(rows)
         # each side's a and vac weights, as (a or vac, side, photon number)
-        w = self.side_factors[sides] * np.array(rows)
-        col_mats, row_mats, inner_mats, _ = self.views
-        col = (w[1, :, None, None, :] @ col_mats).reshape(sides, -1).tolist()
-        row = (row_mats @ w[1, :, None, :, None]).reshape(sides, -1).tolist()
-        inner = (w[0, :, None, None, 1:] @ inner_mats) @ w[0, :, None, 1:, None]
-        inner = inner.reshape(sides, -1).tolist()
+        w = self.side_factors[len(rows)] * np.array(rows)
+        col, row, inner = (x.tolist() for x in series_sums(w, w, self.views))
         if self.asymptotic:
             y11, e11 = self.true11
         else:
@@ -590,8 +578,3 @@ def rank_grid(scenario: ScenarioKind, link: LinkSpec, mu_fixed: float, mu_primes
     tables are basis_tables(link)."""
     grid = tuple(np.asarray(mu_primes, dtype=float).tolist())
     return _row(scenario, link, tables, f_ec).rates(mu_fixed, grid)
-
-
-def grid_rates(scenario, link, mu_fixed, mu_primes, tables, f_ec=DEFAULT_ERROR_CORRECTION):
-    """rank_grid's rates alone."""
-    return rank_grid(scenario, link, mu_fixed, mu_primes, tables, f_ec)[0]

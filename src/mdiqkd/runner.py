@@ -643,19 +643,19 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             bound if basis is Basis.X
             else y11_lower_bound(gains, weak, strong, Basis.X, config.cutoff)
         )
-        if bound_x.conditions_ok:
-            try:
-                e11 = e11_upper_bound(
-                    gains,
-                    weak,
-                    strong,
-                    single_pair_gain(weak, bound_x.value),
-                    single_pair_gain(strong, bound_x.value),
-                )
-            except BoundUnavailableError:
-                pass  # neither setting has a positive single-pair gain
-            else:
-                out.write(f"e11_upper = {_fmt(e11)}\n")
+        # one setting-pair plan licenses both bases, so bound_x is licensed too
+        try:
+            e11 = e11_upper_bound(
+                gains,
+                weak,
+                strong,
+                single_pair_gain(weak, bound_x.value),
+                single_pair_gain(strong, bound_x.value),
+            )
+        except BoundUnavailableError:
+            pass  # neither setting has a positive single-pair gain
+        else:
+            out.write(f"e11_upper = {_fmt(e11)}\n")
     return 0
 
 

@@ -15,14 +15,13 @@ from mdiqkd.decoy import (
     GainTable,
     e11_upper_bound,
     gain_from_yields,
-    series_gain,
-    series_parts,
+    series_sums,
     series_terms,
     side_factors,
     side_weights,
     single_pair_gain,
     symmetric_condition,
-    weight_parts,
+    table_views,
     y11_coefficients,
     y11_lower_bound,
     _error_moment,
@@ -61,6 +60,14 @@ def grid_gains(pairs, tables, cutoff=CUTOFF):
             for table in tables:
                 gains.add(gain_from_yields(wa, wb, table))
     return gains
+
+
+def series_record(alice, bob, mats):
+    """gain_from_yields' record of two sides on each table of mats, through series_sums."""
+    views = table_views(mats)
+    col, row, inner = series_sums(np.stack((alice.a, alice.vac)), np.stack((bob.a, bob.vac)), views)
+    a0, b0 = alice.vac_at_zero, bob.vac_at_zero
+    return (inner + (b0 * col + a0 * row - a0 * b0 * views[3])).tolist()
 
 
 def synthetic_table(yields, errors=None, basis=Basis.Z):
@@ -202,27 +209,27 @@ class TestGainFromYields:
             alice = side_weights(SourceSpec(kind, x_a, det, cls), CUTOFF)
             bob = side_weights(SourceSpec(kind, x_b, det, cls), CUTOFF)
             mats = rng.random((4, CUTOFF + 1, CUTOFF + 1)) ** 3
-            got = series_gain(series_parts(alice, mats), series_parts(bob, mats), mats)
+            got = series_record(alice, bob, mats)
             assert got == [per_table(alice, bob, mat) for mat in mats]
-            # S = 1, 2 and 3 sides of mixed classes in one weight_parts pass, over four
-            # tables or two, and every record any two of them form
+            # S = 1, 2 and 3 sides of mixed classes in one series_sums pass, over four
+            # tables or two, and every record any two of them form: alice's sides on
+            # one leading axis, bob's on the other
             zero = rng.random() < 0.3
             mats = mats[: (2, 4)[int(rng.integers(2))]]
+            views = table_views(mats)
             stack = [draw_side(kind, 0.0 if zero else float(rng.uniform(0.01, 1.5)))
                      for _ in range(3)]
             for size in (1, 2, 3):
                 sides = stack[:size]
-                parts = weight_parts(
-                    None if zero else np.array([w.a for w in sides]),
-                    np.array([w.vac for w in sides]),
-                    [w.vac_at_zero for w in sides],
-                    mats,
-                )
-                assert len(parts) == size
-                for x, x_parts in zip(sides, parts):
-                    for y, y_parts in zip(sides, parts):
-                        got = series_gain(x_parts, y_parts, mats)
-                        assert got == [per_table(x, y, mat) for mat in mats]
+                w = np.array([[x.a for x in sides], [x.vac for x in sides]])
+                col, row, inner = series_sums(w[:, :, None], w[:, None], views)
+                assert inner.shape == (size, size, len(mats))
+                v = np.array([x.vac_at_zero for x in sides])
+                a0, b0 = v[:, None, None], v[None, :, None]
+                got = inner + (b0 * col + a0 * row - a0 * b0 * views[3])
+                for i, x in enumerate(sides):
+                    for j, y in enumerate(sides):
+                        assert got[i, j].tolist() == [per_table(x, y, mat) for mat in mats]
 
     def test_event_classes_partition_the_plain_gain(self):
         # per side the two heralded classes split the plain distribution
@@ -312,7 +319,8 @@ class TestZeroSides:
 
     @pytest.mark.parametrize("det, cls", CLASSES)
     def test_interior_products_of_a_zero_side_are_plus_zero(self, det, cls):
-        # what lets series_gain skip the interior of (x, 0), (0, x) and (0, 0)
+        # what lets series_sums sum the interior of (x, 0), (0, x) and (0, 0) records
+        # to the +0.0 that leaves them their vacuum rows
         link = LinkSpec(40.0)
         mats = np.stack([m for b in (Basis.Z, Basis.X) for t in [yield_table(link, b)]
                          for m in (t.yields, t.yields * t.errors)])
@@ -329,25 +337,19 @@ class TestZeroSides:
         rng = np.random.default_rng(5)
         mats = rng.random((4, CUTOFF + 1, CUTOFF + 1)) ** 3
         corner = mats[:, 0, 0].tolist()
+        views = table_views(mats)
         for det, cls in self.CLASSES:
-            zero = series_parts(side_weights(SourceSpec(T, 0.0, det, cls), CUTOFF), mats)
-            side = series_parts(side_weights(SourceSpec(T, 0.7, det, cls), CUTOFF), mats)
-            assert zero.a is None and zero.inner is None and side.inner is not None
+            zero = side_weights(SourceSpec(T, 0.0, det, cls), CUTOFF)
+            side = side_weights(SourceSpec(T, 0.7, det, cls), CUTOFF)
+            assert not zero.a[1:].any() and side.a[1:].any()
             for alice, bob in ((side, zero), (zero, side), (zero, zero)):
-                a0, b0 = alice.vac0, bob.vac0
+                col, row, inner = series_sums(np.stack((alice.a, alice.vac)),
+                                              np.stack((bob.a, bob.vac)), views)
+                assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in inner.tolist())
+                a0, b0 = alice.vac_at_zero, bob.vac_at_zero
                 rows = [0.0 + (b0 * c + a0 * r - a0 * b0 * m)
-                        for c, r, m in zip(alice.col, bob.row, corner)]
-                assert series_gain(alice, bob, mats) == rows
-
-    def test_weight_parts_of_side_weights_are_series_parts(self):
-        mats = np.random.default_rng(6).random((4, CUTOFF + 1, CUTOFF + 1))
-        w = side_weights(SourceSpec(P, 0.3, DET, TriggerClass.TRIGGERED), CUTOFF)
-        (got,) = weight_parts(w.a[None], w.vac[None], (w.vac_at_zero,), mats)
-        want = series_parts(w, mats)
-        assert (got.col, got.row, got.vac0) == (want.col, want.row, want.vac0)
-        assert np.array_equal(got.inner, want.inner)
-        # a side's a is a view of the weights passed in, not a copy
-        assert np.array_equal(got.a, w.a) and np.shares_memory(got.a, w.a)
+                        for c, r, m in zip(col.tolist(), row.tolist(), corner)]
+                assert series_record(alice, bob, mats) == rows
 
 
 class TestY11Coefficients:

@@ -25,7 +25,6 @@ from mdiqkd.keyrate import (
     _grid_weights,
     basis_tables,
     binary_entropy,
-    grid_rates,
     key_rate,
     rank_grid,
     rate_for_scenario,
@@ -268,7 +267,7 @@ class TestGridRates:
         ]
         before = _grid_weights.cache_info()
         for link in links:
-            rates = grid_rates(ScenarioKind("H1"), link, 0.1, grid, basis_tables(link))
+            rates = rank_grid(ScenarioKind("H1"), link, 0.1, grid, basis_tables(link))[0]
             assert np.isfinite(rates).all()
         after = _grid_weights.cache_info()
         assert after.misses - before.misses == 1
@@ -602,7 +601,7 @@ class TestRowContext:
         scenario = SCAN_CFG.scenario_kind(name)
         weak_cls = TriggerClass.TRIGGERED if scenario.heralded else TriggerClass.ALL
         records, settings = [], []
-        assemble, setting = keyrate.series_gain, keyrate._RowContext.setting
+        assemble, setting = keyrate.series_sums, keyrate._RowContext.setting
 
         def spy(alice, bob, *args):
             records.append((alice, bob))
@@ -612,22 +611,25 @@ class TestRowContext:
             settings.append(col)
             return setting(row, vac0, col, *args)
 
-        monkeypatch.setattr(keyrate, "series_gain", spy)
+        monkeypatch.setattr(keyrate, "series_sums", spy)
         monkeypatch.setattr(keyrate._RowContext, "setting", setting_spy)
         link = SCAN_CFG.link_for(70.0)
         tables = basis_tables(link)
         optimize_mu_prime(scenario, link, SCAN_CFG, tables)
         # a side at intensity zero carries no interior weights
-        zero = [r for r in records if r[0].a is None and r[1].a is None]
-        # one (0, 0) record per zero-intensity class: both classes for the
-        # coupled scenarios, one shared class otherwise
-        classes = {r[0].vac0 for r in zero}
-        assert len(zero) == len(classes) == (2 if scenario.coupled_mu else 1)
+        zero = [r for r in records if not r[0][0, ..., 1:].any() and not r[1][0, ..., 1:].any()]
+        # one pass sums the (0, 0) record of each zero-intensity class: both classes
+        # for the coupled scenarios, one shared class otherwise
+        assert len(zero) == 1 and zero[0][0] is zero[0][1]
+        classes = {tuple(vac) for vac in zero[0][0][1].tolist()}
+        assert len(zero[0][0][1]) == len(classes) == (2 if scenario.coupled_mu else 1)
         if not scenario.coupled_mu:
             heralding = scenario.heralding
             fixed = SourceSpec(scenario.distribution, SCAN_CFG.mu_fixed, heralding, weak_cls)
             mats = keyrate._stacked_tables(tables)
-            fixed_col = decoy.series_parts(side_weights(fixed, link.cutoff), mats).col
+            w = side_weights(fixed, link.cutoff)
+            w = np.stack((w.a, w.vac))
+            fixed_col = decoy.series_sums(w, w, decoy.table_views(mats))[0].tolist()
             # one setting call assembles (x, x), (x, 0) and (0, x) of the fixed
             # weak setting, which its side's column sums identify
             assert sum(col == fixed_col for col in settings) == 1

@@ -17,7 +17,7 @@ from scipy import optimize as sciopt
 
 from mdiqkd import decoy, keyrate, runner
 from mdiqkd.decoy import GainRecord, GainTable, gain_from_yields, side_weights
-from mdiqkd.keyrate import SCENARIO_NAMES, RatePoint, basis_tables, grid_rates, rank_grid
+from mdiqkd.keyrate import SCENARIO_NAMES, RatePoint, basis_tables, rank_grid
 from mdiqkd.optics import Basis, yield_table
 from mdiqkd.runner import (
     GAIN_HEADER,
@@ -442,7 +442,7 @@ class TestBatchedGrid:
                 points.append(keyrate.rate_for_scenario(scenario, link, mu, mp, tables, 0.99))
             except ValueError:
                 points.append(None)
-        got = grid_rates(scenario, link, CFG.mu_fixed, grid, tables, 0.99)
+        got = rank_grid(scenario, link, CFG.mu_fixed, grid, tables, 0.99)[0]
         assert np.all(got == -math.inf)
         assert all(p is None or (not p.valid and p.rate == 0.0) for p in points)
         assert {p.reason for p in points if p is not None} <= {"e11_unavailable"}
@@ -551,7 +551,7 @@ class TestGoldenSection:
         scenario = CFG.scenario_kind("H1")
         grid = np.geomspace(CFG.mu_prime_min, CFG.mu_prime_max, CFG.grid_points)
         tables = basis_tables(link)
-        best = int(np.argmax(grid_rates(scenario, link, CFG.mu_fixed, grid, tables)))
+        best = int(np.argmax(rank_grid(scenario, link, CFG.mu_fixed, grid, tables)[0]))
         monkeypatch.setattr(runner, "_golden_section", no_bracket)
         point = optimize_mu_prime(scenario, link, CFG, tables)
         assert point.valid and point.mu_prime == grid[best]

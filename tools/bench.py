@@ -4,14 +4,16 @@ and the calibration probe's `kernel_ms_p50` from each run's record line, which t
 the program from a change of the probe), 5 wall times each of `import mdiqkd`,
 `mdiqkd scan` and `mdiqkd optimize --scenario H1 --distance 100`, the core count, versions and the
 git commit.  It prints each metric's change against the highest-numbered earlier BENCH_*.json,
-with that file's IQR beside it."""
-import json, math, os, platform, re, statistics, subprocess, sys, timeit
+with that file's IQR beside it.  The wall times are paired: the earlier file's commit is
+extracted with `git archive` into a temporary directory, and each run on HEAD alternates with
+one on that tree, whose summary is stored in the entry as `parent` with `pairs_won`, the number
+of pairs HEAD ran faster."""
+import json, math, os, platform, re, statistics, subprocess, sys, tempfile, timeit
 from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
-ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 WALL = {
     "import_s": ("-c", "import mdiqkd"),
     "scan_s": ("-m", "mdiqkd", "scan"),
@@ -22,8 +24,13 @@ WALL = {
 RECORD_KEYS = ("raw_ops_per_s", "kernel_ms_p50")
 
 
-def run(*args: str) -> str:
-    return subprocess.run(args, cwd=ROOT, env=ENV, check=True, capture_output=True, text=True).stdout
+def run(*args: str, tree: Path = ROOT) -> str:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.run(args, cwd=tree, env=env, check=True, capture_output=True, text=True).stdout
+
+
+def wall(args: tuple, tree: Path) -> float:
+    return timeit.timeit(lambda: run(sys.executable, *args, tree=tree), number=1)
 
 
 def summary(values: list[float]) -> dict:
@@ -45,10 +52,25 @@ def medians(bench: dict) -> dict:
 
 
 pr = int(sys.argv[1])
+prev = max((int(m[1]) for p in ROOT.glob("BENCH_*.json")
+            if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name)) and int(m[1]) < pr), default=None)
+prev_bench = json.loads((ROOT / f"BENCH_{prev}.json").read_text()) if prev is not None else {}
 out = {"commit": run("git", "rev-parse", "HEAD").strip(), "nproc": os.cpu_count(),
        "python": platform.python_version(), "numpy": version("numpy")}
-for key, args in WALL.items():
-    out[key] = summary(timeit.repeat(lambda: run(sys.executable, *args), number=1, repeat=5))
+with tempfile.TemporaryDirectory() as tmp:
+    parent = prev_bench.get("commit")
+    if parent:
+        archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+    for key, args in WALL.items():
+        if not parent:
+            out[key] = summary([wall(args, ROOT) for _ in range(5)])
+            continue
+        pairs = [(wall(args, Path(tmp)), wall(args, ROOT)) for _ in range(5)]
+        out[key] = summary([head for _, head in pairs])
+        out[key]["parent"] = dict(summary([base for base, _ in pairs]), commit=parent)
+        out[key]["pairs_won"] = sum(head < base for base, head in pairs)
 for name in (w["name"] for w in SPEC["workloads"]):
     outputs = [run(sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
                    "--seconds", "10").splitlines() for seed in (1, 2, 3)]
@@ -62,10 +84,13 @@ for name in (w["name"] for w in SPEC["workloads"]):
         out[name][key] = summary([r[key] for r in records])
 (ROOT / f"BENCH_{pr}.json").write_text(json.dumps(out, indent=1) + "\n")
 
-prev = max((int(m[1]) for p in ROOT.glob("BENCH_*.json")
-            if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name)) and int(m[1]) < pr), default=None)
+for key in WALL:
+    if "parent" in out[key]:
+        base, head = out[key]["parent"]["median"], out[key]["median"]
+        print(f"{key}: parent {base:.4g} s, HEAD {head:.4g} s ({(head - base) / base:+.1%}), "
+              f"HEAD faster in {out[key]['pairs_won']} of {len(out[key]['runs'])} pairs")
 if prev is not None:
-    base = medians(json.loads((ROOT / f"BENCH_{prev}.json").read_text()))
+    base = medians(prev_bench)
     print(f"{'metric':<26}{f'BENCH_{prev}':>12}{'IQR':>10}{f'BENCH_{pr}':>12}{'change':>9}")
     for key, (new, _) in medians(out).items():
         old, iqr = base.get(key, (math.nan, None))  # nan: a metric the earlier file lacks
