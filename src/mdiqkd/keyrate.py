@@ -29,11 +29,14 @@ the zero-intensity sides' weights) is cached by _plan; what no
 point of a row changes (the stacked tables and the zero-intensity
 sides' records) is kept in a row context (see _RowContext); so a point
 costs one photon row per intensity, one stacked multiply, four matmuls
-over all its sides and its records as Python floats.  rank_grid
-evaluates a whole intensity grid in one batched pass of the same
-algebra (_RowContext.rates), exact to the point: its rates
-equal rate_for_scenario's bit for bit, and it returns the best point's
-RatePoint, so the optimizer evaluates the grid winner only once.  The
+over all its sides and its records as Python floats, and it comes back
+as plain numbers (_RowContext.rate); rate_for_scenario wraps them in a
+RatePoint.  rank_grid evaluates a whole intensity grid in one batched
+pass of the same algebra (_RowContext.rates), exact to the point: its
+rates equal rate_for_scenario's bit for bit, and it returns the best
+point's RatePoint, so the optimizer evaluates the grid winner only once.
+The optimizer (runner.optimize_mu_prime) calls a row context's rates and
+rate itself, and builds a RatePoint only for the points it returns.  The
 pass builds only the (side, table) sums a point reads: the signal's on
 Y_z and Y_z e_z, the strong and weak settings' on Y_z, Y_x and Y_x e_x;
 a weak side fixed at mu_fixed (W1, H2) is summed once per pass.
@@ -189,9 +192,15 @@ class RateInputs:
 
 def key_rate(inputs: RateInputs) -> float:
     """Secret bits per signal pulse pair; negative means no key."""
-    privacy = 1.0 - binary_entropy(inputs.e11x)
-    gained = inputs.q1_sq * inputs.p1_sq * inputs.y11 * privacy
-    spent = inputs.gain_z * inputs.f_ec * binary_entropy(inputs.qber_z)
+    return _key_rate(inputs.y11, inputs.e11x, inputs.gain_z, inputs.qber_z, inputs.p1_sq,
+                     inputs.q1_sq, inputs.f_ec)
+
+
+def _key_rate(y11, e11x, gain_z, qber_z, p1_sq, q1_sq, f_ec) -> float:
+    """key_rate on RateInputs' fields, which the caller has range-checked."""
+    privacy = 1.0 - binary_entropy(e11x)
+    gained = q1_sq * p1_sq * y11 * privacy
+    spent = gain_z * f_ec * binary_entropy(qber_z)
     return gained - spent
 
 
@@ -315,17 +324,19 @@ _CONST_SPANS = ((0, 1), (1, 2), (2, 5), (5, 8), (8, 11), (11, 12))
 class _RowContext:
     """What every evaluation of one (scenario, link, tables, f_ec) row shares.
 
-    Built on a row's first rank_grid or rate_for_scenario call and reused
-    by every later one: _plan's part, the point's constants (distance,
-    name, q1^2, the factors of each side count), the stacked tables with
-    the views and (0, 0) corners decoy.series_sums reads (decoy.table_views),
-    and each zero-intensity side's vac0, column and row sums and (0, 0)
-    record on the tables a setting reads.  The last weak setting's results
+    Built on a row's first rank_grid, rate_for_scenario or optimizer call
+    (each finds it through _row) and reused by every later one: _plan's
+    part, the point's constants (distance, name, q1^2, the factors of each
+    side count), the stacked tables with the views and (0, 0) corners
+    decoy.series_sums reads (decoy.table_views), and each zero-intensity
+    side's vac0, column and row sums and (0, 0) record on the tables a
+    setting reads.  The last weak setting's results
     are kept, so a weak intensity that does not follow mu' (W1, H2) is
     assembled once per row.  A point costs one photon row per intensity,
     one multiply by its sides' stacked factors and one series_sums over all
     its sides; the records and the estimator's inputs are then Python floats
-    in the order gain_from_yields sums them.
+    in the order gain_from_yields sums them.  .rate returns the point's
+    numbers, and .point makes them the RatePoint rate_for_scenario returns.
     """
 
     def __init__(self, scenario: ScenarioKind, link: LinkSpec, tables, f_ec: float) -> None:
@@ -392,8 +403,9 @@ class _RowContext:
         x = [g * (w / g if g > 0.0 else 0.0) for g, w in zip(x_gains, x_wrongs)]
         return interior_gain(*z_gains), interior_gain(*x_gains), x[0] - x[1] - x[2] + x[3]
 
-    def rate(self, mu: float, mu_prime: float) -> RatePoint:
-        """rate_for_scenario's point at these intensities; mu_prime is > 0."""
+    def rate(self, mu: float, mu_prime: float) -> tuple[float, float, float, str]:
+        """(y11, e11, rate, reason) of rate_for_scenario's point at these intensities,
+        as .point takes them; mu_prime is > 0."""
         kind, cutoff = self.kind, self.cutoff
         photons = photon_row(kind, mu_prime, cutoff)
         kept = self.weak
@@ -422,31 +434,25 @@ class _RowContext:
             coeffs = y11_coefficients(wa, wa, sa, sa)
             y11, _, licensed = y11_from_series(coeffs, weak[0], strong[0])
             if not licensed:
-                return self.point(mu, mu_prime, y11, 0.0, 0.0, "bound_conditions")
+                return y11, 0.0, 0.0, "bound_conditions"
             y11_x, _, _ = y11_from_series(coeffs, weak[1], strong[1])
             s11 = (weak11 * y11_x, (a1[0] * a1[0]) * y11_x)
             try:
                 e11 = e11_from_moments((weak[2], strong[2]), s11)
             except BoundUnavailableError:
-                return self.point(mu, mu_prime, y11, 0.0, 0.0, "e11_unavailable")
+                return y11, 0.0, 0.0, "e11_unavailable"
         # the signal's (x, x) error-weighted gain and gain in Z
         s, m = self.signal, self.corner
         v, c, r, i = self.vac0[s], col[s], row[s], inner[s]
         wrong_z = i[0] + (v * c[0] + v * r[0] - v * v * m[0])
         gain_z = i[1] + (v * c[1] + v * r[1] - v * v * m[1])
-        p1 = photons[1]
-        rate = key_rate(
-            RateInputs(
-                y11=y11,
-                e11x=e11,
-                gain_z=gain_z,
-                qber_z=record_qber(gain_z, wrong_z),
-                p1_sq=p1 * p1,
-                q1_sq=self.q1_sq,
-                f_ec=self.f_ec,
-            )
-        )
-        return self.point(mu, mu_prime, y11, e11, rate)
+        qber_z, p1_sq = record_qber(gain_z, wrong_z), photons[1] * photons[1]
+        q1_sq, f_ec = self.q1_sq, self.f_ec
+        # RateInputs' range checks; it is built only to raise its error
+        if not (0.0 <= y11 <= 1.0 and 0.0 <= e11 <= 1.0 and gain_z >= 0.0 and 0.0 <= qber_z <= 1.0
+                and 0.0 <= p1_sq <= 1.0 and 0.0 <= q1_sq <= 1.0 and f_ec >= 1.0):
+            RateInputs(y11, e11, gain_z, qber_z, p1_sq, q1_sq, f_ec)
+        return y11, e11, _key_rate(y11, e11, gain_z, qber_z, p1_sq, q1_sq, f_ec), ""
 
     def point(self, mu, mu_prime, y11, e11, rate, reason="") -> RatePoint:
         mu_out = 0.0 if self.asymptotic else mu
@@ -566,7 +572,8 @@ def rate_for_scenario(
         raise ValueError(f"signal intensity must be > 0, got {mu_prime}")
     if tables is None:
         tables = basis_tables(link)
-    return _row(scenario, link, tables, f_ec).rate(mu, mu_prime)
+    row = _row(scenario, link, tables, f_ec)
+    return row.point(mu, mu_prime, *row.rate(mu, mu_prime))
 
 
 def rank_grid(scenario: ScenarioKind, link: LinkSpec, mu_fixed: float, mu_primes: np.ndarray,

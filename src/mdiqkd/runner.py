@@ -9,13 +9,14 @@ Everything here is deterministic: a fixed log-spaced intensity grid,
 golden-section refinement with a fixed tolerance, and repr-based float
 serialization that round-trips exactly.  The grid and its logarithms
 are built once per (mu_prime_min, mu_prime_max, grid_points).  The
-optimizer ranks the grid in one batched pass exact to rate_for_scenario
-(keyrate.rank_grid), which also gives the grid winner's point; a golden
-bracket point whose mu_prime is exactly a grid value reads its cost from
-those rates.  Every other refinement point uses rate_for_scenario, whose
-row context (see keyrate) assembles what no point changes once per row,
-and per point only the photon rows and sides at that point's own
-intensities.
+optimizer takes a row's context from keyrate once per row and works on
+it directly: it ranks the grid in one batched pass exact to
+rate_for_scenario (the context's rates, as keyrate.rank_grid), which
+also gives the grid winner's point; a golden bracket point whose
+mu_prime is exactly a grid value reads its cost from those rates.
+Every other refinement point is the context's rate, which returns plain
+numbers; a RatePoint is built only for a refined point that beats the
+grid winner, or on the fallback path.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
+from . import keyrate
 from .decoy import (
     BoundUnavailableError,
     GainRecord,
@@ -43,8 +45,6 @@ from .keyrate import (
     RatePoint,
     ScenarioKind,
     basis_tables,
-    rank_grid,
-    rate_for_scenario,
 )
 from .optics import SAFETY_CAP, Basis, LinkSpec, YieldTable, yield_table
 from .source import SourceSpec, TriggerClass
@@ -250,21 +250,6 @@ def parse_config(text: str) -> ScanConfig:
         raise ConfigError(written[exc.field] + str(exc)[len(exc.field):]) from None
 
 
-def _evaluate(
-    scenario: ScenarioKind,
-    link: LinkSpec,
-    config: ScanConfig,
-    mu_prime: float,
-    tables: tuple[YieldTable, YieldTable],
-) -> RatePoint | None:
-    mu = scenario.weak_intensity(mu_prime, config.mu_fixed)
-    try:
-        return rate_for_scenario(scenario, link, mu, mu_prime, tables, config.f_ec)
-    except ValueError:
-        # degenerate intensities (for example coupled mu collapsing to 0)
-        return None
-
-
 class _BracketError(ValueError):
     """The three starting points of a golden-section search do not bracket a minimum."""
 
@@ -331,39 +316,48 @@ def optimize_mu_prime(
     """Best signal intensity for one scenario and distance.
 
     A fixed log-spaced grid locates the basin, golden-section search on
-    the log axis refines it.  The batched rank_grid, exact to
-    rate_for_scenario, ranks the grid and returns the winning grid point.
+    the log axis refines it, both on the row context of (scenario, link,
+    tables, f_ec) that rate_for_scenario reads.  Its batched rates, exact
+    to rate_for_scenario, rank the grid and return the winning grid point.
     A bracket point whose exp(log) round-trips to its grid value costs
     what the grid rated it (-rate, or inf where the grid reads -inf), as
     rate_for_scenario would give bit for bit; every other refinement step
-    and the fallback below use rate_for_scenario, and each distinct
-    mu_prime is evaluated at most once per call.  If no grid
-    point yields a positive rate the best point is returned flagged
-    invalid with rate 0.
+    and the fallback below take the context's rate, whose numbers make
+    rate_for_scenario's point, and each distinct mu_prime is evaluated at
+    most once per call.  If no grid point yields a positive rate the best
+    point is returned flagged invalid with rate 0.
     """
     if tables is None:
         tables = basis_tables(link)
-    # golden search revisits the grid winner and its neighbours, and the
-    # final refined point is its last cost evaluation
-    memo: dict[float, RatePoint | None] = {}
+    # read off the module per call, so a stand-in for keyrate._row or _RowContext serves here too
+    row = keyrate._row(scenario, link, tables, config.f_ec)
+    # golden search revisits the grid winner's neighbours, and the final refined
+    # point is its last cost evaluation: (mu, row.rate's numbers), or None where it raises
+    memo: dict[float, tuple[float, tuple] | None] = {}
 
-    def evaluate(mu_prime: float) -> RatePoint | None:
+    def evaluate(mu_prime: float) -> tuple[float, tuple] | None:
         if mu_prime not in memo:
-            memo[mu_prime] = _evaluate(scenario, link, config, mu_prime, tables)
+            mu = scenario.weak_intensity(mu_prime, config.mu_fixed)
+            try:
+                memo[mu_prime] = mu, row.rate(mu, mu_prime)
+            except ValueError:
+                # degenerate intensities (for example coupled mu collapsing to 0)
+                memo[mu_prime] = None
         return memo[mu_prime]
 
     grid, logs = _grid(config.mu_prime_min, config.mu_prime_max, config.grid_points)
-    rates, best = rank_grid(scenario, link, config.mu_fixed, grid, tables, config.f_ec)
+    rates, best = row.rates(config.mu_fixed, tuple(grid.tolist()))
     if best is None:
         # every point is invalid or raises: report the first that does not raise
-        points = (evaluate(mp) for mp in grid.tolist())
-        return next((p for p in points if p is not None), None) or RatePoint(
+        for mu_prime in grid.tolist():
+            if (found := evaluate(mu_prime)) is not None:
+                return row.point(found[0], mu_prime, *found[1])
+        return RatePoint(
             distance_km=link.total_distance_km, scenario=scenario.name, mu=0.0,
             mu_prime=float(grid[len(grid) // 2]), y11_bound=0.0, e11_bound=0.0, rate=0.0,
             valid=False, reason="no_valid_point")
 
     best_i = int(np.argmax(rates))
-    memo[float(grid[best_i])] = best
     if 0 < best_i < len(grid) - 1:
         # a bracket point whose exp round-trips to its grid value costs what the
         # grid rated it: -rate, or inf where the grid reads -inf
@@ -374,19 +368,23 @@ def optimize_mu_prime(
             mu_prime = float(math.exp(lg))
             if mu_prime in known:
                 return known[mu_prime]
-            pt = evaluate(mu_prime)
-            if pt is None or not pt.valid:
-                return math.inf
-            return -pt.rate
+            found = evaluate(mu_prime)
+            if found is None or found[1][3]:
+                return math.inf  # it raised, or it is invalid: its reason is not ""
+            return -found[1][2]
 
         bracket = (float(logs[best_i - 1]), float(logs[best_i]), float(logs[best_i + 1]))
         try:
             x = _golden_section(cost, bracket, config.refine_tol, maxiter=200)
-            refined = evaluate(float(math.exp(x)))
         except _BracketError:
-            refined = None  # flat or non-bracketing neighbourhood: the grid best is kept
-        if refined is not None and refined.valid and refined.rate > best.rate:
-            best = refined
+            pass  # flat or non-bracketing neighbourhood: the grid best is kept
+        else:
+            # a refined point that is the grid winner cannot beat it
+            mu_prime = float(math.exp(x))
+            if mu_prime != best.mu_prime and (found := evaluate(mu_prime)) is not None:
+                mu, (y11, e11, rate, reason) = found
+                if not reason and rate > best.rate:
+                    best = row.point(mu, mu_prime, y11, e11, rate)
 
     if best.rate <= 0.0:
         return replace(best, rate=0.0, valid=False, reason="no_positive_rate")

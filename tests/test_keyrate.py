@@ -407,14 +407,14 @@ def outcome(fn, *args):
 def optimizer_points(scenario, link, config, tables, monkeypatch):
     """The signal intensities one optimize_mu_prime evaluates: the grid and refinement."""
     seen = []
-    evaluate = runner.rate_for_scenario
+    evaluate = keyrate._RowContext.rate
 
-    def spy(scenario, link, mu, mu_prime, *args):
+    def spy(row, mu, mu_prime):
         seen.append(mu_prime)
-        return evaluate(scenario, link, mu, mu_prime, *args)
+        return evaluate(row, mu, mu_prime)
 
     with monkeypatch.context() as patch:
-        patch.setattr(runner, "rate_for_scenario", spy)
+        patch.setattr(keyrate._RowContext, "rate", spy)
         optimize_mu_prime(scenario, link, config, tables)
     grid = np.geomspace(config.mu_prime_min, config.mu_prime_max, config.grid_points)
     return [float(mp) for mp in grid] + seen
@@ -579,6 +579,31 @@ class TestRowContext:
         point = optimize_mu_prime(SCAN_CFG.scenario_kind(name), link, SCAN_CFG, basis_tables(link))
         assert point.valid
         assert len(built) == 1
+
+    @pytest.mark.parametrize("name", ["W1", "H1", "H2", "T1"])
+    def test_one_optimize_builds_at_most_two_rate_points(self, name, monkeypatch):
+        # the grid winner's point and a refined point that beats it; every other
+        # point the search evaluates stays plain numbers
+        built, point = [], keyrate._RowContext.point
+
+        def spy(row, *args):
+            built.append(args)
+            return point(row, *args)
+
+        monkeypatch.setattr(keyrate._RowContext, "point", spy)
+        evaluated = []
+        rate = keyrate._RowContext.rate
+
+        def counting(row, mu, mu_prime):
+            evaluated.append(mu_prime)
+            return rate(row, mu, mu_prime)
+
+        monkeypatch.setattr(keyrate._RowContext, "rate", counting)
+        link = SCAN_CFG.link_for(70.0)
+        best = optimize_mu_prime(SCAN_CFG.scenario_kind(name), link, SCAN_CFG, basis_tables(link))
+        assert best.valid and len(evaluated) >= 10
+        assert 1 <= len(built) <= 2
+        assert best.mu_prime == built[-1][1]
 
     @pytest.mark.parametrize("name", ["W0", "W1", "H1", "H2", "T1"])
     def test_one_optimize_stacks_the_tables_once(self, name, monkeypatch):

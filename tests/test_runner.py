@@ -26,7 +26,6 @@ from mdiqkd.runner import (
     ConfigError,
     DEFAULT_SCENARIO_HERALDING,
     ScanConfig,
-    _evaluate,
     emit_csv,
     emit_gain_csv,
     emit_yield_csv,
@@ -43,21 +42,35 @@ from mdiqkd.source import DistributionKind, HeraldingDetector, SourceSpec, Trigg
 CFG = ScanConfig()
 
 
+def _evaluate(scenario, link, config, mu_prime, tables):
+    """rate_for_scenario's point at mu_prime and the scenario's weak intensity, or None
+    where it raises: one point of the optimizer's search, as a scalar oracle."""
+    mu = scenario.weak_intensity(mu_prime, config.mu_fixed)
+    try:
+        return keyrate.rate_for_scenario(scenario, link, mu, mu_prime, tables, config.f_ec)
+    except ValueError:
+        # degenerate intensities (for example coupled mu collapsing to 0)
+        return None
+
+
 def recording(seen):
-    """A stand-in for runner.rate_for_scenario that appends each mu' it evaluates to seen."""
-    def spy(scenario, link, mu, mu_prime, *args):
+    """A stand-in for keyrate._RowContext.rate, the optimizer's one point, that
+    appends each mu' it evaluates to seen."""
+    rate = keyrate._RowContext.rate
+
+    def spy(row, mu, mu_prime):
         seen.append(mu_prime)
-        return keyrate.rate_for_scenario(scenario, link, mu, mu_prime, *args)
+        return rate(row, mu, mu_prime)
 
     return spy
 
 
 @pytest.fixture(scope="module")
 def default_scan():
-    """The default scan's rows, and the mu' of every rate_for_scenario call it made."""
+    """The default scan's rows, and the mu' of every _RowContext.rate call it made."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(runner, "rate_for_scenario", recording(seen))
+        patch.setattr(keyrate._RowContext, "rate", recording(seen))
         rows = scan(ScanConfig())
     return rows, seen
 
@@ -259,14 +272,14 @@ class TestOptimize:
         # grid rates are the point rates, so a grid with no valid rate has no
         # valid point; when every point also raises, the asymptotic and the
         # estimated row alike report the constructed no_valid_point row
-        def no_valid_rate(scenario, link, mu_fixed, mu_primes, *args):
+        def no_valid_rate(row, mu_fixed, mu_primes):
             return np.full(len(mu_primes), -math.inf), None
 
         def degenerate(*args):
             raise ValueError("degenerate intensities")
 
-        monkeypatch.setattr(runner, "rank_grid", no_valid_rate)
-        monkeypatch.setattr(runner, "rate_for_scenario", degenerate)
+        monkeypatch.setattr(keyrate._RowContext, "rates", no_valid_rate)
+        monkeypatch.setattr(keyrate._RowContext, "rate", degenerate)
         link = CFG.link_for(50.0)
         first = _evaluate(CFG.scenario_kind(name), link, CFG, CFG.mu_prime_min, basis_tables(link))
         assert first is None
@@ -276,12 +289,7 @@ class TestOptimize:
     @pytest.mark.parametrize("name", ["W1", "H1", "T1"])
     def test_never_evaluates_a_point_twice(self, name, monkeypatch):
         seen = []
-
-        def spy(scenario, link, mu, mu_prime, *args):
-            seen.append(mu_prime)
-            return keyrate.rate_for_scenario(scenario, link, mu, mu_prime, *args)
-
-        monkeypatch.setattr(runner, "rate_for_scenario", spy)
+        monkeypatch.setattr(keyrate._RowContext, "rate", recording(seen))
         link = CFG.link_for(100.0)
         point = optimize_mu_prime(CFG.scenario_kind(name), link, CFG)
         assert point.valid
@@ -292,9 +300,9 @@ class TestOptimize:
     @pytest.mark.parametrize("name", ["W1", "H0", "H1", "T1"])
     def test_bracket_ends_on_the_grid_are_never_evaluated(self, name, monkeypatch):
         # a bracket end whose exp(log g) round-trips to the grid value g costs what
-        # the grid rated it, so rate_for_scenario never sees that mu'
+        # the grid rated it, so the row context's scalar rate never sees that mu'
         seen = []
-        monkeypatch.setattr(runner, "rate_for_scenario", recording(seen))
+        monkeypatch.setattr(keyrate._RowContext, "rate", recording(seen))
         grid, logs = runner._grid(CFG.mu_prime_min, CFG.mu_prime_max, CFG.grid_points)
         link = CFG.link_for(100.0)
         tables = basis_tables(link)
@@ -640,11 +648,12 @@ class TestScan:
         assert hashlib.md5(text.encode()).hexdigest() == "86fd30844b6bb162725878c6d4ad9329"
 
     def test_default_scan_reads_grid_rated_bracket_ends_from_the_grid(self, default_scan):
-        # 7,228 scalar evaluations when every bracket end went through
-        # rate_for_scenario; the rows stay those of the byte-stable CSV above
+        # 7,228 scalar evaluations when every bracket end went through the scalar
+        # point, and 6,754 since; the rows stay those of the byte-stable CSV above
         rows, seen = default_scan
         assert len(rows) == 7 * 61
         assert len(seen) < 7228
+        assert len(seen) == 6754
         assert hashlib.md5(emit_csv(rows).encode()).hexdigest() == "86fd30844b6bb162725878c6d4ad9329"
 
     def test_reported_numbers_are_plain_floats(self, default_rows):

@@ -1,13 +1,14 @@
-"""`python3 tools/bench.py PR` writes BENCH_<PR>.json at the repo root: perfbench/run.py 3 x 10 s
+"""`python3 tools/bench.py PR [REV]` writes BENCH_<PR>.json at the repo root: perfbench/run.py 3 x 10 s
 per workload (median, IQR and runs of each end-to-end metric, and of the unscaled `raw_ops_per_s`
 and the calibration probe's `kernel_ms_p50` from each run's record line, which tell a change of
-the program from a change of the probe), 5 wall times each of `import mdiqkd`,
+the program from a change of the probe), 12 wall times each of `import mdiqkd`,
 `mdiqkd scan` and `mdiqkd optimize --scenario H1 --distance 100`, the core count, versions and the
 git commit.  It prints each metric's change against the highest-numbered earlier BENCH_*.json,
-with that file's IQR beside it.  The wall times are paired: the earlier file's commit is
-extracted with `git archive` into a temporary directory, and each run on HEAD alternates with
-one on that tree, whose summary is stored in the entry as `parent` with `pairs_won`, the number
-of pairs HEAD ran faster."""
+with that file's IQR beside it.  The wall times are paired against REV (default HEAD~1, the
+change's parent): REV is extracted with `git archive` into a temporary directory, deleted
+afterwards, and each run on the working tree alternates with one on REV's, whose summary is
+stored in the entry as `parent` with `pairs_won`, the number of pairs the working tree ran
+faster."""
 import json, math, os, platform, re, statistics, subprocess, sys, tempfile, timeit
 from importlib.metadata import version
 from pathlib import Path
@@ -22,6 +23,8 @@ WALL = {
 
 # unscaled throughput and the calibration probe of each run, from its record line
 RECORD_KEYS = ("raw_ops_per_s", "kernel_ms_p50")
+# alternating (REV, working tree) wall-time pairs per command
+PAIRS = 12
 
 
 def run(*args: str, tree: Path = ROOT) -> str:
@@ -52,22 +55,19 @@ def medians(bench: dict) -> dict:
 
 
 pr = int(sys.argv[1])
+rev = sys.argv[2] if len(sys.argv) > 2 else "HEAD~1"
 prev = max((int(m[1]) for p in ROOT.glob("BENCH_*.json")
             if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name)) and int(m[1]) < pr), default=None)
 prev_bench = json.loads((ROOT / f"BENCH_{prev}.json").read_text()) if prev is not None else {}
 out = {"commit": run("git", "rev-parse", "HEAD").strip(), "nproc": os.cpu_count(),
        "python": platform.python_version(), "numpy": version("numpy")}
 with tempfile.TemporaryDirectory() as tmp:
-    parent = prev_bench.get("commit")
-    if parent:
-        archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+    parent = run("git", "rev-parse", "--verify", f"{rev}^{{commit}}").strip()
+    archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
     for key, args in WALL.items():
-        if not parent:
-            out[key] = summary([wall(args, ROOT) for _ in range(5)])
-            continue
-        pairs = [(wall(args, Path(tmp)), wall(args, ROOT)) for _ in range(5)]
+        pairs = [(wall(args, Path(tmp)), wall(args, ROOT)) for _ in range(PAIRS)]
         out[key] = summary([head for _, head in pairs])
         out[key]["parent"] = dict(summary([base for base, _ in pairs]), commit=parent)
         out[key]["pairs_won"] = sum(head < base for base, head in pairs)
@@ -85,10 +85,9 @@ for name in (w["name"] for w in SPEC["workloads"]):
 (ROOT / f"BENCH_{pr}.json").write_text(json.dumps(out, indent=1) + "\n")
 
 for key in WALL:
-    if "parent" in out[key]:
-        base, head = out[key]["parent"]["median"], out[key]["median"]
-        print(f"{key}: parent {base:.4g} s, HEAD {head:.4g} s ({(head - base) / base:+.1%}), "
-              f"HEAD faster in {out[key]['pairs_won']} of {len(out[key]['runs'])} pairs")
+    base, head = out[key]["parent"]["median"], out[key]["median"]
+    print(f"{key}: {rev} {base:.4g} s, HEAD {head:.4g} s ({(head - base) / base:+.1%}), "
+          f"HEAD faster in {out[key]['pairs_won']} of {PAIRS} pairs")
 if prev is not None:
     base = medians(prev_bench)
     print(f"{'metric':<26}{f'BENCH_{prev}':>12}{'IQR':>10}{f'BENCH_{pr}':>12}{'change':>9}")
