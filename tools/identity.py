@@ -9,8 +9,8 @@ or the first line whose output differs.  The exit status is 1 if any check diffe
 - optimize: `mdiqkd optimize --scenario H1 --distance 100`;
 - bound: `mdiqkd bound` for H1, H2, W1 and T1 in Z and X, on the gain records of REV's optimized
   rows at 0, 50 and 150 km and on their Z-only halves: 48 runs, stdout, stderr and exit code;
-- gains, grids, points: seeded fingerprints of gain_from_yields records (float.hex), rank_grid
-  rates (float.hex) and rate_for_scenario points (repr, or the error raised).
+- fingerprints: seeded fingerprints of gain_from_yields records (float.hex), rank_grid rates
+  (float.hex) and rate_for_scenario points (repr, or the error raised).
 
 It takes about a minute; it needs git, so it is not part of the test suite."""
 import hashlib, os, subprocess, sys, tempfile
@@ -133,10 +133,10 @@ for i in range(150):
 """
 
 
-def run(tree: Path, *args: str, cwd: Path | None = None, path: str = "src") -> list[str]:
+def run(tree: Path, *args: str, cwd: Path | None = None, paths=("src",)) -> list[str]:
     """stdout, stderr and exit code of `python args` on tree's package, as lines, with the
     tree's own path written <tree> so that a traceback reads alike in both."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(tree / p) for p in path.split(",")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(tree / p) for p in paths))
     proc = subprocess.run([sys.executable, *args], cwd=cwd or tree, env=env, capture_output=True,
                           text=True)
     lines = proc.stdout.splitlines() + [f"stderr: {line}" for line in proc.stderr.splitlines()]
@@ -178,7 +178,7 @@ def main() -> int:
         checks = {
             "scan": lambda tree: run(tree, "-m", "mdiqkd", "scan"),
             "reference": lambda tree: run(tree, "-c", REFERENCE, str(recorded),
-                                          cwd=tree / "perfbench", path="src,perfbench"),
+                                          cwd=tree / "perfbench", paths=("src", "perfbench")),
             "optimize": lambda tree: run(tree, "-m", "mdiqkd", "optimize", "--scenario", "H1",
                                          "--distance", "100"),
             "bound": lambda tree: bound_runs(tree, files),
