@@ -27,17 +27,19 @@ built.  The work is planned in three tiers: what every row of a scenario
 and cutoff shares (each event class's side factors, q1, the vacuum row,
 the zero-intensity sides' weights) is cached by _plan; what no
 point of a row changes (the stacked tables and the zero-intensity
-sides' records) is kept in a row context (see _RowContext); so a point
-costs one photon row per intensity, one stacked multiply, four matmuls
-over all its sides and its records as Python floats, and it comes back
-as plain numbers (_RowContext.rate); rate_for_scenario wraps them in a
-RatePoint.  rank_grid evaluates a whole intensity grid in one batched
-pass of the same algebra (_RowContext.rates), exact to the point: its
-rates equal rate_for_scenario's bit for bit, and it returns the best
-point's RatePoint, so the optimizer evaluates the grid winner only once.
-The optimizer (runner.optimize_mu_prime) calls a row context's rates and
-rate itself, and builds a RatePoint only for the points it returns.  The
-pass builds only the (side, table) sums a point reads: the signal's on
+sides' records) is kept in a row context (see _RowContext), which its
+caller builds and holds for one call; so a point costs one photon row
+per intensity, one stacked multiply, four matmuls over all its sides and
+its records as Python floats, and it comes back as plain numbers
+(_RowContext.rate); rate_for_scenario wraps them in a RatePoint.
+rank_grid evaluates a whole intensity grid in one batched pass of the
+same algebra (_RowContext.rates), exact to the point: its rates equal
+rate_for_scenario's bit for bit, and it returns the best point's
+RatePoint.  rate_for_scenario and rank_grid each build a row context per
+call.  The optimizer (runner.optimize_mu_prime) builds one per row and
+calls its rates and rate itself, so it evaluates the grid winner only
+once and builds a RatePoint only for the points it returns.  The pass
+builds only the (side, table) sums a point reads: the signal's on
 Y_z and Y_z e_z, the strong and weak settings' on Y_z, Y_x and Y_x e_x;
 a weak side fixed at mu_fixed (W1, H2) is summed once per pass.
 """
@@ -324,17 +326,17 @@ _CONST_SPANS = ((0, 1), (1, 2), (2, 5), (5, 8), (8, 11), (11, 12))
 class _RowContext:
     """What every evaluation of one (scenario, link, tables, f_ec) row shares.
 
-    Built on a row's first rank_grid, rate_for_scenario or optimizer call
-    (each finds it through _row) and reused by every later one: _plan's
-    part, the point's constants (distance, name, q1^2, the factors of each
-    side count), the stacked tables with the views and (0, 0) corners
-    decoy.series_sums reads (decoy.table_views), and each zero-intensity
-    side's vac0, column and row sums and (0, 0) record on the tables a
-    setting reads.  The last weak setting's results
-    are kept, so a weak intensity that does not follow mu' (W1, H2) is
-    assembled once per row.  A point costs one photon row per intensity,
-    one multiply by its sides' stacked factors and one series_sums over all
-    its sides; the records and the estimator's inputs are then Python floats
+    Built by its caller and held for one call: rank_grid and
+    rate_for_scenario build one per call, the optimizer one per row, whose
+    grid and points all read it.  It holds _plan's part, the point's
+    constants (distance, name, q1^2, the factors of each side count), the
+    stacked tables with the views and (0, 0) corners decoy.series_sums
+    reads (decoy.table_views), and each zero-intensity side's vac0, column
+    and row sums and (0, 0) record on the tables a setting reads.  The last
+    weak setting's results are kept, so a weak intensity that does not
+    follow mu' (W1, H2) is assembled once per row.  A point costs one photon
+    row per intensity, one multiply by its sides' stacked factors and one
+    series_sums over all its sides; the records and the estimator's inputs are then Python floats
     in the order gain_from_yields sums them.  .rate returns the point's
     numbers, and .point makes them the RatePoint rate_for_scenario returns.
     """
@@ -349,9 +351,7 @@ class _RowContext:
                 f"{table_z.basis.value} at cutoff {table_z.cutoff} and "
                 f"{table_x.basis.value} at cutoff {table_x.cutoff}"
             )
-        # the context holds the tables, so their ids cannot be reused while it lives
-        self.key = (scenario, link, f_ec, id(tables[0]), id(tables[1]))
-        self.scenario, self.tables, self.f_ec = scenario, tables, f_ec
+        self.scenario, self.f_ec = scenario, f_ec
         self.distance, self.name, self.cutoff = link.total_distance_km, scenario.name, link.cutoff
         self.kind, self.asymptotic = scenario.distribution, scenario.asymptotic
         q1, factors, self.vac0, self.signal, zero, zero_vac0 = _plan(scenario, link.cutoff)
@@ -534,21 +534,6 @@ class _RowContext:
         return out, self.point(mus[best], mu_primes[best], y11, e11, float(out[best]))
 
 
-# the row of the last rate_for_scenario or rank_grid call: the optimizer
-# ranks one row's grid and evaluates its points back to back, so one slot
-# serves every call after the first
-_last_row: _RowContext | None = None
-
-
-def _row(scenario: ScenarioKind, link: LinkSpec, tables, f_ec: float) -> _RowContext:
-    """The row context of (scenario, link, tables, f_ec), found by the identity of the tables."""
-    global _last_row
-    row = _last_row
-    if row is None or row.key != (scenario, link, f_ec, id(tables[0]), id(tables[1])):
-        row = _last_row = _RowContext(scenario, link, tables, f_ec)
-    return row
-
-
 def rate_for_scenario(
     scenario: ScenarioKind,
     link: LinkSpec,
@@ -563,25 +548,25 @@ def rate_for_scenario(
     negative for a valid point; validity only says the bounds existed.
 
     The estimated scenarios take the record path of the module
-    docstring, through the row context of (scenario, link, tables,
-    f_ec), found by the identity of the table objects.  Every returned
-    point equals what y11_lower_bound and e11_upper_bound give on a
-    GainTable of the same records.
+    docstring, through a row context of (scenario, link, tables, f_ec)
+    built for this call.  Every returned point equals what
+    y11_lower_bound and e11_upper_bound give on a GainTable of the same
+    records.
     """
     if not mu_prime > 0.0:
         raise ValueError(f"signal intensity must be > 0, got {mu_prime}")
     if tables is None:
         tables = basis_tables(link)
-    row = _row(scenario, link, tables, f_ec)
+    row = _RowContext(scenario, link, tables, f_ec)
     return row.point(mu, mu_prime, *row.rate(mu, mu_prime))
 
 
 def rank_grid(scenario: ScenarioKind, link: LinkSpec, mu_fixed: float, mu_primes: np.ndarray,
               tables: tuple[YieldTable, YieldTable], f_ec: float = DEFAULT_ERROR_CORRECTION
               ) -> tuple[np.ndarray, RatePoint | None]:
-    """(rates, best) of _RowContext.rates over a grid of signal intensities, in the
-    row context rate_for_scenario reuses: rates equal to its own, -inf where it
+    """(rates, best) of _RowContext.rates over a grid of signal intensities, in a row
+    context built for this call: rates equal to rate_for_scenario's, -inf where it
     returns an invalid point or raises, and the first best RatePoint or None.
     tables are basis_tables(link)."""
     grid = tuple(np.asarray(mu_primes, dtype=float).tolist())
-    return _row(scenario, link, tables, f_ec).rates(mu_fixed, grid)
+    return _RowContext(scenario, link, tables, f_ec).rates(mu_fixed, grid)

@@ -9,14 +9,14 @@ Everything here is deterministic: a fixed log-spaced intensity grid,
 golden-section refinement with a fixed tolerance, and repr-based float
 serialization that round-trips exactly.  The grid and its logarithms
 are built once per (mu_prime_min, mu_prime_max, grid_points).  The
-optimizer takes a row's context from keyrate once per row and works on
-it directly: it ranks the grid in one batched pass exact to
-rate_for_scenario (the context's rates, as keyrate.rank_grid), which
-also gives the grid winner's point; a golden bracket point whose
-mu_prime is exactly a grid value reads its cost from those rates.
-Every other refinement point is the context's rate, which returns plain
-numbers; a RatePoint is built only for a refined point that beats the
-grid winner, or on the fallback path.
+optimizer builds a row's context (keyrate._RowContext) once per row,
+holds it for that call and works on it directly: it ranks the grid in
+one batched pass exact to rate_for_scenario (the context's rates, as
+keyrate.rank_grid), which also gives the grid winner's point; a golden
+bracket point whose mu_prime is exactly a grid value reads its cost from
+those rates.  Every other refinement point is the context's rate, which
+returns plain numbers; a RatePoint is built only for a refined point
+that beats the grid winner, or on the fallback path.
 """
 
 from __future__ import annotations
@@ -316,9 +316,10 @@ def optimize_mu_prime(
     """Best signal intensity for one scenario and distance.
 
     A fixed log-spaced grid locates the basin, golden-section search on
-    the log axis refines it, both on the row context of (scenario, link,
-    tables, f_ec) that rate_for_scenario reads.  Its batched rates, exact
-    to rate_for_scenario, rank the grid and return the winning grid point.
+    the log axis refines it, both on one row context of (scenario, link,
+    tables, f_ec) that this call builds and holds; rate_for_scenario builds
+    its own per point.  Its batched rates, exact to rate_for_scenario, rank
+    the grid and return the winning grid point.
     A bracket point whose exp(log) round-trips to its grid value costs
     what the grid rated it (-rate, or inf where the grid reads -inf), as
     rate_for_scenario would give bit for bit; every other refinement step
@@ -329,8 +330,8 @@ def optimize_mu_prime(
     """
     if tables is None:
         tables = basis_tables(link)
-    # read off the module per call, so a stand-in for keyrate._row or _RowContext serves here too
-    row = keyrate._row(scenario, link, tables, config.f_ec)
+    # read off the module per call, so that a stand-in for keyrate._RowContext serves here too
+    row = keyrate._RowContext(scenario, link, tables, config.f_ec)
     # golden search revisits the grid winner's neighbours, and the final refined
     # point is its last cost evaluation: (mu, row.rate's numbers), or None where it raises
     memo: dict[float, tuple[float, tuple] | None] = {}
@@ -352,10 +353,7 @@ def optimize_mu_prime(
         for mu_prime in grid.tolist():
             if (found := evaluate(mu_prime)) is not None:
                 return row.point(found[0], mu_prime, *found[1])
-        return RatePoint(
-            distance_km=link.total_distance_km, scenario=scenario.name, mu=0.0,
-            mu_prime=float(grid[len(grid) // 2]), y11_bound=0.0, e11_bound=0.0, rate=0.0,
-            valid=False, reason="no_valid_point")
+        return row.point(0.0, float(grid[len(grid) // 2]), 0.0, 0.0, 0.0, "no_valid_point")
 
     best_i = int(np.argmax(rates))
     if 0 < best_i < len(grid) - 1:

@@ -1,6 +1,8 @@
 """Rate formula, scenario bookkeeping, and the per-point evaluator."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -547,7 +549,7 @@ class TestRecordRoute:
         link = LinkSpec(40.0)
         tables = basis_tables(link)
         scenario = ScenarioKind(name, 0.9)
-        # builds the row context, with the zero-intensity sides every evaluation shares
+        # warms _plan, whose vacuum row and zero-intensity sides every row context shares
         rate_for_scenario(scenario, link, 0.0418, 0.418, tables)
         calls = []
         row = keyrate.photon_row
@@ -574,7 +576,7 @@ class TestRowContext:
                 super().__init__(*args)
 
         monkeypatch.setattr(keyrate, "_RowContext", Counting)
-        # fresh table objects, so no earlier row's context serves them
+        # the grid ranking and every point read the one context the optimizer builds
         link = SCAN_CFG.link_for(70.0)
         point = optimize_mu_prime(SCAN_CFG.scenario_kind(name), link, SCAN_CFG, basis_tables(link))
         assert point.valid
@@ -615,8 +617,7 @@ class TestRowContext:
             return stack(tables)
 
         monkeypatch.setattr(keyrate, "_stacked_tables", spy)
-        # fresh table objects, so no earlier row's context serves them; the
-        # grid ranking and every point read the one row context's stack
+        # the grid ranking and every point read the one row context's stack
         link = SCAN_CFG.link_for(70.0)
         optimize_mu_prime(SCAN_CFG.scenario_kind(name), link, SCAN_CFG, basis_tables(link))
         assert len(stacked) == 1
@@ -676,9 +677,17 @@ class TestRowContext:
         # one call per distinct event class of each (scenario, cutoff), not one per row
         assert len(calls) == sum(len(set(cfg.scenario_kind(n).classes)) for n in names) == 6
 
-    def test_random_points_match_the_record_route(self):
+    def test_random_points_match_the_record_route(self, monkeypatch):
+        settings = []
+        setting = keyrate._RowContext.setting
+
+        def setting_spy(row, *args):
+            settings.append(row)
+            return setting(row, *args)
+
+        monkeypatch.setattr(keyrate._RowContext, "setting", setting_spy)
         rng = np.random.default_rng(1313)
-        outcomes, kept = [], 0
+        outcomes, kept, served = [], 0, 0
         for i in range(170):
             name = SCENARIO_NAMES[i % len(SCENARIO_NAMES)]
             link = LinkSpec(
@@ -693,8 +702,10 @@ class TestRowContext:
             mu_fixed = float(rng.uniform(0.01, 0.3))
             f_ec = float(rng.uniform(0.99, 1.2))
             tables = basis_tables(link)
-            # one row's points back to back, as the optimizer evaluates them: on the
-            # scenario's weak intensity, off the coupled line, or not positive
+            # one row context, and its points back to back, as the optimizer holds and
+            # evaluates them: on the scenario's weak intensity, off the coupled line,
+            # or not positive
+            row = keyrate._RowContext(scenario, link, tables, f_ec)
             last_mu = None
             for mp in (10.0 ** rng.uniform(-4.0, math.log10(1.5), 12)).tolist():
                 mu = scenario.weak_intensity(mp, mu_fixed)
@@ -705,13 +716,36 @@ class TestRowContext:
                     mu = -float(rng.uniform(0.0, 0.1))
                 kept += mu == last_mu and not scenario.asymptotic
                 last_mu = mu
+                before = len(settings)
+                got = outcome(lambda: row.point(mu, mp, *row.rate(mu, mp)))
+                # the strong setting alone: the kept weak setting served this point
+                served += len(settings) - before == 1
                 args = (scenario, link, mu, mp, tables, f_ec)
-                got = outcome(rate_for_scenario, *args)
                 assert got == outcome(reference_rate, *args), (i, name, mp, mu)
                 outcomes.append(got)
-        assert len(outcomes) >= 2000 and kept >= 200
+        assert len(outcomes) >= 2000 and kept >= 200 and served >= 200
         assert {"", "bound_conditions", "e11_unavailable", ValueError} <= reasons(outcomes)
         assert any(isinstance(o, RatePoint) and o.valid and o.rate > 0.0 for o in outcomes)
+
+    @pytest.mark.parametrize("call", ["optimize_mu_prime", "rate_for_scenario", "rank_grid"])
+    @pytest.mark.parametrize("name", ["W0", "H1", "W1"])
+    def test_no_row_context_outlives_its_call(self, name, call):
+        # a row context lives for one call of its caller, so it keeps no table alive
+        link = SCAN_CFG.link_for(70.0)
+        scenario = SCAN_CFG.scenario_kind(name)
+        tables = basis_tables(link)
+        refs = [weakref.ref(table) for table in tables]
+        if call == "optimize_mu_prime":
+            point = optimize_mu_prime(scenario, link, SCAN_CFG, tables)
+        elif call == "rate_for_scenario":
+            point = rate_for_scenario(scenario, link, 0.05, 0.5, tables)
+        else:
+            grid = np.geomspace(SCAN_CFG.mu_prime_min, SCAN_CFG.mu_prime_max, 60)
+            point = rank_grid(scenario, link, SCAN_CFG.mu_fixed, grid, tables)[1]
+        assert point.valid
+        del tables
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_context_is_keyed_by_every_input(self):
         link = LinkSpec(60.0)

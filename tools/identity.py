@@ -10,7 +10,10 @@ or the first line whose output differs.  The exit status is 1 if any check diffe
 - bound: `mdiqkd bound` for H1, H2, W1 and T1 in Z and X, on the gain records of REV's optimized
   rows at 0, 50 and 150 km and on their Z-only halves: 48 runs, stdout, stderr and exit code;
 - fingerprints: seeded fingerprints of gain_from_yields records (float.hex), rank_grid rates
-  (float.hex) and rate_for_scenario points (repr, or the error raised).
+  (float.hex) and rate_for_scenario points (repr, or the error raised);
+- optimized: seeded random optimize_mu_prime rows (repr), 100 per scenario, each on a config of
+  random e_d, d_c, mu_fixed, heralding efficiency and dark rate and cutoff 3-8, at 0-320 km: the
+  optimizer is the one caller that evaluates many points on one row context.
 
 It takes about a minute; it needs git, so it is not part of the test suite."""
 import hashlib, os, subprocess, sys, tempfile
@@ -132,6 +135,24 @@ for i in range(150):
         print("points", i, out)
 """
 
+# optimized rows on random configs, by public API only, so that REV runs it too
+OPTIMIZED = """
+import sys
+import numpy as np
+from mdiqkd.keyrate import SCENARIO_NAMES
+from mdiqkd.runner import ScanConfig, optimize_mu_prime
+
+rng = np.random.default_rng(int(sys.argv[1]))
+for i in range(100 * len(SCENARIO_NAMES)):
+    cfg = ScanConfig(e_d=float(rng.uniform(0.0, 0.05)), d_c=float(10.0 ** rng.uniform(-8.0, -4.0)),
+                     mu_fixed=float(rng.uniform(0.01, 0.3)),
+                     eta_heralding=float(rng.uniform(0.1, 1.0)),
+                     d_heralding=float(10.0 ** rng.uniform(-8.0, -3.0)),
+                     cutoff=int(rng.integers(3, 9)), scenario_heralding={})
+    scenario = cfg.scenario_kind(SCENARIO_NAMES[i % len(SCENARIO_NAMES)])
+    print(i, repr(optimize_mu_prime(scenario, cfg.link_for(float(rng.uniform(0.0, 320.0))), cfg)))
+"""
+
 
 def run(tree: Path, *args: str, cwd: Path | None = None, paths=("src",)) -> list[str]:
     """stdout, stderr and exit code of `python args` on tree's package, as lines, with the
@@ -183,6 +204,7 @@ def main() -> int:
                                          "--distance", "100"),
             "bound": lambda tree: bound_runs(tree, files),
             "fingerprints": lambda tree: run(tree, "-c", FINGERPRINTS, "2101"),
+            "optimized": lambda tree: run(tree, "-c", OPTIMIZED, "2201"),
         }
         print(f"REV {rev} ({commit[:12]}) against the working tree of {ROOT}")
         differs = 0
