@@ -32,10 +32,12 @@ its vacuum rows alone.
 
 The estimator's algebra works on plain numbers (y11_from_series,
 e11_from_moments).  y11_lower_bound and e11_upper_bound feed it records
-(immutable GainRecord named tuples) looked up in a GainTable; the rate
-path in keyrate feeds it the same numbers assembled straight from side
-weights.  y11_lower_bound keeps a one-entry setting-pair plan (weights,
-coefficients, interior tails), so a bound call's X bound reuses its Z's.
+(immutable GainRecord named tuples) read from a GainTable four to a
+setting (GainTable.setting); the rate path in keyrate feeds it the same
+numbers assembled straight from side weights.  y11_lower_bound keeps a
+one-entry setting-pair plan (each side's interior weights and total, read
+off its class factors and photon row; their y11_coefficients; interior
+tails), so a bound call's X bound reuses its Z's.
 """
 
 from __future__ import annotations
@@ -130,14 +132,14 @@ def side_factors(heralding: HeraldingDetector | None, cls: TriggerClass, cutoff:
     return a_factor, vac_factor, vac0
 
 
-def side_weights(source: SourceSpec, cutoff: int) -> SideWeights:
-    """Series weights of one source up to the cutoff photon number."""
+def _side_terms(source: SourceSpec, cutoff: int) -> tuple:
+    """(a, a_total, photon row, vac_factor, vac_at_zero, vac_total) of one side: the one
+    written form of its weights and closed-form totals, which side_weights and the
+    setting-pair plan build on."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    p = np.array(photon_row(source.kind, source.intensity, cutoff))
+    p = photon_row(source.kind, source.intensity, cutoff)
     a_factor, vac_factor, vac0 = side_factors(source.heralding, source.trigger_class, cutoff)
-    a, vac = a_factor * p, vac_factor * p
-    a.flags.writeable = vac.flags.writeable = False
     a_total, vac_total = 1.0 - p[0], 1.0
     if source.trigger_class is not TriggerClass.ALL:
         heralding = source.heralding
@@ -147,6 +149,15 @@ def side_weights(source: SourceSpec, cutoff: int) -> SideWeights:
             a_total, vac_total = 1.0 - survive, 1.0 - kept
         else:
             a_total, vac_total = survive - p[0], kept
+    p = np.array(p)
+    return a_factor * p, a_total, p, vac_factor, vac0, vac_total
+
+
+def side_weights(source: SourceSpec, cutoff: int) -> SideWeights:
+    """Series weights of one source up to the cutoff photon number."""
+    a, a_total, p, vac_factor, vac0, vac_total = _side_terms(source, cutoff)
+    vac = vac_factor * p
+    a.flags.writeable = vac.flags.writeable = False
     return SideWeights(source, a, vac, vac0, a_total, vac_total)
 
 
@@ -211,6 +222,17 @@ class GainTable:
             raise KeyError(f"no gain record for {where}")
         return matches[0]
 
+    def setting(self, basis: Basis, x: float, y: float, cls: TriggerClass) -> tuple:
+        """The (x, y), (x, 0), (0, y) and (0, 0) records of one setting, one exact-key
+        lookup each; on any miss all four are read through get, in that order."""
+        b, c, fx, fy = _record_key(basis, x, y, cls)
+        find = self._records.get
+        recs = (find((b, c, fx, fy)), find((b, c, fx, 0.0)),
+                find((b, c, 0.0, fy)), find((b, c, 0.0, 0.0)))
+        if None not in recs:
+            return recs
+        return tuple(self.get(basis, *xy, cls) for xy in ((x, y), (x, 0.0), (0.0, y), (0.0, 0.0)))
+
     def __len__(self) -> int:
         return len(self._records)
 
@@ -268,7 +290,7 @@ def gain_from_yields(alice: SideWeights, bob: SideWeights, table: YieldTable) ->
     col, row, inner = series_sums(np.stack((alice.a, alice.vac)), np.stack((bob.a, bob.vac)), views)
     a0, b0 = alice.vac_at_zero, bob.vac_at_zero
     gain, wrong = (inner + (b0 * col + a0 * row - a0 * b0 * views[3])).tolist()
-    tail = _interior_tail(alice, bob)
+    tail = _interior_tail(alice.a, alice.a_total, bob.a, bob.a_total)
     tail += bob.vac_at_zero * (alice.vac_total - float(alice.vac.sum()))
     tail += alice.vac_at_zero * (bob.vac_total - float(bob.vac.sum()))
     return GainRecord(
@@ -282,21 +304,12 @@ def gain_from_yields(alice: SideWeights, bob: SideWeights, table: YieldTable) ->
     )
 
 
-def _pair_weights(
-    pair: tuple[SourceSpec, SourceSpec], cutoff: int
-) -> tuple[SideWeights, SideWeights]:
-    """Both sides' weights of a setting; a symmetric setting computes them once."""
-    alice = side_weights(pair[0], cutoff)
-    if pair[1] == pair[0]:
-        return alice, alice
-    return alice, side_weights(pair[1], cutoff)
-
-
-def _interior_tail(alice: SideWeights, bob: SideWeights) -> float:
-    """Weight of interior terms beyond the cutoff, assuming yields <= 1."""
-    kept = float(alice.a[1:].sum())
-    part = kept * (kept if bob is alice else float(bob.a[1:].sum()))
-    return float(alice.a_total * bob.a_total - part)
+def _interior_tail(a: np.ndarray, a_total: float, b: np.ndarray, b_total: float) -> float:
+    """Weight of interior terms beyond the cutoff of sides with interior weights a and b and
+    closed-form totals a_total and b_total, assuming yields <= 1."""
+    kept = float(a[1:].sum())
+    part = kept * (kept if b is a else float(b[1:].sum()))
+    return float(a_total * b_total - part)
 
 
 # the last y11_lower_bound call's setting pair, with its margin (the licence reads
@@ -306,32 +319,22 @@ _last_pair: tuple | None = None
 
 def _pair_plan(weak: tuple, strong: tuple, cutoff: int) -> tuple:
     """The basis-free work of a setting pair: (y11_coefficients over its interior
-    weights, the weak and strong settings' interior tails in canonical order)."""
+    weights, the weak and strong settings' interior tails in canonical order).  Each
+    side's interior weights and total come straight from its class factors and photon
+    row (_side_terms); a symmetric setting builds its one side once."""
     global _last_pair
     key, plan = (weak, strong, cutoff), _last_pair
     if plan is None or plan[0] != key:
-        wa, wb = _pair_weights(weak, cutoff)
-        sa, sb = _pair_weights(strong, cutoff)
-        coeffs = y11_coefficients(wa.a, wb.a, sa.a, sb.a)
+        sides = []
+        for alice, bob in (weak, strong):
+            a = _side_terms(alice, cutoff)[:2]
+            sides += a, a if bob == alice else _side_terms(bob, cutoff)[:2]
+        wa, wb, sa, sb = sides
+        coeffs = y11_coefficients(wa[0], wb[0], sa[0], sb[0])
         if coeffs[2]:
             wa, wb, sa, sb = sa, sb, wa, wb
-        plan = _last_pair = key, coeffs, _interior_tail(wa, wb), _interior_tail(sa, sb)
+        plan = _last_pair = key, coeffs, _interior_tail(*wa, *wb), _interior_tail(*sa, *sb)
     return plan[1:]
-
-
-def _setting_records(
-    gains: GainTable, pair: tuple[SourceSpec, SourceSpec], basis: Basis
-) -> tuple[GainRecord, GainRecord, GainRecord, GainRecord]:
-    """The (x, y), (x, 0), (0, y) and (0, 0) records of one setting."""
-    x = pair[0].intensity
-    y = pair[1].intensity
-    cls = pair[0].trigger_class
-    return (
-        gains.get(basis, x, y, cls),
-        gains.get(basis, x, 0.0, cls),
-        gains.get(basis, 0.0, y, cls),
-        gains.get(basis, 0.0, 0.0, cls),
-    )
 
 
 def series_terms(
@@ -343,7 +346,9 @@ def series_terms(
     rows of the series under the record conventions, so subtracting it
     from S(x,y) leaves the interior terms alone.
     """
-    full, row_x, row_y, corner = _setting_records(gains, pair, basis)
+    full, row_x, row_y, corner = gains.setting(
+        basis, pair[0].intensity, pair[1].intensity, pair[0].trigger_class
+    )
     vacuum = row_x.gain + row_y.gain - corner.gain
     tails = full.tail + row_x.tail + row_y.tail + corner.tail
     return full.gain, vacuum, tails
@@ -413,13 +418,14 @@ def y11_coefficients(
     to the exchanged roles.  The margin is inf exactly when the bound is
     unavailable: the (1,2) and (2,1) coefficients cannot cancel (k and
     denominator are then nan) or the denominator is not negative.  The
-    bound is licensed when the margin is at most COEFF_REL_TOL.
+    bound is licensed when the margin is at most COEFF_REL_TOL, which a nan
+    margin (any coefficient nan, as a numpy maximum would report it) is not.
     """
-    # a symmetric setting passes one array as both sides; it is read once
-    wa1, wa2 = wa[1:3].tolist()
-    wb1, wb2 = (wa1, wa2) if wb is wa else wb[1:3].tolist()
-    sa1, sa2 = sa[1:3].tolist()
-    sb1, sb2 = (sa1, sa2) if sb is sa else sb[1:3].tolist()
+    # the weights from photon number 1 on, as floats; a symmetric setting passes one
+    # array as both sides, which is read once
+    wa, wb = [wa[1:].tolist()] * 2 if wb is wa else (wa[1:].tolist(), wb[1:].tolist())
+    sa, sb = [sa[1:].tolist()] * 2 if sb is sa else (sa[1:].tolist(), sb[1:].tolist())
+    (wa1, wa2), (wb1, wb2), (sa1, sa2), (sb1, sb2) = wa[:2], wb[:2], sa[:2], sb[:2]
     num_k = sa1 * sb2 + sa2 * sb1
     den_k = wa1 * wb2 + wa2 * wb1
     if num_k <= 0.0 or den_k <= 0.0:
@@ -435,17 +441,22 @@ def y11_coefficients(
     if denom >= 0.0:
         return k, denom, swapped, math.inf
 
-    # the relative violation of each coefficient with m, n >= 1 except (1, 1),
-    # (strong - weak) / max(strong, weak, 1e-300), built in place
-    weak = wa[1:, None] * wb[1:]
-    weak *= k
-    rel = sa[1:, None] * sb[1:]
-    top = np.maximum(rel, weak)
-    np.maximum(top, 1e-300, out=top)
-    rel -= weak
-    rel /= top
-    rel[0, 0] = -math.inf
-    return k, denom, swapped, float(rel.max())
+    # the largest (strong - weak) / max(strong, weak, 1e-300) over m, n >= 1 but (1, 1),
+    # in plain floats with the IEEE operations of numpy's elementwise form; a symmetric
+    # pair's matrix is symmetric bit for bit, so each row starts at its diagonal
+    symmetric = wb is wa and sb is sa
+    cols = list(zip(wb, sb))
+    margin = -math.inf
+    for m, (wm, sm) in enumerate(zip(wa, sa)):
+        for wn, sn in cols[(m if symmetric else 0) + (not m):]:
+            strong = sm * sn
+            weak = wm * wn * k
+            top = weak if weak > strong else strong
+            rel = (strong - weak) / (top if top > 1e-300 else 1e-300)
+            # a nan cell sticks, as it does in np.max, and licenses nothing
+            if not rel <= margin and margin == margin:
+                margin = rel
+    return k, denom, swapped, margin
 
 
 def y11_from_series(
@@ -542,7 +553,8 @@ def single_pair_gain(
 
 def _error_moment(gains: GainTable, pair: tuple[SourceSpec, SourceSpec]) -> float:
     """Error-weighted gain with its vacuum rows removed, X basis."""
-    return error_moment((r.gain, r.qber) for r in _setting_records(gains, pair, Basis.X))
+    records = gains.setting(Basis.X, pair[0].intensity, pair[1].intensity, pair[0].trigger_class)
+    return error_moment((r.gain, r.qber) for r in records)
 
 
 def e11_from_moments(moments: tuple[float, float], s11: tuple[float, float]) -> float:

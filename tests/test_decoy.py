@@ -23,6 +23,7 @@ from mdiqkd.decoy import (
     symmetric_condition,
     table_views,
     y11_coefficients,
+    y11_from_series,
     y11_lower_bound,
     _error_moment,
 )
@@ -294,6 +295,46 @@ class TestGainTable:
         table.add(other)
         assert table.get(Basis.Z, 0.1 * (1.0 + 1e-13), 0.2, TriggerClass.TRIGGERED) is other
 
+    def test_setting_reads_the_four_records_get_reads(self, monkeypatch):
+        # exact records, float-noise records, a Z-only table, a missing record and an
+        # ambiguous one: setting returns the records four get calls return, or raises
+        # the first KeyError they raise, with its text
+        x, y, cls = 0.1, 0.2, TriggerClass.TRIGGERED
+
+        def records(basis, f=1.0):
+            return [GainRecord(basis, a * f, b * f, cls, 0.1 + a + 2.0 * b, 0.01)
+                    for a in (x, 0.0) for b in (y, 0.0)]
+
+        def outcome(read):
+            try:
+                return read()
+            except KeyError as exc:
+                return str(exc)
+
+        exact = records(Basis.Z) + records(Basis.X)
+        tables = {
+            "exact": GainTable(exact),
+            "noise": GainTable(records(Basis.Z, 1.0 + 1e-12) + records(Basis.X, 1.0 - 1e-12)),
+            "z_only": GainTable(records(Basis.Z)),
+            "ambiguous": GainTable(records(Basis.Z, 1.0 + 1e-12) + records(Basis.Z, 1.0 - 1e-12)),
+            **{f"missing {i}": GainTable(exact[:i] + exact[i + 1:]) for i in range(4)},
+        }
+        reads = ((x, y), (x, 0.0), (0.0, y), (0.0, 0.0))
+        errors = 0
+        for table in tables.values():
+            for basis in Basis:
+                expected = outcome(lambda: tuple(table.get(basis, a, b, cls) for a, b in reads))
+                got = outcome(lambda: table.setting(basis, x, y, cls))
+                assert got == expected
+                if isinstance(got, str):
+                    errors += 1
+                else:
+                    assert all(g is e for g, e in zip(got, expected))
+        assert errors == 7
+        # on exact records each of the four is one exact-key lookup, never a scan
+        monkeypatch.setattr(GainTable, "get", lambda *args: pytest.fail("get was called"))
+        assert tables["exact"].setting(Basis.X, x, y, cls) == tuple(exact[4:])
+
     def test_duplicate_key_replaces(self):
         first = GainRecord(Basis.Z, 0.1, 0.2, TriggerClass.ALL, 0.5, 0.0)
         second = GainRecord(Basis.Z, 0.1, 0.2, TriggerClass.ALL, 0.7, 0.0)
@@ -385,6 +426,70 @@ class TestY11Coefficients:
             checked += 1
         assert checked > 100
 
+
+    @staticmethod
+    def numpy_coefficients(wa, wb, sa, sb):
+        """y11_coefficients with its margin in the numpy elementwise form it had
+        before the plain-float loop: the reference the loop must equal bit for bit."""
+        wa1, wa2, wb1, wb2 = *wa[1:3].tolist(), *wb[1:3].tolist()
+        sa1, sa2, sb1, sb2 = *sa[1:3].tolist(), *sb[1:3].tolist()
+        num_k, den_k = sa1 * sb2 + sa2 * sb1, wa1 * wb2 + wa2 * wb1
+        if num_k <= 0.0 or den_k <= 0.0:
+            return math.nan, math.nan, False, math.inf
+        k = num_k / den_k
+        swapped = False
+        denom = k * wa1 * wb1 - sa1 * sb1
+        if denom > 0.0:
+            wa, wb, sa, sb = sa, sb, wa, wb
+            k = 1.0 / k
+            denom = k * sa1 * sb1 - wa1 * wb1
+            swapped = True
+        if denom >= 0.0:
+            return k, denom, swapped, math.inf
+        with np.errstate(all="ignore"):
+            weak = wa[1:, None] * wb[1:]
+            weak *= k
+            rel = sa[1:, None] * sb[1:]
+            top = np.maximum(rel, weak)
+            np.maximum(top, 1e-300, out=top)
+            rel -= weak
+            rel /= top
+        rel[0, 0] = -math.inf
+        return k, denom, swapped, float(rel.max())
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        weights=st.integers(2, 8).flatmap(
+            lambda cutoff: st.lists(
+                st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                         min_size=cutoff + 1, max_size=cutoff + 1),
+                min_size=4, max_size=4,
+            )
+        )
+    )
+    def test_margin_loop_equals_the_numpy_form(self, weights):
+        # symmetric, asymmetric and swapped pairs, and symmetric pairs as copies
+        wa, wb, sa, sb = (np.array(w) for w in weights)
+        for args in ((wa, wa, sa, sa), (sa, sa, wa, wa), (wa, wa.copy(), sa, sa.copy()),
+                     (wa, wb, sa, sb), (sa, sb, wa, wb), (wa, wb, sa, sa)):
+            got, expected = y11_coefficients(*args), self.numpy_coefficients(*args)
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
+
+    @pytest.mark.parametrize("at", [1, 2, 3, 6])
+    def test_a_nan_weight_never_licenses(self, at):
+        # a nan weight makes the margin nan or the pair unavailable, as the numpy
+        # form does, and y11_from_series licenses neither
+        weak = side_weights(SourceSpec(P, 0.125, DET, TriggerClass.TRIGGERED), CUTOFF).a
+        strong = side_weights(SourceSpec(P, 0.5, DET, TriggerClass.NON_TRIGGERED), CUTOFF).a
+        for side in range(2):
+            w, s = weak.copy(), strong.copy()
+            (w, s)[side][at] = math.nan
+            for args in ((w, w, s, s), (w, w.copy(), s, s.copy())):
+                coeffs = y11_coefficients(*args)
+                expected = self.numpy_coefficients(*args)
+                assert [float(v).hex() for v in coeffs] == [float(v).hex() for v in expected]
+                assert math.isnan(coeffs[3]) or coeffs[3] == math.inf
+                assert not y11_from_series(coeffs, 1e-3, 2e-3)[2]
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -1032,13 +1032,13 @@ class TestCli:
 
     def test_bound_builds_one_setting_pair_plan(self, tmp_path, monkeypatch, capsys):
         # the Z and X bounds share the settings' weights and coefficients: one
-        # call builds each setting's (symmetric) sides once and calls
-        # y11_coefficients once
+        # call builds each setting's (symmetric) sides once, through the weight
+        # helper side_weights shares, and calls y11_coefficients once
         path = tmp_path / "gains.csv"
         path.write_text(emit_gain_csv(TestGainCsv().make_gains()))
         cfg = tmp_path / "h1.cfg"
         cfg.write_text("eta_heralding_H1 = 0.75\n")
-        calls = {"side_weights": 0, "y11_coefficients": 0}
+        calls = {"_side_terms": 0, "y11_coefficients": 0}
         for name in calls:
             def spy(*args, _name=name, _original=getattr(decoy, name)):
                 calls[_name] += 1
@@ -1050,7 +1050,7 @@ class TestCli:
             "--mu", "0.125", "--mu-prime", "0.5", "--basis", "Z",
         ]) == 0
         assert "e11_upper = " in capsys.readouterr().out
-        assert calls == {"side_weights": 2, "y11_coefficients": 1}
+        assert calls == {"_side_terms": 2, "y11_coefficients": 1}
 
     def test_bound_without_x_records_reports_the_yield_only(self, tmp_path, monkeypatch, capsys):
         # the same report as on the full file, less its e11 line; whether X records

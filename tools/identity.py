@@ -13,7 +13,14 @@ or the first line whose output differs.  The exit status is 1 if any check diffe
   (float.hex) and rate_for_scenario points (repr, or the error raised);
 - optimized: seeded random optimize_mu_prime rows (repr), 100 per scenario, each on a config of
   random e_d, d_c, mu_fixed, heralding efficiency and dark rate and cutoff 3-8, at 0-320 km: the
-  optimizer is the one caller that evaluates many points on one row context.
+  optimizer is the one caller that evaluates many points on one row context.  Ten more per
+  scenario use a unit-efficiency heralding detector, on which T1 and H1 rows end on the
+  optimizer's no_valid_point fallback;
+- bounds: seeded random gain files through gain_from_yields, emit_gain_csv and parse_gain_csv,
+  bounded as `mdiqkd bound` bounds them (Y11 in Z and X, single_pair_gain, e11) by repr, or the
+  error raised: H1, H2, W1 and T1 classes, Poisson or thermal, cutoff 3-8, random links, symmetric
+  and asymmetric settings, records 1e-12 relative off the settings' intensities (once on both
+  sides of them, which is ambiguous) and files missing a record.
 
 It takes about a minute; it needs git, so it is not part of the test suite."""
 import hashlib, os, subprocess, sys, tempfile
@@ -151,6 +158,69 @@ for i in range(100 * len(SCENARIO_NAMES)):
                      cutoff=int(rng.integers(3, 9)), scenario_heralding={})
     scenario = cfg.scenario_kind(SCENARIO_NAMES[i % len(SCENARIO_NAMES)])
     print(i, repr(optimize_mu_prime(scenario, cfg.link_for(float(rng.uniform(0.0, 320.0))), cfg)))
+# a unit-efficiency heralding detector leaves a non-triggered setting no weight
+for i in range(10 * len(SCENARIO_NAMES)):
+    cfg = ScanConfig(eta_heralding=1.0, scenario_heralding={})
+    scenario = cfg.scenario_kind(SCENARIO_NAMES[i % len(SCENARIO_NAMES)])
+    print("unit", i, repr(optimize_mu_prime(scenario, cfg.link_for(float(rng.uniform(0.0, 200.0))),
+                                            cfg)))
+"""
+
+# gain files through the CSV round trip, bounded as `mdiqkd bound` bounds them, by public API
+BOUNDS = """
+import sys
+import numpy as np
+from mdiqkd.decoy import (BoundUnavailableError, GainTable, e11_upper_bound, gain_from_yields,
+                          side_weights, single_pair_gain, y11_lower_bound)
+from mdiqkd.keyrate import ScenarioKind, basis_tables
+from mdiqkd.optics import Basis, LinkSpec
+from mdiqkd.runner import emit_gain_csv, parse_gain_csv
+from mdiqkd.source import DistributionKind, SourceSpec
+
+rng = np.random.default_rng(int(sys.argv[1]))
+
+
+def uniform(lo, hi):
+    return float(rng.uniform(lo, hi))
+
+
+for i in range(400):
+    cutoff = 3 + i % 6
+    link = LinkSpec(uniform(0.0, 250.0), relay_efficiency=uniform(0.05, 0.9),
+                    relay_dark_rate=10.0 ** uniform(-8.0, -4.0), misalignment=uniform(0.0, 0.05),
+                    cutoff=cutoff)
+    scenario = ScenarioKind(("H1", "H2", "W1", "T1")[i % 4], uniform(0.05, 1.0),
+                            10.0 ** uniform(-8.0, -3.0))
+    kind = (DistributionKind.POISSON, DistributionKind.THERMAL)[int(rng.integers(2))]
+    mu_prime = 10.0 ** uniform(-2.0, 0.2)
+    mu = uniform(0.05, 0.9) * mu_prime
+    settings = []
+    for x, cls in ((mu, scenario.classes[1]), (mu_prime, scenario.classes[2])):
+        y = x if i % 3 else x * uniform(0.5, 1.5)
+        settings.append(tuple(SourceSpec(kind, v, scenario.heralding, cls) for v in (x, y)))
+    # the file's intensities: exact, 1e-12 relative off, or off on both sides (ambiguous)
+    noise = (1.0,) if i % 5 else ((1.0 + 1e-12,) if i % 10 else (1.0 + 1e-12, 1.0 - 1e-12))
+    records = []
+    for table in basis_tables(link):
+        for alice, bob in settings:
+            for f in noise:
+                sides = [[side_weights(SourceSpec(kind, v * f, s.heralding, s.trigger_class),
+                                       cutoff) for v in (s.intensity, 0.0)] for s in (alice, bob)]
+                records += [gain_from_yields(a, b, table) for a in sides[0] for b in sides[1]]
+    if i % 7 == 0:
+        del records[int(rng.integers(len(records)))]
+    gains = parse_gain_csv(emit_gain_csv(GainTable(records)))
+    weak, strong = settings
+    try:
+        bound_z = y11_lower_bound(gains, weak, strong, Basis.Z, cutoff)
+        bound_x = y11_lower_bound(gains, weak, strong, Basis.X, cutoff)
+        out = f"{bound_z!r} {bound_x!r}"
+        if bound_z.conditions_ok and bound_x.conditions_ok:
+            s11 = [single_pair_gain(pair, bound_x.value) for pair in settings]
+            out += f" {s11!r} {e11_upper_bound(gains, weak, strong, *s11)!r}"
+    except (KeyError, BoundUnavailableError) as exc:
+        out = f"{type(exc).__name__}: {exc}"
+    print(i, out)
 """
 
 
@@ -205,6 +275,7 @@ def main() -> int:
             "bound": lambda tree: bound_runs(tree, files),
             "fingerprints": lambda tree: run(tree, "-c", FINGERPRINTS, "2101"),
             "optimized": lambda tree: run(tree, "-c", OPTIMIZED, "2201"),
+            "bounds": lambda tree: run(tree, "-c", BOUNDS, "2401"),
         }
         print(f"REV {rev} ({commit[:12]}) against the working tree of {ROOT}")
         differs = 0
