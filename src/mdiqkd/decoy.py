@@ -31,9 +31,12 @@ a[1:] == 0 exactly, so a record with one takes a +0.0 interior and is
 its vacuum rows alone.
 
 The estimator's algebra works on plain numbers (y11_from_series,
-e11_from_moments).  y11_lower_bound and e11_upper_bound feed it records
-(immutable GainRecord named tuples) read from a GainTable four to a
-setting (GainTable.setting); the rate path in keyrate feeds it the same
+e11_from_moments).  What it reads of a decoy setting, its gain and
+X-basis error moment with the vacuum rows removed, has one written form
+each, on floats and arrays alike (interior_gain, error_moment).
+y11_lower_bound and e11_upper_bound feed them records (immutable
+GainRecord named tuples) read from a GainTable four to a setting
+(GainTable.setting); keyrate's rate point and grid feed them the same
 numbers assembled straight from side weights.  y11_lower_bound keeps a
 one-entry setting-pair plan (each side's interior weights and total, read
 off its class factors and photon row; their y11_coefficients; interior
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,7 +74,6 @@ __all__ = [
     "series_sums",
     "record_qber",
     "gain_from_yields",
-    "series_terms",
     "y11_coefficients",
     "interior_gain",
     "error_moment",
@@ -337,36 +339,22 @@ def _pair_plan(weak: tuple, strong: tuple, cutoff: int) -> tuple:
     return plan[1:]
 
 
-def series_terms(
-    gains: GainTable, pair: tuple[SourceSpec, SourceSpec], basis: Basis
-) -> tuple[float, float, float]:
-    """Full gain, reconstructed vacuum content, and summed tail of one pair.
-
-    The vacuum content is S(x,0) + S(0,y) - S(0,0): exactly the vacuum
-    rows of the series under the record conventions, so subtracting it
-    from S(x,y) leaves the interior terms alone.
-    """
-    full, row_x, row_y, corner = gains.setting(
-        basis, pair[0].intensity, pair[1].intensity, pair[0].trigger_class
-    )
-    vacuum = row_x.gain + row_y.gain - corner.gain
-    tails = full.tail + row_x.tail + row_y.tail + corner.tail
-    return full.gain, vacuum, tails
-
-
-def interior_gain(full: float, row_x: float, row_y: float, corner: float) -> float:
-    """A setting's gain with its vacuum content (see series_terms) removed."""
+def interior_gain(full, row_x, row_y, corner):
+    """A setting's gain with its vacuum rows removed, from the gains of its (x, y), (x, 0),
+    (0, y) and (0, 0) records in one basis, on floats or arrays alike: under the record
+    conventions S(x,0) + S(0,y) - S(0,0) is exactly the vacuum rows of the series of S(x,y)."""
     return full - (row_x + row_y - corner)
 
 
-def error_moment(records: Iterable[tuple[float, float]]) -> float:
-    """Error-weighted gain of a setting with its vacuum rows removed.
-
-    records are the (gain, qber) of the setting's (x, y), (x, 0), (0, y)
-    and (0, 0) records in one basis.
-    """
-    full, row_x, row_y, corner = (gain * qber for gain, qber in records)
+def error_moment(full, row_x, row_y, corner):
+    """interior_gain's vacuum subtraction on the four records' gain times qber, on floats or
+    arrays alike: in the X basis, the numerator of the setting's e[1][1] candidate."""
     return full - row_x - row_y + corner
+
+
+def _setting(gains: GainTable, pair: tuple[SourceSpec, SourceSpec], basis: Basis) -> tuple:
+    """GainTable.setting's (x, y), (x, 0), (0, y) and (0, 0) records of one setting."""
+    return gains.setting(basis, pair[0].intensity, pair[1].intensity, pair[0].trigger_class)
 
 
 @dataclass(frozen=True)
@@ -392,18 +380,6 @@ class Y11Bound:
     clamped: bool = False
     tail: float = 0.0
     swapped: bool = False
-
-
-def _unavailable(k: float = math.nan, denom: float = math.nan) -> Y11Bound:
-    return Y11Bound(
-        value=0.0,
-        k_factor=k,
-        denominator=denom,
-        conditions_ok=False,
-        coefficient_margin=math.inf,
-        clamped=False,
-        tail=math.inf,
-    )
 
 
 def y11_coefficients(
@@ -505,11 +481,14 @@ def y11_lower_bound(
     coeffs, t_w, t_s = _pair_plan(weak, strong, cutoff)
     k, denom, swapped, margin = coeffs
     if margin == math.inf:
-        return _unavailable(k, denom)
+        return Y11Bound(0.0, k, denom, False, coefficient_margin=margin, tail=math.inf)
 
-    s_weak, vac_weak, tail_weak = series_terms(gains, weak, basis)
-    s_strong, vac_strong, tail_strong = series_terms(gains, strong, basis)
-    value, raw, licensed = y11_from_series(coeffs, s_weak - vac_weak, s_strong - vac_strong)
+    w, wx, wy, w0 = _setting(gains, weak, basis)
+    s, sx, sy, s0 = _setting(gains, strong, basis)
+    value, raw, licensed = y11_from_series(coeffs, interior_gain(w.gain, wx.gain, wy.gain, w0.gain),
+                                           interior_gain(s.gain, sx.gain, sy.gain, s0.gain))
+    tail_weak = w.tail + wx.tail + wy.tail + w0.tail
+    tail_strong = s.tail + sx.tail + sy.tail + s0.tail
     if swapped:
         tail_weak, tail_strong = tail_strong, tail_weak
     tail = (k * (tail_weak + t_w) + tail_strong + t_s) / abs(denom)
@@ -551,13 +530,7 @@ def single_pair_gain(
     return float(w[0] * w[-1]) * y11
 
 
-def _error_moment(gains: GainTable, pair: tuple[SourceSpec, SourceSpec]) -> float:
-    """Error-weighted gain with its vacuum rows removed, X basis."""
-    records = gains.setting(Basis.X, pair[0].intensity, pair[1].intensity, pair[0].trigger_class)
-    return error_moment((r.gain, r.qber) for r in records)
-
-
-def e11_from_moments(moments: tuple[float, float], s11: tuple[float, float]) -> float:
+def e11_from_moments(moments: Sequence[float], s11: tuple[float, float]) -> float:
     """The e[1][1] bound: the estimator's algebra on plain numbers.
 
     moments are the weak and strong settings' X-basis error moments
@@ -589,8 +562,10 @@ def e11_upper_bound(
     BoundUnavailableError when both denominators vanish.
     """
     s11 = (s11_weak, s11_strong)
-    # a setting without a denominator needs no records
-    moments = tuple(
-        _error_moment(gains_x, pair) if s > 0.0 else 0.0 for pair, s in zip((weak, strong), s11)
-    )
+    moments = [0.0, 0.0]
+    for i, pair in enumerate((weak, strong)):
+        if s11[i] > 0.0:  # a setting without a denominator needs no records
+            full, row_x, row_y, corner = _setting(gains_x, pair, Basis.X)
+            moments[i] = error_moment(full.gain * full.qber, row_x.gain * row_x.qber,
+                                      row_y.gain * row_y.qber, corner.gain * corner.qber)
     return e11_from_moments(moments, s11)

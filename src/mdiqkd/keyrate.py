@@ -56,6 +56,7 @@ from .decoy import (
     COEFF_REL_TOL,
     BoundUnavailableError,
     e11_from_moments,
+    error_moment,
     interior_gain,
     record_qber,
     series_sums,
@@ -231,9 +232,9 @@ def basis_tables(link: LinkSpec) -> tuple[YieldTable, YieldTable]:
     return yield_table(link, Basis.Z), yield_table(link, Basis.X)
 
 
-# a side_weights cache with no caller in src/: it stays only because the
-# benchmark's spans (perfbench/spans.py) read its counters, and ROADMAP item 1
-# removes both together
+# a side_weights cache with no caller in src/: it stays only because the benchmark's
+# spans (perfbench/spans.py) read its counters; without it perfbench's traced smoke test
+# reads decoy.side_weights.hit_ratio None and fails.  ROADMAP item 2 removes both together
 _side_weights = lru_cache(maxsize=2048)(side_weights)
 
 
@@ -401,7 +402,7 @@ class _RowContext:
         ]
         # each X record's gain times its qber, as record_qber takes it
         x = [g * (w / g if g > 0.0 else 0.0) for g, w in zip(x_gains, x_wrongs)]
-        return interior_gain(*z_gains), interior_gain(*x_gains), x[0] - x[1] - x[2] + x[3]
+        return interior_gain(*z_gains), interior_gain(*x_gains), error_moment(*x)
 
     def rate(self, mu: float, mu_prime: float) -> tuple[float, float, float, str]:
         """(y11, e11, rate, reason) of rate_for_scenario's point at these intensities,
@@ -498,9 +499,9 @@ class _RowContext:
                 row_x = 0.0 + (z0 * col + v * zr - v * z0 * m)
                 row_y = 0.0 + (v * zc + z0 * row - z0 * v * m)
                 # interior gains in Z and X, and X error moments
-                gains = (full - (row_x + row_y - zz))[:, :2]
+                gains = interior_gain(full, row_x, row_y, zz)[:, :2]
                 x = [rec[:, 1] * qber(rec[:, 1], rec[:, 2]) for rec in (full, row_x, row_y)]
-                moments = x[0] - x[1] - x[2] + corner_x[:, 0]
+                moments = error_moment(*x, corner_x[:, 0])
                 strong, weak = gains[:points], gains[points:]
                 k, denom, swapped, margin = coeffs
                 # y11_from_series' value in Z and X; its licence reads the tolerance now

@@ -24,7 +24,7 @@ from mdiqkd.decoy import (
     GainTable,
     e11_upper_bound,
     gain_from_yields,
-    series_terms,
+    interior_gain,
     side_weights,
     single_pair_gain,
     symmetric_condition,
@@ -199,10 +199,13 @@ def test_02_single_pair_yield_reconstruction_identity():
             dropped[:, 0] = 0.0
             dropped[1, 1] = 0.0
             ksum = float((dropped * table.yields).sum())
-            s_w, vac_w, _ = series_terms(gains, w_, basis)
-            s_s, vac_s, _ = series_terms(gains, s_, basis)
+            g_w, g_s = (
+                interior_gain(*(r.gain for r in gains.setting(
+                    basis, p[0].intensity, p[1].intensity, p[0].trigger_class)))
+                for p in (w_, s_)
+            )
             recon = (
-                bound.k_factor * (s_w - vac_w) - (s_s - vac_s) + ksum
+                bound.k_factor * g_w - g_s + ksum
             ) / bound.denominator
             err = abs(recon - float(table.yields[1, 1]))
             max_tail = max(max_tail, bound.tail)

@@ -14,9 +14,10 @@ from mdiqkd.decoy import (
     GainRecord,
     GainTable,
     e11_upper_bound,
+    error_moment,
     gain_from_yields,
+    interior_gain,
     series_sums,
-    series_terms,
     side_factors,
     side_weights,
     single_pair_gain,
@@ -25,7 +26,6 @@ from mdiqkd.decoy import (
     y11_coefficients,
     y11_from_series,
     y11_lower_bound,
-    _error_moment,
 )
 from mdiqkd.optics import Basis, LinkSpec, YieldTable, yield_table
 from mdiqkd.source import (
@@ -348,10 +348,11 @@ class TestSeriesClosure:
         table = yield_table(LinkSpec(70.0), Basis.Z)
         gains = grid_gains([H1_WEAK, H1_STRONG], [table])
         for pr in (H1_WEAK, H1_STRONG):
-            full, vacuum, _ = series_terms(gains, pr, Basis.Z)
+            records = gains.setting(Basis.Z, pr[0].intensity, pr[1].intensity, pr[0].trigger_class)
             coeff = pair_coefficients(pr, CUTOFF)
             interior = float(coeff[1:, 1:].ravel() @ table.yields[1:, 1:].ravel())
-            assert math.isclose(full - vacuum, interior, rel_tol=1e-12, abs_tol=1e-300)
+            assert math.isclose(interior_gain(*(r.gain for r in records)), interior,
+                                rel_tol=1e-12, abs_tol=1e-300)
 
 
 class TestZeroSides:
@@ -806,7 +807,28 @@ class TestE11UpperBound:
         direct = float(
             (coeff[1:, 1:] * table.yields[1:, 1:] * table.errors[1:, 1:]).sum()
         )
-        assert math.isclose(_error_moment(gains, H1_WEAK), direct, rel_tol=1e-10, abs_tol=1e-300)
+        x, y, cls = H1_WEAK[0].intensity, H1_WEAK[1].intensity, H1_WEAK[0].trigger_class
+        moment = error_moment(*(r.gain * r.qber for r in gains.setting(Basis.X, x, y, cls)))
+        assert math.isclose(moment, direct, rel_tol=1e-10, abs_tol=1e-300)
+
+    @pytest.mark.parametrize("zeroed", ["weak", "strong"])
+    def test_a_setting_without_a_denominator_reads_no_records(self, zeroed, monkeypatch):
+        # the zeroed setting's X records are not in the table, and are never asked for
+        full = minimal_x_gains(H1_WEAK, H1_STRONG, (0.08, 1.0), (0.03, 1.0))
+        gone, kept = (H1_WEAK, H1_STRONG) if zeroed == "weak" else (H1_STRONG, H1_WEAK)
+        gains = GainTable(r for r in full if r.trigger_class is not gone[0].trigger_class)
+        assert len(gains) == 4
+        reads, setting = [], GainTable.setting
+
+        def spy(table, *args):
+            reads.append(args)
+            return setting(table, *args)
+
+        monkeypatch.setattr(GainTable, "setting", spy)
+        s11 = (0.0, 1.0) if zeroed == "weak" else (1.0, 0.0)
+        e11 = e11_upper_bound(gains, H1_WEAK, H1_STRONG, *s11)
+        assert e11 == (0.03 if zeroed == "weak" else 0.08)
+        assert reads == [(Basis.X, kept[0].intensity, kept[1].intensity, kept[0].trigger_class)]
 
     def test_sound_against_ground_truth(self):
         for dist in (0.0, 120.0):

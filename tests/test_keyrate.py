@@ -2,7 +2,9 @@
 
 import gc
 import math
+import sys
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,9 @@ from mdiqkd.decoy import (
     BoundUnavailableError,
     GainTable,
     e11_upper_bound,
+    error_moment,
     gain_from_yields,
+    interior_gain,
     side_weights,
     single_pair_gain,
     y11_lower_bound,
@@ -763,3 +767,58 @@ class TestRowContext:
         expected = [rate_for_scenario(*c[:4], basis_tables(link), c[4]) for c in calls]
         tables = basis_tables(link)
         assert [rate_for_scenario(*c[:4], tables, c[4]) for c in calls] == expected
+
+
+class TestSettingNumbers:
+    """A setting's gain and X error moment with the vacuum rows removed have one written
+    form, decoy.interior_gain and decoy.error_moment, which the bound path, the rate point
+    and the grid all call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # (module the name is bound in, function, its caller) of every call
+        calls = Counter()
+        real = {name: getattr(decoy, name) for name in ("interior_gain", "error_moment")}
+        for module in (decoy, keyrate):
+            for name, fn in real.items():
+                where = module.__name__.rsplit(".", 1)[1]
+
+                def spy(*args, _key=(where, name), _fn=fn):
+                    calls[(*_key, sys._getframe(1).f_code.co_name)] += 1
+                    return _fn(*args)
+
+                # raising=False: a module that does not bind the name shows as no calls
+                monkeypatch.setattr(module, name, spy, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("route", ["bound", "point", "grid"])
+    def test_every_path_calls_the_one_form(self, route, calls):
+        scenario, link = SCAN_CFG.scenario_kind("H1"), SCAN_CFG.link_for(70.0)
+        tables = basis_tables(link)
+        if route == "bound":
+            # y11_lower_bound in Z and X, then e11_upper_bound, on a GainTable
+            point = reference_rate(scenario, link, 0.05, 0.5, tables)
+            expected = {("decoy", "interior_gain", "y11_lower_bound"): 4,
+                        ("decoy", "error_moment", "e11_upper_bound"): 2}
+        elif route == "point":
+            # _RowContext.setting, once for the weak setting and once for the strong
+            point = rate_for_scenario(scenario, link, 0.05, 0.5, tables)
+            expected = {("keyrate", "interior_gain", "setting"): 4,
+                        ("keyrate", "error_moment", "setting"): 2}
+        else:
+            grid = np.geomspace(SCAN_CFG.mu_prime_min, SCAN_CFG.mu_prime_max, 60)
+            point = rank_grid(scenario, link, SCAN_CFG.mu_fixed, grid, tables)[1]
+            expected = {("keyrate", "interior_gain", "rates"): 1,
+                        ("keyrate", "error_moment", "rates"): 1}
+        assert point.valid
+        assert calls == expected
+
+    def test_arrays_equal_their_per_element_floats(self):
+        rng = np.random.default_rng(2501)
+        # gains or gain-qber products over many magnitudes, some zero, as a grid stacks them
+        args = 10.0 ** rng.uniform(-18.0, 0.0, (4, 600)) * (rng.random((4, 600)) < 0.9)
+        for fn in (interior_gain, error_moment):
+            expected = [fn(*column).hex() for column in args.T.tolist()]
+            for shape in ((600,), (200, 3)):
+                got = fn(*args.reshape(4, *shape))
+                assert [v.hex() for v in got.ravel().tolist()] == expected

@@ -20,7 +20,9 @@ or the first line whose output differs.  The exit status is 1 if any check diffe
   bounded as `mdiqkd bound` bounds them (Y11 in Z and X, single_pair_gain, e11) by repr, or the
   error raised: H1, H2, W1 and T1 classes, Poisson or thermal, cutoff 3-8, random links, symmetric
   and asymmetric settings, records 1e-12 relative off the settings' intensities (once on both
-  sides of them, which is ambiguous) and files missing a record.
+  sides of them, which is ambiguous) and files missing a record.  Where both Y11 bounds are
+  licensed, e11 is also bounded with each setting's s11 zeroed in turn, on the file without that
+  setting's X records, which a setting without a denominator must not read.
 
 It takes about a minute; it needs git, so it is not part of the test suite."""
 import hashlib, os, subprocess, sys, tempfile
@@ -200,17 +202,21 @@ for i in range(400):
         settings.append(tuple(SourceSpec(kind, v, scenario.heralding, cls) for v in (x, y)))
     # the file's intensities: exact, 1e-12 relative off, or off on both sides (ambiguous)
     noise = (1.0,) if i % 5 else ((1.0 + 1e-12,) if i % 10 else (1.0 + 1e-12, 1.0 - 1e-12))
-    records = []
+    records, x_records = [], ([], [])
     for table in basis_tables(link):
-        for alice, bob in settings:
+        for j, (alice, bob) in enumerate(settings):
             for f in noise:
                 sides = [[side_weights(SourceSpec(kind, v * f, s.heralding, s.trigger_class),
                                        cutoff) for v in (s.intensity, 0.0)] for s in (alice, bob)]
-                records += [gain_from_yields(a, b, table) for a in sides[0] for b in sides[1]]
+                made = [gain_from_yields(a, b, table) for a in sides[0] for b in sides[1]]
+                records += made
+                if table.basis is Basis.X:
+                    x_records[j].extend(made)
     if i % 7 == 0:
         del records[int(rng.integers(len(records)))]
     gains = parse_gain_csv(emit_gain_csv(GainTable(records)))
     weak, strong = settings
+    s11 = None
     try:
         bound_z = y11_lower_bound(gains, weak, strong, Basis.Z, cutoff)
         bound_x = y11_lower_bound(gains, weak, strong, Basis.X, cutoff)
@@ -221,6 +227,15 @@ for i in range(400):
     except (KeyError, BoundUnavailableError) as exc:
         out = f"{type(exc).__name__}: {exc}"
     print(i, out)
+    for j in range(2) if s11 is not None else ():
+        gone = {id(r) for r in x_records[j]}
+        missing = parse_gain_csv(emit_gain_csv(GainTable(r for r in records if id(r) not in gone)))
+        zeroed = [0.0 if n == j else s for n, s in enumerate(s11)]
+        try:
+            out = repr(e11_upper_bound(missing, weak, strong, *zeroed))
+        except (KeyError, BoundUnavailableError) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        print(i, "s11", j, "zeroed", out)
 """
 
 
