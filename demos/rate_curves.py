@@ -44,7 +44,7 @@ def main():
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            emit_csv(points, fh)
+            fh.write(emit_csv(points))
         print(f"\nwrote {len(points)} rows to {args.out}")
 
 

@@ -57,6 +57,7 @@ from .source import (
     HeraldingDetector,
     SourceSpec,
     TriggerClass,
+    class_total,
     damped_total,
     photon_row,
 )
@@ -135,32 +136,28 @@ def side_factors(heralding: HeraldingDetector | None, cls: TriggerClass, cutoff:
 
 
 def _side_terms(source: SourceSpec, cutoff: int) -> tuple:
-    """(a, a_total, photon row, vac_factor, vac_at_zero, vac_total) of one side: the one
-    written form of its weights and closed-form totals, which side_weights and the
-    setting-pair plan build on."""
+    """(a, a_total, photon row) of one side: the one written form of its interior
+    weights and their closed-form total, which side_weights and the setting-pair plan
+    build on."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     p = photon_row(source.kind, source.intensity, cutoff)
-    a_factor, vac_factor, vac0 = side_factors(source.heralding, source.trigger_class, cutoff)
-    a_total, vac_total = 1.0 - p[0], 1.0
+    a_total = 1.0 - p[0]
     if source.trigger_class is not TriggerClass.ALL:
-        heralding = source.heralding
-        survive = damped_total(source.kind, source.intensity, 1.0 - heralding.efficiency)
-        kept = (1.0 - heralding.dark_rate) * survive
-        if source.trigger_class is TriggerClass.TRIGGERED:
-            a_total, vac_total = 1.0 - survive, 1.0 - kept
-        else:
-            a_total, vac_total = survive - p[0], kept
+        survive = damped_total(source.kind, source.intensity, 1.0 - source.heralding.efficiency)
+        triggered = source.trigger_class is TriggerClass.TRIGGERED
+        a_total = 1.0 - survive if triggered else survive - p[0]
     p = np.array(p)
-    return a_factor * p, a_total, p, vac_factor, vac0, vac_total
+    return side_factors(source.heralding, source.trigger_class, cutoff)[0] * p, a_total, p
 
 
 def side_weights(source: SourceSpec, cutoff: int) -> SideWeights:
     """Series weights of one source up to the cutoff photon number."""
-    a, a_total, p, vac_factor, vac0, vac_total = _side_terms(source, cutoff)
+    a, a_total, p = _side_terms(source, cutoff)
+    _, vac_factor, vac0 = side_factors(source.heralding, source.trigger_class, cutoff)
     vac = vac_factor * p
     a.flags.writeable = vac.flags.writeable = False
-    return SideWeights(source, a, vac, vac0, a_total, vac_total)
+    return SideWeights(source, a, vac, vac0, a_total, class_total(source))
 
 
 class GainRecord(NamedTuple):

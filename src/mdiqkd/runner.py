@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -417,7 +417,7 @@ def _numbered_rows(text: str, header: str, what: str) -> Iterator[tuple[int, str
     return rows
 
 
-def emit_csv(points: Iterable[RatePoint], sink: TextIO | None = None, gnuplot: bool = False) -> str:
+def emit_csv(points: Iterable[RatePoint], gnuplot: bool = False) -> str:
     """Serialize rate points; full precision, byte-stable ordering.
 
     The gnuplot variant is whitespace separated with one block (two
@@ -446,10 +446,7 @@ def emit_csv(points: Iterable[RatePoint], sink: TextIO | None = None, gnuplot: b
                 f"{_fmt(p.distance_km)},{p.scenario},{_fmt(p.mu)},{_fmt(p.mu_prime)},"
                 f"{_fmt(p.y11_bound)},{_fmt(p.e11_bound)},{_fmt(p.rate)},{int(p.valid)}"
             )
-    text = "\n".join(lines) + "\n"
-    if sink is not None:
-        sink.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def parse_rate_csv(text: str) -> list[RatePoint]:
@@ -481,7 +478,7 @@ def parse_rate_csv(text: str) -> list[RatePoint]:
     return points
 
 
-def emit_gain_csv(gains: GainTable, sink: TextIO | None = None) -> str:
+def emit_gain_csv(gains: GainTable) -> str:
     """Serialize a gain table; tail certificates are not part of the format."""
     lines = [GAIN_HEADER]
     for rec in gains:
@@ -489,10 +486,7 @@ def emit_gain_csv(gains: GainTable, sink: TextIO | None = None) -> str:
             f"{rec.basis.value},{_fmt(rec.alice_intensity)},{_fmt(rec.bob_intensity)},"
             f"{rec.trigger_class.value},{_fmt(rec.gain)},{_fmt(rec.qber)}"
         )
-    text = "\n".join(lines) + "\n"
-    if sink is not None:
-        sink.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 # the codes emit_gain_csv writes, and the member each one names
@@ -536,17 +530,14 @@ def parse_gain_csv(text: str) -> GainTable:
     return table
 
 
-def emit_yield_csv(table: YieldTable, sink: TextIO | None = None, header: bool = True) -> str:
+def emit_yield_csv(table: YieldTable, header: bool = True) -> str:
     lines = [YIELD_HEADER] if header else []
     for m in range(table.cutoff + 1):
         for n in range(table.cutoff + 1):
             lines.append(
                 f"{table.basis.value},{m},{n},{_fmt(table.yields[m, n])},{_fmt(table.errors[m, n])}"
             )
-    text = "\n".join(lines) + "\n"
-    if sink is not None:
-        sink.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def _scheme_pairs(
@@ -587,21 +578,18 @@ def _apply_flag_overrides(config: ScanConfig, args: argparse.Namespace) -> ScanC
     return replace(config, **updates) if updates else config
 
 
-def _open_sink(path: str | None) -> TextIO:
+def _write_out(path: str | None, text: str) -> None:
+    """Write a command's output to --out, or to stdout when it is absent or `-`."""
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="")
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     config = _apply_flag_overrides(_load_config(args.config), args)
-    points = scan(config)
-    sink = _open_sink(args.out)
-    try:
-        emit_csv(points, sink, gnuplot=args.gnuplot)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    _write_out(args.out, emit_csv(scan(config), gnuplot=args.gnuplot))
     return 0
 
 
@@ -609,13 +597,8 @@ def _cmd_yields(args: argparse.Namespace) -> int:
     config = _apply_flag_overrides(_load_config(args.config), args)
     link = config.link_for(args.distance)
     bases = {"Z": [Basis.Z], "X": [Basis.X], "both": [Basis.Z, Basis.X]}[args.basis]
-    sink = _open_sink(args.out)
-    try:
-        for idx, basis in enumerate(bases):
-            emit_yield_csv(yield_table(link, basis), sink, header=(idx == 0))
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    _write_out(args.out, "".join(emit_yield_csv(yield_table(link, basis), header=(idx == 0))
+                                 for idx, basis in enumerate(bases)))
     return 0
 
 

@@ -33,6 +33,7 @@ from mdiqkd.source import (
     HeraldingDetector,
     SourceSpec,
     TriggerClass,
+    photon_row,
     photon_weight,
 )
 
@@ -129,6 +130,23 @@ class TestSideWeights:
         )
         assert math.isclose(w.a_total, brute_a, rel_tol=1e-12)
         assert w.a_total >= float(w.a[1:].sum())
+
+    @pytest.mark.parametrize("kind", [P, T])
+    @pytest.mark.parametrize("cls", list(TriggerClass))
+    def test_one_photon_weight_is_the_same_bits_at_every_cutoff(self, kind, cls):
+        """a[1] is side_factors' element 1 at cutoff 1 times the one-photon weight, bit
+        for bit, at every cutoff from 1 to 16: a one-photon weight read from a plan's
+        full-cutoff side is the one single_pair_gain builds at cutoff 1."""
+        rng = np.random.default_rng(26)
+        for i in range(500):
+            x = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 2.0))
+            eta = (0.0, 1.0, float(rng.uniform()))[i % 3]
+            dark = float(rng.uniform(0.0, 1e-3))
+            her = None if cls is TriggerClass.ALL else HeraldingDetector(eta, dark)
+            spec = SourceSpec(kind, x, her, cls)
+            expected = (side_factors(her, cls, 1)[0][1] * photon_row(kind, x, 1)[1]).hex()
+            for cutoff in range(1, 17):
+                assert float(side_weights(spec, cutoff).a[1]).hex() == expected, (spec, cutoff)
 
 
 class TestGainFromYields:

@@ -1,30 +1,35 @@
-"""`python3 tools/bench.py PR [REV]` writes BENCH_<PR>.json at the repo root: perfbench/run.py 3 x 10 s
-per workload (median, IQR and runs of each end-to-end metric, and of the unscaled `raw_ops_per_s`
-and the calibration probe's `kernel_ms_p50` from each run's record line, which tell a change of
-the program from a change of the probe), 12 wall times each of `import mdiqkd`,
-`mdiqkd scan` and `mdiqkd optimize --scenario H1 --distance 100`, the core count, versions and the
-git commit.  It prints each metric's change against the highest-numbered earlier BENCH_*.json,
-with that file's IQR beside it.  The wall times are paired against REV (default HEAD~1, the
-change's parent): REV is extracted with `git archive` into a temporary directory, deleted
-afterwards, and each run on the working tree alternates with one on REV's, whose summary is
-stored in the entry as `parent` with `pairs_won`, the number of pairs the working tree ran
-faster."""
-import json, math, os, platform, re, statistics, subprocess, sys, tempfile, timeit
+"""`python3 tools/bench.py PR [REV]` compares the working tree's speed with REV's (default
+HEAD~1, the change's parent, extracted with `git archive` into a temporary directory) and
+writes BENCH_<PR>.json at the repo root.  Each measurement runs in alternating pairs: pair i
+runs both trees with seed PR*100 + i, REV first when i is even.  Per BENCHMARK.json workload
+it runs `perfbench/run.py --seconds <run_seconds>` in 12 pairs for scan (whose `op_ms_p50` is
+bimodal between runs) and 10 for the others, and it times `import mdiqkd`, `mdiqkd scan` and
+`mdiqkd optimize --scenario H1 --distance 100` in 12 pairs each.  Per metric the file holds
+each side's median, IQR and runs and perfbench/compare.py's verdict on the pairs under
+BENCHMARK.json's `better` and `bound`; the wall times and each run record's unscaled
+`raw_ops_per_s` and calibration probe `kernel_ms_p50` have no bound.  It also holds each
+side's failed ops, the core count, versions, numpy's OpenBLAS kernel and both commits, and
+prints one table of every metric.  The defaults take about 35 minutes."""
+import ctypes, json, os, platform, subprocess, sys, tempfile, timeit
 from importlib.metadata import version
 from pathlib import Path
 
+import numpy
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import compare  # noqa: E402  the benchmark's pairing rule
+
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WALL = {
     "import_s": ("-c", "import mdiqkd"),
     "scan_s": ("-m", "mdiqkd", "scan"),
     "optimize_s": ("-m", "mdiqkd", "optimize", "--scenario", "H1", "--distance", "100"),
 }
-
-# unscaled throughput and the calibration probe of each run, from its record line
-RECORD_KEYS = ("raw_ops_per_s", "kernel_ms_p50")
-# alternating (REV, working tree) wall-time pairs per command
-PAIRS = 12
+WALL_PAIRS = 12
+PERFBENCH_PAIRS = {"scan": 12, "relay_sweep": 10, "bound_batch": 10}
+# the unscaled throughput and the calibration probe of each run, from its record line
+RECORD_KEYS = {"raw_ops_per_s": "higher", "kernel_ms_p50": "lower"}
 
 
 def run(*args: str, tree: Path = ROOT) -> str:
@@ -36,63 +41,76 @@ def wall(args: tuple, tree: Path) -> float:
     return timeit.timeit(lambda: run(sys.executable, *args, tree=tree), number=1)
 
 
-def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "iqr": q3 - q1, "runs": values}
+def perfbench(workload: str, tree: Path, seed: int) -> dict:
+    """The record line of one end-to-end perfbench run of the tree."""
+    lines = run(sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                "--seconds", str(SPEC["run_seconds"]), tree=tree).splitlines()
+    return next(json.loads(line)["record"] for line in lines if line.startswith('{"record"'))
 
 
-def medians(bench: dict) -> dict:
-    """(median, IQR) by metric name; older files hold wall times as bare medians."""
-    out = {}
-    for key, entry in bench.items():
-        if isinstance(entry, float):
-            out[key] = (entry, None)
-        elif isinstance(entry, dict) and "median" in entry:
-            out[key] = (entry["median"], entry["iqr"])
-        elif isinstance(entry, dict):
-            out.update({f"{key}.{m}": (v["median"], v["iqr"]) for m, v in entry.items() if m != "failed"})
+def paired(n: int, first_seed: int, measure, parent: Path) -> list[tuple]:
+    """n pairs of (seed, measure(parent, seed), measure(ROOT, seed)), the parent first in
+    even pairs and the working tree first in odd ones."""
+    out = []
+    for i, seed in enumerate(range(first_seed, first_seed + n)):
+        got = {tree: measure(tree, seed) for tree in ((parent, ROOT), (ROOT, parent))[i % 2]}
+        out.append((seed, got[parent], got[ROOT]))
     return out
 
 
-pr = int(sys.argv[1])
-rev = sys.argv[2] if len(sys.argv) > 2 else "HEAD~1"
-prev = max((int(m[1]) for p in ROOT.glob("BENCH_*.json")
-            if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name)) and int(m[1]) < pr), default=None)
-prev_bench = json.loads((ROOT / f"BENCH_{prev}.json").read_text()) if prev is not None else {}
-out = {"commit": run("git", "rev-parse", "HEAD").strip(), "nproc": os.cpu_count(),
-       "python": platform.python_version(), "numpy": version("numpy")}
-with tempfile.TemporaryDirectory() as tmp:
-    parent = run("git", "rev-parse", "--verify", f"{rev}^{{commit}}").strip()
-    archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-    for key, args in WALL.items():
-        pairs = [(wall(args, Path(tmp)), wall(args, ROOT)) for _ in range(PAIRS)]
-        out[key] = summary([head for _, head in pairs])
-        out[key]["parent"] = dict(summary([base for base, _ in pairs]), commit=parent)
-        out[key]["pairs_won"] = sum(head < base for base, head in pairs)
-for name in (w["name"] for w in SPEC["workloads"]):
-    outputs = [run(sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
-                   "--seconds", "10").splitlines() for seed in (1, 2, 3)]
-    runs = [json.loads(lines[-1]) for lines in outputs]
-    records = [json.loads(line)["record"] for lines in outputs for line in lines
-               if line.startswith('{"record"')]
-    out[name] = {"failed": sum(r["failed"] for r in runs)}
-    for metric in (m["name"] for m in SPEC["end_to_end"]):
-        out[name][metric] = summary([r["metrics"][metric]["value"] for r in runs])
-    for key in RECORD_KEYS:
-        out[name][key] = summary([r[key] for r in records])
-(ROOT / f"BENCH_{pr}.json").write_text(json.dumps(out, indent=1) + "\n")
+def judged(pairs: list[tuple], value, better: str, bound: float | None = None) -> dict:
+    """Each side's median, IQR and runs of value(result), and compare.verdict on the pairs."""
+    base = [(seed, value(result)) for seed, result, _ in pairs]
+    new = [(seed, value(result)) for seed, _, result in pairs]
+    entry = {}
+    for side, runs in (("parent", base), ("change", new)):
+        q1, median, q3 = compare.quartiles([v for _, v in runs])
+        entry[side] = {"median": median, "iqr": q3 - q1, "runs": [v for _, v in runs]}
+    return dict(entry, verdict=compare.verdict(base, new, better, bound))
 
-for key in WALL:
-    base, head = out[key]["parent"]["median"], out[key]["median"]
-    print(f"{key}: {rev} {base:.4g} s, HEAD {head:.4g} s ({(head - base) / base:+.1%}), "
-          f"HEAD faster in {out[key]['pairs_won']} of {PAIRS} pairs")
-if prev is not None:
-    base = medians(prev_bench)
-    print(f"{'metric':<26}{f'BENCH_{prev}':>12}{'IQR':>10}{f'BENCH_{pr}':>12}{'change':>9}")
-    for key, (new, _) in medians(out).items():
-        old, iqr = base.get(key, (math.nan, None))  # nan: a metric the earlier file lacks
-        iqr_text = "-" if iqr is None else f"{iqr:.3g}"
-        change = "new" if math.isnan(old) else f"{(new - old) / old:+.1%}"
-        print(f"{key:<26}{old:>12.4g}{iqr_text:>10}{new:>12.4g}{change:>9}")
+
+def openblas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS picked on this CPU; None without one."""
+    for lib in (Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+        get = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        return get().decode()
+    return None
+
+
+def main(pr: int, rev: str) -> None:
+    parent_commit = run("git", "rev-parse", "--verify", f"{rev}^{{commit}}").strip()
+    out = {"commit": run("git", "rev-parse", "HEAD").strip(), "parent": parent_commit,
+           "first_seed": pr * 100, "nproc": os.cpu_count(), "python": platform.python_version(),
+           "numpy": version("numpy"), "openblas_core": openblas_core()}
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp)
+        subprocess.run(["tar", "-x", "-C", tmp], check=True, input=subprocess.run(
+            ["git", "archive", parent_commit], cwd=ROOT, check=True, capture_output=True).stdout)
+        for key, args in WALL.items():
+            pairs = paired(WALL_PAIRS, pr * 100, lambda tree, _: wall(args, tree), parent)
+            out[key] = judged(pairs, float, "lower")
+        for name in (w["name"] for w in SPEC["workloads"]):
+            pairs = paired(PERFBENCH_PAIRS[name], pr * 100,
+                           lambda tree, seed: perfbench(name, tree, seed), parent)
+            entry = out[name] = {"failed": {"parent": sum(base["failed"] for _, base, _ in pairs),
+                                            "change": sum(new["failed"] for _, _, new in pairs)}}
+            for m in SPEC["end_to_end"]:
+                entry[m["name"]] = judged(pairs, lambda r: r["metrics"][m["name"]],
+                                          m["better"], m["bound"])
+            for key, better in RECORD_KEYS.items():
+                entry[key] = judged(pairs, lambda r: r[key], better)
+    (ROOT / f"BENCH_{pr}.json").write_text(json.dumps(out, indent=1) + "\n")
+
+    print(f"{'metric':<28}{rev:>12}{'IQR':>10}{'change':>12}{'%':>8}  verdict")
+    rows = {key: entry for key, entry in out.items() if key in WALL}
+    rows.update({f"{name}.{m}": e for name in PERFBENCH_PAIRS for m, e in out[name].items()
+                 if m != "failed"})
+    for key, entry in rows.items():
+        base, new = entry["parent"]["median"], entry["change"]["median"]
+        print(f"{key:<28}{base:>12.4g}{entry['parent']['iqr']:>10.3g}{new:>12.4g}"
+              f"{(new - base) / base:>+8.1%}  {entry['verdict']}")
+
+
+if __name__ == "__main__":
+    main(int(sys.argv[1]), sys.argv[2] if len(sys.argv) > 2 else "HEAD~1")
