@@ -9,7 +9,7 @@ each side's median, IQR and runs and perfbench/compare.py's verdict on the pairs
 BENCHMARK.json's `better` and `bound`; the wall times and each run record's unscaled
 `raw_ops_per_s` and calibration probe `kernel_ms_p50` have no bound.  It also holds each
 side's failed ops, the core count, versions, numpy's OpenBLAS kernel and both commits, and
-prints one table of every metric.  The defaults take about 35 minutes."""
+prints one table of every metric.  The defaults take about 45 minutes."""
 import ctypes, json, os, platform, subprocess, sys, tempfile, timeit
 from importlib.metadata import version
 from pathlib import Path
