@@ -116,7 +116,8 @@ class LinkSpec:
             raise ValueError(f"relay dark rate must lie in [0, 1], got {self.relay_dark_rate}")
         if not 0.0 <= self.misalignment <= 1.0:
             raise ValueError(f"misalignment must lie in [0, 1], got {self.misalignment}")
-        if int(self.cutoff) != self.cutoff or self.cutoff < 1:
+        # what operator.index takes: numpy integers too, but no float
+        if not (hasattr(type(self.cutoff), "__index__") and self.cutoff >= 1):
             raise ValueError(f"cutoff must be a positive integer, got {self.cutoff}")
 
     @property

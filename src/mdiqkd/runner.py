@@ -102,14 +102,14 @@ class ScanConfig:
 
     distances: tuple[float, ...] = field(default_factory=_default_distances)
     scenarios: tuple[str, ...] = SCENARIO_NAMES
-    alpha: float = 0.2
-    e_d: float = 0.015
-    d_c: float = 3e-6
-    eta_c: float = 0.145
-    eta_heralding: float = 0.75
-    d_heralding: float = 1e-6
+    alpha: float = LinkSpec.attenuation_db_per_km
+    e_d: float = LinkSpec.misalignment
+    d_c: float = LinkSpec.relay_dark_rate
+    eta_c: float = LinkSpec.relay_efficiency
+    eta_heralding: float = ScenarioKind.heralding_efficiency
+    d_heralding: float = ScenarioKind.heralding_dark_rate
     f_ec: float = DEFAULT_ERROR_CORRECTION
-    cutoff: int = 8
+    cutoff: int = LinkSpec.cutoff
     mu_fixed: float = 0.1
     scenario_heralding: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_SCENARIO_HERALDING)
@@ -132,6 +132,9 @@ class ScanConfig:
             ("f_ec", self.f_ec, self.f_ec >= 1.0, "must be >= 1"),
             *((name, num, 0.0 <= num <= 1.0, "must lie in [0, 1]") for name, num in unit.items()),
             *((name, num, num > 0.0, "must be > 0") for name, num in positive.items()),
+            # what operator.index takes: numpy integers too, but no float
+            *((name, num, hasattr(type(num), "__index__"), "must be an integer")
+              for name, num in (("cutoff", self.cutoff), ("grid_points", self.grid_points))),
             ("cutoff", self.cutoff, 2 <= self.cutoff <= cap, f"must lie in [2, {cap}]"),
             ("grid_points", self.grid_points, 4 <= self.grid_points <= MAX_GRID_POINTS,
              f"must lie in [4, {MAX_GRID_POINTS}]"),
@@ -423,29 +426,23 @@ def emit_csv(points: Iterable[RatePoint], gnuplot: bool = False) -> str:
     The gnuplot variant is whitespace separated with one block (two
     blank lines apart) per scenario.
     """
-    points = list(points)
-    if gnuplot:
-        lines = ["# " + RATE_HEADER.replace(",", " ")]
-        by_scenario: dict[str, list[RatePoint]] = {}
-        for p in points:
-            by_scenario.setdefault(p.scenario, []).append(p)
-        for idx, name in enumerate(sorted(by_scenario)):
-            if idx:
-                lines.append("")
-                lines.append("")
-            lines.append(f"# scenario: {name}")
-            for p in sorted(by_scenario[name], key=lambda q: q.distance_km):
-                lines.append(
-                    f"{_fmt(p.distance_km)} {p.scenario} {_fmt(p.mu)} {_fmt(p.mu_prime)} "
-                    f"{_fmt(p.y11_bound)} {_fmt(p.e11_bound)} {_fmt(p.rate)} {int(p.valid)}"
-                )
-    else:
-        lines = [RATE_HEADER]
-        for p in points:
-            lines.append(
-                f"{_fmt(p.distance_km)},{p.scenario},{_fmt(p.mu)},{_fmt(p.mu_prime)},"
-                f"{_fmt(p.y11_bound)},{_fmt(p.e11_bound)},{_fmt(p.rate)},{int(p.valid)}"
-            )
+    sep = " " if gnuplot else ","
+
+    def row(p: RatePoint) -> str:
+        return sep.join((_fmt(p.distance_km), p.scenario, _fmt(p.mu), _fmt(p.mu_prime),
+                         _fmt(p.y11_bound), _fmt(p.e11_bound), _fmt(p.rate), str(int(p.valid))))
+
+    if not gnuplot:
+        return "\n".join([RATE_HEADER, *map(row, points)]) + "\n"
+    lines = ["# " + RATE_HEADER.replace(",", sep)]
+    by_scenario: dict[str, list[RatePoint]] = {}
+    for p in points:
+        by_scenario.setdefault(p.scenario, []).append(p)
+    for idx, name in enumerate(sorted(by_scenario)):
+        if idx:
+            lines += ["", ""]
+        lines.append(f"# scenario: {name}")
+        lines += (row(p) for p in sorted(by_scenario[name], key=lambda q: q.distance_km))
     return "\n".join(lines) + "\n"
 
 
@@ -563,11 +560,9 @@ def _read_text(path: str) -> str:
             raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-def _load_config(path: str | None) -> ScanConfig:
-    return ScanConfig() if path is None else parse_config(_read_text(path))
-
-
-def _apply_flag_overrides(config: ScanConfig, args: argparse.Namespace) -> ScanConfig:
+def _resolve_config(args: argparse.Namespace) -> ScanConfig:
+    """The command's one config: --config's file, or the defaults, under its flags."""
+    config = ScanConfig() if args.config is None else parse_config(_read_text(args.config))
     updates: dict = {}
     if getattr(args, "scenario", None):
         updates["scenarios"] = _parse_scenarios(args.scenario)
@@ -587,14 +582,20 @@ def _write_out(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    config = _apply_flag_overrides(_load_config(args.config), args)
+def _report(**fields: float | bool | str) -> None:
+    """Print `key = value` lines in order: a float by repr, a flag as 0 or 1, text as it is."""
+    for key, value in fields.items():
+        if not isinstance(value, str):
+            value = int(value) if isinstance(value, bool) else _fmt(value)
+        sys.stdout.write(f"{key} = {value}\n")
+
+
+def _cmd_scan(args: argparse.Namespace, config: ScanConfig) -> int:
     _write_out(args.out, emit_csv(scan(config), gnuplot=args.gnuplot))
     return 0
 
 
-def _cmd_yields(args: argparse.Namespace) -> int:
-    config = _apply_flag_overrides(_load_config(args.config), args)
+def _cmd_yields(args: argparse.Namespace, config: ScanConfig) -> int:
     link = config.link_for(args.distance)
     bases = {"Z": [Basis.Z], "X": [Basis.X], "both": [Basis.Z, Basis.X]}[args.basis]
     _write_out(args.out, "".join(emit_yield_csv(yield_table(link, basis), header=(idx == 0))
@@ -602,21 +603,16 @@ def _cmd_yields(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
-    config = _apply_flag_overrides(_load_config(args.config), args)
+def _cmd_bound(args: argparse.Namespace, config: ScanConfig) -> int:
     gains = parse_gain_csv(_read_text(args.gains))
     weak, strong = _scheme_pairs(args.scheme, args.mu, args.mu_prime, config)
     basis = Basis(args.basis)
     bound = y11_lower_bound(gains, weak, strong, basis, config.cutoff)
-    out = sys.stdout
-    out.write(f"y11_lower = {_fmt(bound.value)}\n")
-    out.write(f"k_factor = {_fmt(bound.k_factor)}\n")
-    out.write(f"denominator = {_fmt(bound.denominator)}\n")
-    out.write(f"conditions_ok = {int(bound.conditions_ok)}\n")
-    out.write(f"coefficient_margin = {_fmt(bound.coefficient_margin)}\n")
-    out.write(f"clamped = {int(bound.clamped)}\n")
-    # a file without X-basis records gets a yield-only report; a missing
-    # or ambiguous X record among others is an error like any other
+    # the Y11 report comes first, so a missing or ambiguous X record read after it exits 2
+    # with the report written; a file without any X record gets that report alone
+    _report(y11_lower=bound.value, k_factor=bound.k_factor, denominator=bound.denominator,
+            conditions_ok=bound.conditions_ok, coefficient_margin=bound.coefficient_margin,
+            clamped=bound.clamped)
     if bound.conditions_ok and gains.has_basis(Basis.X):
         bound_x = (
             bound if basis is Basis.X
@@ -634,28 +630,20 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         except BoundUnavailableError:
             pass  # neither setting has a positive single-pair gain
         else:
-            out.write(f"e11_upper = {_fmt(e11)}\n")
+            _report(e11_upper=e11)
     return 0
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    config = _apply_flag_overrides(_load_config(args.config), args)
+def _cmd_optimize(args: argparse.Namespace, config: ScanConfig) -> int:
     try:
         scenario = config.scenario_kind(args.scenario)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     link = config.link_for(args.distance)
     point = optimize_mu_prime(scenario, link, config)
-    out = sys.stdout
-    out.write(f"scenario = {point.scenario}\n")
-    out.write(f"distance_km = {_fmt(point.distance_km)}\n")
-    out.write(f"mu = {_fmt(point.mu)}\n")
-    out.write(f"mu_prime = {_fmt(point.mu_prime)}\n")
-    out.write(f"y11_bound = {_fmt(point.y11_bound)}\n")
-    out.write(f"e11_bound = {_fmt(point.e11_bound)}\n")
-    out.write(f"rate = {_fmt(point.rate)}\n")
-    out.write(f"valid = {int(point.valid)}\n")
-    out.write(f"reason = {point.reason}\n")
+    names = ("scenario", "distance_km", "mu", "mu_prime", "y11_bound", "e11_bound", "rate",
+             "valid", "reason")
+    _report(**{name: getattr(point, name) for name in names})
     return 0
 
 
@@ -712,7 +700,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             name = flag.replace("_", "-")
             parser.error(f"argument --{name}: must be finite and >= 0, got {getattr(args, flag)!r}")
     try:
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except (ConfigError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,6 +55,10 @@ class TestLinkSpec:
             LinkSpec(10.0, misalignment=-0.1)
         with pytest.raises(ValueError):
             LinkSpec(10.0, cutoff=0)
+        # a float cutoff is no count, even a whole one; a numpy integer is
+        with pytest.raises(ValueError, match="cutoff must be a positive integer, got 8.0"):
+            LinkSpec(10.0, cutoff=8.0)
+        assert LinkSpec(10.0, cutoff=np.int64(8)) == LinkSpec(10.0)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_a_non_finite_distance_or_attenuation(self, value):

@@ -207,14 +207,21 @@ class TestScanConfig:
         (lambda: ScanConfig(alpha=math.nan), "alpha"),
         (lambda: ScanConfig(mu_fixed=0.0), "mu_fixed"),
         (lambda: replace(CFG, scenario_heralding={"H1": 1.5}), "scenario_heralding['H1']"),
+        (lambda: ScanConfig(cutoff=6.0), "cutoff"),
+        (lambda: ScanConfig(grid_points=60.0), "grid_points"),
     ], ids=[
         "grid_points", "cutoff", "distance", "distance-count", "heralding-key", "scenarios",
-        "f_ec", "alpha", "mu_fixed", "heralding-value",
+        "f_ec", "alpha", "mu_fixed", "heralding-value", "float-cutoff", "float-grid_points",
     ])
     def test_rejects_what_no_scan_can_use(self, build, field):
         with pytest.raises(ConfigError, match="^" + re.escape(field) + " must ") as exc:
             build()
         assert exc.value.field == field
+
+    def test_numpy_integer_counts_are_accepted(self):
+        config = ScanConfig(cutoff=np.int64(6), grid_points=np.int32(20), distances=(50.0,),
+                            scenarios=("W1",))
+        assert [p.valid for p in scan(config)] == [True]
 
     def test_inverted_grid_names_no_single_field(self):
         with pytest.raises(ConfigError, match="^mu_prime_min must be below mu_prime_max") as exc:
@@ -864,6 +871,34 @@ class TestGainCsv:
         with pytest.raises(ConfigError, match=f"line {len(lines) + 1}: duplicate record"):
             parse_gain_csv(text)
 
+    def test_parsed_table_finds_every_setting_by_its_exact_keys(self, monkeypatch):
+        # parse_gain_csv builds GainTable's dict keys itself, as decoy._record_key does;
+        # bound's fast path reads a setting's four records by those keys, so a parsed
+        # table must answer every setting of a seeded H1 table without GainTable.get
+        rng = np.random.default_rng(27)
+        scenario = CFG.scenario_kind("H1")
+        tables = basis_tables(CFG.link_for(50.0))
+        gains, settings = GainTable(), []
+        for cls in scenario.classes[1:]:
+            for _ in range(3):
+                x, y = rng.uniform(1e-3, 1.0, 2).tolist()
+                sides = [[side_weights(SourceSpec(scenario.distribution, v, scenario.heralding,
+                                                  cls), 8) for v in (i, 0.0)] for i in (x, y)]
+                for table in tables:
+                    for a in sides[0]:
+                        for b in sides[1]:
+                            gains.add(gain_from_yields(a, b, table))
+                    settings.append((table.basis, x, y, cls))
+        # the file carries no tail, so the parsed records are the table's with tail 0
+        expected = [[rec._replace(tail=0.0) for rec in gains.setting(*s)] for s in settings]
+        parsed = parse_gain_csv(emit_gain_csv(gains))
+
+        def unused(*args):
+            raise AssertionError("a parsed record key differs from GainTable's")
+
+        monkeypatch.setattr(GainTable, "get", unused)
+        assert [list(parsed.setting(*s)) for s in settings] == expected
+
 
 class TestYieldCsv:
     def test_shape_and_values(self):
@@ -1098,8 +1133,16 @@ class TestCli:
             "--mu", repr(0.125 * (1.0 + 1e-12)), "--mu-prime", "0.5", "--basis", "Z",
         ])
         assert code == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert "ambiguous gain record" in err and f"basis={basis}" in err
+        # the Z report is written before any X record is read, and nothing on a Z error
+        keys = [line.split(" = ")[0] for line in out.splitlines()]
+        if basis == "X":
+            assert keys == ["y11_lower", "k_factor", "denominator", "conditions_ok",
+                            "coefficient_margin", "clamped"]
+            assert "conditions_ok = 1" in out.splitlines()
+        else:
+            assert out == ""
 
     def test_optimize_report(self, capsys):
         assert main(["optimize", "--scenario", "H1", "--distance", "50"]) == 0

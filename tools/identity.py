@@ -4,11 +4,14 @@ the repo, deleted afterwards.  Each check runs in a subprocess per tree and prin
 or the first line whose output differs.  The exit status is 1 if any check differs.  The checks:
 
 - scan: the default `mdiqkd scan` CSV, with its md5;
+- gnuplot: the default `mdiqkd scan --gnuplot` output;
 - reference: the rows of perfbench's reference scan seed, which must also pass perfbench's own check
   against perfbench/reference/scan_seed0.csv (the working tree's file, read, never regenerated);
 - optimize: `mdiqkd optimize --scenario H1 --distance 100`;
 - bound: `mdiqkd bound` for H1, H2, W1 and T1 in Z and X, on the gain records of REV's optimized
-  rows at 0, 50 and 150 km and on their Z-only halves: 48 runs, stdout, stderr and exit code;
+  rows at 0, 50 and 150 km and on their Z-only halves, and on H1's 0 km file without the weak
+  setting's (x, x) X record, where a Z run writes its Y11 report and then fails: 50 runs, stdout,
+  stderr and exit code;
 - fingerprints: seeded fingerprints of gain_from_yields records (float.hex), rank_grid rates
   (float.hex) and rate_for_scenario points (repr, or the error raised);
 - optimized: seeded random optimize_mu_prime rows (repr), 100 per scenario, each on a config of
@@ -32,12 +35,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMES, DISTANCES = ("H1", "H2", "W1", "T1"), (0.0, 50.0, 150.0)
 
 # writes, into argv[1], the gain files of each scheme's optimized default row and its Z-only half,
-# and prints the bound arguments of each
+# and H1's 0 km file without the weak setting's (x, x) X record, and prints the bound arguments
+# of each
 GAIN_FILES = f"""
 import sys
 from pathlib import Path
 from mdiqkd.decoy import GainTable, gain_from_yields, side_weights
 from mdiqkd.keyrate import basis_tables
+from mdiqkd.optics import Basis
 from mdiqkd.runner import ScanConfig, emit_gain_csv, optimize_mu_prime
 from mdiqkd.source import SourceSpec
 cfg = ScanConfig()
@@ -57,7 +62,13 @@ for scheme in {SCHEMES!r}:
                     both.add(gain_from_yields(a, b, tables[0]))
                     z_only.add(gain_from_yields(a, b, tables[0]))
                     both.add(gain_from_yields(a, b, tables[1]))
-        for half, table in (("both", both), ("z", z_only)):
+        halves = [("both", both), ("z", z_only)]
+        if (scheme, distance) == ("H1", 0.0):
+            weak_x = (Basis.X, row.mu, row.mu, weak_cls)
+            halves.append(("no_weak_x", GainTable(
+                r for r in both
+                if (r.basis, r.alice_intensity, r.bob_intensity, r.trigger_class) != weak_x)))
+        for half, table in halves:
             path = Path(sys.argv[1]) / f"{{scheme}}_{{distance:g}}_{{half}}.csv"
             path.write_text(emit_gain_csv(table))
             print(path, scheme, repr(row.mu), repr(row.mu_prime))
@@ -283,6 +294,7 @@ def main() -> int:
         recorded = ROOT / "perfbench" / "reference" / "scan_seed0.csv"
         checks = {
             "scan": lambda tree: run(tree, "-m", "mdiqkd", "scan"),
+            "gnuplot": lambda tree: run(tree, "-m", "mdiqkd", "scan", "--gnuplot"),
             "reference": lambda tree: run(tree, "-c", REFERENCE, str(recorded),
                                           cwd=tree / "perfbench", paths=("src", "perfbench")),
             "optimize": lambda tree: run(tree, "-m", "mdiqkd", "optimize", "--scenario", "H1",
