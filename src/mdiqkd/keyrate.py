@@ -25,23 +25,23 @@ hands the numbers to the estimator core shared with the `bound` command
 (decoy.y11_from_series and decoy.e11_from_moments); no GainTable is
 built.  The work is planned in three tiers: what every row of a scenario
 and cutoff shares (each event class's side factors, q1, the vacuum row,
-the zero-intensity sides' weights) is cached by _plan; what no
-point of a row changes (the stacked tables and the zero-intensity
-sides' records) is kept in a row context (see _RowContext), which its
-caller builds and holds for one call; so a point costs one photon row
-per intensity, one stacked multiply, four matmuls over all its sides and
-its records as Python floats, and it comes back as plain numbers
-(_RowContext.rate); rate_for_scenario wraps them in a RatePoint.
-rank_grid evaluates a whole intensity grid in one batched pass of the
-same algebra (_RowContext.rates), exact to the point: its rates equal
-rate_for_scenario's bit for bit, and it returns the best point's
-RatePoint.  rate_for_scenario and rank_grid each build a row context per
-call.  The optimizer (runner.optimize_mu_prime) builds one per row and
-calls its rates and rate itself, so it evaluates the grid winner only
-once and builds a RatePoint only for the points it returns.  The pass
-builds only the (side, table) sums a point reads: the signal's on
-Y_z and Y_z e_z, the strong and weak settings' on Y_z, Y_x and Y_x e_x;
-a weak side fixed at mu_fixed (W1, H2) is summed once per pass.
+the zero-intensity sides' weights) is cached by _plan; what no point of
+a row changes (the stacked tables, and each setting's vac0 times its
+zero side's sums and the table corners) is kept in a row context (see
+_RowContext), which its caller builds and holds for one call; so a point
+costs one photon row per intensity, one stacked multiply, four matmuls
+over all its sides and its records as Python floats, and it comes back
+as plain numbers (_RowContext.rate); rate_for_scenario wraps them in a
+RatePoint.  rank_grid evaluates a whole intensity grid in one batched
+pass of the same algebra (_RowContext.rates), exact to the point: its
+rates equal rate_for_scenario's bit for bit, and it returns the best
+point's RatePoint.  rate_for_scenario and rank_grid each build a row
+context per call.  The optimizer (runner.optimize_mu_prime) builds one
+per row and calls its rates and rate itself, so it evaluates the grid
+winner only once and builds a RatePoint only for the points it returns.
+The pass builds only the (side, table) sums a point reads: the signal's
+on Y_z and Y_z e_z, the strong and weak settings' on Y_z, Y_x and Y_x
+e_x; a weak side fixed at mu_fixed (W1, H2) is summed once per pass.
 """
 
 from __future__ import annotations
@@ -320,8 +320,8 @@ def _side_sums(w: np.ndarray, vac0, views: tuple):
     return col, row, inner + (vac0 * col + vac0 * row - vac0 * vac0 * views[3])
 
 
-# the columns of _RowContext.setting_consts: vac0, z0, zero col, zero row, zero records, corner_x
-_CONST_SPANS = ((0, 1), (1, 2), (2, 5), (5, 8), (8, 11), (11, 12))
+# the columns of _RowContext.setting_consts: v, z0, v*v*m, v*zr, v*z0*m, v*zc, zz, X corner moment
+_CONST_SPANS = ((0, 1), (1, 2), (2, 5), (5, 8), (8, 11), (11, 14), (14, 17), (17, 18))
 
 
 class _RowContext:
@@ -332,14 +332,15 @@ class _RowContext:
     grid and points all read it.  It holds _plan's part, the point's
     constants (distance, name, q1^2, the factors of each side count), the
     stacked tables with the views and (0, 0) corners decoy.series_sums
-    reads (decoy.table_views), and each zero-intensity side's vac0, column
-    and row sums and (0, 0) record on the tables a setting reads.  The last
-    weak setting's results are kept, so a weak intensity that does not
-    follow mu' (W1, H2) is assembled once per row.  A point costs one photon
-    row per intensity, one multiply by its sides' stacked factors and one
-    series_sums over all its sides; the records and the estimator's inputs are then Python floats
-    in the order gain_from_yields sums them.  .rate returns the point's
-    numbers, and .point makes them the RatePoint rate_for_scenario returns.
+    reads (decoy.table_views), and per setting what no point changes
+    (setting_consts; .setting reads a row as a tuple, .rates the array):
+    its vac0 times its zero side's sums and the corners of its tables.  The
+    last weak setting's results are kept, so a weak intensity off mu' (W1,
+    H2) is assembled once per row.  A point costs one photon row per
+    intensity, one multiply by its sides' stacked factors and one
+    series_sums over all its sides, then Python floats in gain_from_yields'
+    order.  .rate returns the point's numbers, and .point makes them the
+    RatePoint rate_for_scenario returns.
     """
 
     def __init__(self, scenario: ScenarioKind, link: LinkSpec, tables, f_ec: float) -> None:
@@ -369,40 +370,46 @@ class _RowContext:
         self.true11 = float(table_z.yields[1, 1]), float(table_x.errors[1, 1])
         self.weak: tuple[float, np.ndarray, tuple[float, float, float], float] | None = None
         if not self.asymptotic:
-            self.setting_corner = self.corner[1:]
             self.setting_views = table_views(setting)
-            # each zero-intensity side's vac0, column and row sums and (0, 0) record on a
+            # each zero-intensity side's column and row sums and (0, 0) record on a
             # setting's tables; a zero side's interior is the +0.0 its a[1:] == 0 gives
             col, row, inner = series_sums(zero, zero, self.setting_views)
-            v = zero_vac0
-            full = inner + (v * col + v * row - v * v * self.setting_views[3])
-            self.zero = list(zip(v[:, 0].tolist(), col.tolist(), row.tolist(), full.tolist()))
-            # per setting, strong then weak: vac0, its zero side's vac0, column sums, row
-            # sums and (0, 0) records, and that record's X gain times its qber
-            self.setting_consts = np.array([
-                (v, z0, *zc, *zr, *zz, zz[1] * (zz[2] / zz[1] if zz[1] > 0.0 else 0.0))
-                for v, (z0, zc, zr, zz) in ((self.vac0[0], self.zero[-1]),
-                                            (self.vac0[-1], self.zero[0]))
-            ])
+            full = inner + (zero_vac0 * col + zero_vac0 * row
+                            - zero_vac0 * zero_vac0 * self.setting_views[3])
+            zero = list(zip(zero_vac0[:, 0].tolist(), col.tolist(), row.tolist(), full.tolist()))
+            # per setting, strong then weak, what no point changes (_CONST_SPANS): v is its vac0,
+            # z0 its zero side's, and on each table it reads (Y_z, Y_x, Y_x e_x) m is the corner,
+            # zc, zr, zz the zero side's column and row sums and (0, 0) record; X's zz * qber last
+            m = self.corner[1:]
+            self.strong_consts, self.weak_consts = (
+                (v, z0, *(v * v * c for c in m), *(v * r for r in zr), *(v * z0 * c for c in m),
+                 *(v * c for c in zc), *zz, zz[1] * (zz[2] / zz[1] if zz[1] > 0.0 else 0.0))
+                for v, (z0, zc, zr, zz) in ((self.vac0[0], zero[-1]), (self.vac0[-1], zero[0])))
+            self.setting_consts = np.array((self.strong_consts, self.weak_consts))
 
-    def setting(self, vac0: float, col, row, inner, zero) -> tuple[float, float, float]:
+    def setting(self, consts: tuple, col, row, inner) -> tuple[float, float, float]:
         """A symmetric setting's interior gains in Z and X (decoy.interior_gain) and X
-        error moment (decoy.error_moment), from its side's vac0 and per-table column
-        sums, row sums and (x, x) interiors, and its zero side's on a setting's tables."""
-        z0, zero_col, zero_row, zero_gain = zero
-        # the (x, x), (x, 0), (0, x) and (0, 0) records on each table a setting reads,
-        # (Y_z, Y_x, Y_x e_x), where a record with a zero side takes the +0.0 interior
-        # series_sums gives it
-        z_gains, x_gains, x_wrongs = [
-            (i + (vac0 * c + vac0 * r - vac0 * vac0 * m),
-             0.0 + (z0 * c + vac0 * zr - vac0 * z0 * m),
-             0.0 + (vac0 * zc + z0 * r - z0 * vac0 * m), zz)
-            for i, c, r, m, zc, zr, zz in zip(inner[1:], col[1:], row[1:], self.setting_corner,
-                                               zero_col, zero_row, zero_gain)
-        ]
+        error moment (decoy.error_moment), from its constants (a row of setting_consts)
+        and its side's column sums, row sums and (x, x) interiors on the stacked tables."""
+        (v, z0, e_z, e_x, e_w, a_z, a_x, a_w, b_z, b_x, b_w, c_z, c_x, c_w,
+         zz_z, zz_x, _, zz_m) = consts
+        (_, col_z, col_x, col_w), (_, row_z, row_x, row_w), (_, in_z, in_x, in_w) = col, row, inner
+        # the (x, x), (x, 0) and (0, x) records on each table a setting reads, Y_z, Y_x and
+        # Y_x e_x (w), where a record with a zero side takes the +0.0 interior series_sums gives
+        full_z = in_z + (v * col_z + v * row_z - e_z)
+        full_x = in_x + (v * col_x + v * row_x - e_x)
+        full_w = in_w + (v * col_w + v * row_w - e_w)
+        x0_z = 0.0 + (z0 * col_z + a_z - b_z)
+        x0_x = 0.0 + (z0 * col_x + a_x - b_x)
+        x0_w = 0.0 + (z0 * col_w + a_w - b_w)
+        y0_z = 0.0 + (c_z + z0 * row_z - b_z)
+        y0_x = 0.0 + (c_x + z0 * row_x - b_x)
+        y0_w = 0.0 + (c_w + z0 * row_w - b_w)
         # each X record's gain times its qber, as record_qber takes it
-        x = [g * (w / g if g > 0.0 else 0.0) for g, w in zip(x_gains, x_wrongs)]
-        return interior_gain(*z_gains), interior_gain(*x_gains), error_moment(*x)
+        return (interior_gain(full_z, x0_z, y0_z, zz_z), interior_gain(full_x, x0_x, y0_x, zz_x),
+                error_moment(full_x * (full_w / full_x if full_x > 0.0 else 0.0),
+                             x0_x * (x0_w / x0_x if x0_x > 0.0 else 0.0),
+                             y0_x * (y0_w / y0_x if y0_x > 0.0 else 0.0), zz_m))
 
     def rate(self, mu: float, mu_prime: float) -> tuple[float, float, float, str]:
         """(y11, e11, rate, reason) of rate_for_scenario's point at these intensities,
@@ -427,11 +434,11 @@ class _RowContext:
             # each side's (1,1) interior weight, as single_pair_gain takes it
             a1 = w[0, :, 1].tolist()
             if kept is None:
-                weak = self.setting(self.vac0[-1], col[-1], row[-1], inner[-1], self.zero[0])
+                weak = self.setting(self.weak_consts, col[-1], row[-1], inner[-1])
                 kept = self.weak = (mu, w[0, -1], weak, a1[-1] * a1[-1])
             _, wa, weak, weak11 = kept
             sa = w[0, 0]
-            strong = self.setting(self.vac0[0], col[0], row[0], inner[0], self.zero[-1])
+            strong = self.setting(self.strong_consts, col[0], row[0], inner[0])
             coeffs = y11_coefficients(wa, wa, sa, sa)
             y11, _, licensed = y11_from_series(coeffs, weak[0], strong[0])
             if not licensed:
@@ -493,11 +500,10 @@ class _RowContext:
                 # point, then weak's, one per point or one for all
                 weak_rows = settings.shape[1] - points
                 consts = np.repeat(self.setting_consts, (points, weak_rows), axis=0)
-                v, z0, zc, zr, zz, corner_x = (consts[:, a:b] for a, b in _CONST_SPANS)
+                v, z0, _, a, b, c, zz, corner_x = (consts[:, i:j] for i, j in _CONST_SPANS)
                 col, row, full = _side_sums(settings, v, self.setting_views)
-                m = self.setting_views[3]
-                row_x = 0.0 + (z0 * col + v * zr - v * z0 * m)
-                row_y = 0.0 + (v * zc + z0 * row - z0 * v * m)
+                row_x = 0.0 + (z0 * col + a - b)
+                row_y = 0.0 + (c + z0 * row - b)
                 # interior gains in Z and X, and X error moments
                 gains = interior_gain(full, row_x, row_y, zz)[:, :2]
                 x = [rec[:, 1] * qber(rec[:, 1], rec[:, 2]) for rec in (full, row_x, row_y)]

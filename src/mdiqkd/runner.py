@@ -358,7 +358,7 @@ def optimize_mu_prime(
                 return row.point(found[0], mu_prime, *found[1])
         return row.point(0.0, float(grid[len(grid) // 2]), 0.0, 0.0, 0.0, "no_valid_point")
 
-    best_i = int(np.argmax(rates))
+    best_i = int(rates.argmax())
     if 0 < best_i < len(grid) - 1:
         # a bracket point whose exp round-trips to its grid value costs what the
         # grid rated it: -rate, or inf where the grid reads -inf
@@ -366,7 +366,7 @@ def optimize_mu_prime(
         known = dict(zip(grid[near].tolist(), (-rates[near]).tolist()))
 
         def cost(lg: float) -> float:
-            mu_prime = float(math.exp(lg))
+            mu_prime = math.exp(lg)
             if mu_prime in known:
                 return known[mu_prime]
             found = evaluate(mu_prime)
@@ -374,14 +374,13 @@ def optimize_mu_prime(
                 return math.inf  # it raised, or it is invalid: its reason is not ""
             return -found[1][2]
 
-        bracket = (float(logs[best_i - 1]), float(logs[best_i]), float(logs[best_i + 1]))
         try:
-            x = _golden_section(cost, bracket, config.refine_tol, maxiter=200)
+            x = _golden_section(cost, tuple(logs[near].tolist()), config.refine_tol, maxiter=200)
         except _BracketError:
             pass  # flat or non-bracketing neighbourhood: the grid best is kept
         else:
             # a refined point that is the grid winner cannot beat it
-            mu_prime = float(math.exp(x))
+            mu_prime = math.exp(x)
             if mu_prime != best.mu_prime and (found := evaluate(mu_prime)) is not None:
                 mu, (y11, e11, rate, reason) = found
                 if not reason and rate > best.rate:
@@ -620,13 +619,8 @@ def _cmd_bound(args: argparse.Namespace, config: ScanConfig) -> int:
         )
         # one setting-pair plan licenses both bases, so bound_x is licensed too
         try:
-            e11 = e11_upper_bound(
-                gains,
-                weak,
-                strong,
-                single_pair_gain(weak, bound_x.value),
-                single_pair_gain(strong, bound_x.value),
-            )
+            e11 = e11_upper_bound(gains, weak, strong, single_pair_gain(weak, bound_x.value),
+                                  single_pair_gain(strong, bound_x.value))
         except BoundUnavailableError:
             pass  # neither setting has a positive single-pair gain
         else:

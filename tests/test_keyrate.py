@@ -681,6 +681,54 @@ class TestRowContext:
         # one call per distinct event class of each (scenario, cutoff), not one per row
         assert len(calls) == sum(len(set(cfg.scenario_kind(n).classes)) for n in names) == 6
 
+    def test_setting_numbers_are_the_record_routes(self, monkeypatch):
+        # .setting's three numbers, read off the row's fixed products, against
+        # interior_gain and error_moment over GainTable.setting's records from
+        # gain_from_yields for the same sides.  The last rows have no relay dark counts
+        # and unit heralding, so H1's and T1's strong X records have zero gain
+        calls = []
+        setting = keyrate._RowContext.setting
+
+        def spy(row, consts, *args):
+            calls.append((consts is row.weak_consts, setting(row, consts, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(keyrate._RowContext, "setting", spy)
+        rng = np.random.default_rng(2802)
+        checked = zero_gain = 0
+        for i in range(408):
+            name, dark = ("H1", "H2", "W1", "T1")[i % 4], i < 400
+            eta = float(rng.uniform(0.05, 0.99)) if dark else 1.0
+            scenario = ScenarioKind(name, eta, float(10.0 ** rng.uniform(-8.0, -3.0)))
+            link = LinkSpec(
+                float(rng.uniform(0.0, 250.0)),
+                relay_efficiency=float(rng.uniform(0.05, 0.9)),
+                relay_dark_rate=float(10.0 ** rng.uniform(-8.0, -4.0)) if dark else 0.0,
+                misalignment=float(rng.uniform(0.0, 0.05)),
+                cutoff=3 + i % 6,
+            )
+            tables = basis_tables(link)
+            mu_prime = float(10.0 ** rng.uniform(-2.0, 0.2))
+            mu = float(rng.uniform(0.05, 0.9)) * mu_prime
+            calls.clear()
+            outcome(keyrate._RowContext(scenario, link, tables, 1.16).rate, mu, mu_prime)
+            assert sorted(weak for weak, _ in calls) == [False, True]
+            _, weak_cls, strong_cls = scenario.classes
+            for weak, got in calls:
+                x, cls = (mu, weak_cls) if weak else (mu_prime, strong_cls)
+                sides = [side_weights(SourceSpec(scenario.distribution, v, scenario.heralding,
+                                                 cls), link.cutoff) for v in (x, 0.0)]
+                gains = GainTable(gain_from_yields(a, b, table)
+                                  for table in tables for a in sides for b in sides)
+                z, xs = (gains.setting(basis, x, x, cls) for basis in (Basis.Z, Basis.X))
+                expected = (interior_gain(*(r.gain for r in z)), interior_gain(*(r.gain for r in xs)),
+                            error_moment(*(r.gain * r.qber for r in xs)))
+                assert got == expected, (i, name, weak)
+                assert [v.hex() for v in got if v] == [v.hex() for v in expected if v]
+                checked += 1
+                zero_gain += 0.0 in [r.gain for r in xs]
+        assert checked == 816 and zero_gain >= 4
+
     def test_random_points_match_the_record_route(self, monkeypatch):
         settings = []
         setting = keyrate._RowContext.setting

@@ -304,6 +304,39 @@ class TestOptimize:
         assert len(seen) == len(set(seen))
 
 
+    def test_every_point_is_at_the_scenarios_weak_intensity(self, monkeypatch):
+        # ScenarioKind.weak_intensity is the one written form of the weak intensity the
+        # search pairs with each mu'.  At unit heralding efficiency the coupled mu is 0,
+        # so every H1 and T1 point raises and the row ends on no_valid_point
+        seen = []
+        rate = keyrate._RowContext.rate
+
+        def spy(row, mu, mu_prime):
+            seen.append((mu, mu_prime, "raised"))
+            out = rate(row, mu, mu_prime)
+            seen[-1] = (mu, mu_prime, out[3])
+            return out
+
+        monkeypatch.setattr(keyrate._RowContext, "rate", spy)
+        rng = np.random.default_rng(2803)
+        evaluated = dict.fromkeys(SCENARIO_NAMES, 0)
+        for i in range(7 * 6):
+            name, unit = SCENARIO_NAMES[i % 7], i >= 7 * 5
+            eta = 1.0 if unit else float(rng.uniform(0.05, 0.99))
+            cfg = replace(CFG, eta_heralding=eta, mu_fixed=float(rng.uniform(0.01, 0.3)),
+                          scenario_heralding={})
+            scenario = cfg.scenario_kind(name)
+            seen.clear()
+            point = optimize_mu_prime(scenario, cfg.link_for(float(rng.uniform(0.0, 200.0))), cfg)
+            evaluated[name] += len(seen)
+            for mu, mu_prime, _ in seen:
+                assert mu.hex() == scenario.weak_intensity(mu_prime, cfg.mu_fixed).hex()
+            if unit and scenario.coupled_mu:
+                assert len(seen) == cfg.grid_points
+                assert {(mu, reason) for mu, _, reason in seen} == {(0.0, "raised")}
+                assert point.reason == "no_valid_point"
+        assert min(evaluated.values()) > 0
+
     @pytest.mark.parametrize("name", ["W1", "H0", "H1", "T1"])
     def test_bracket_ends_on_the_grid_are_never_evaluated(self, name, monkeypatch):
         # a bracket end whose exp(log g) round-trips to the grid value g costs what

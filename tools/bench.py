@@ -1,16 +1,17 @@
 """`python3 tools/bench.py PR [REV]` compares the working tree's speed with REV's (default
-HEAD~1, the change's parent, extracted with `git archive` into a temporary directory) and
-writes BENCH_<PR>.json at the repo root.  Each measurement runs in alternating pairs: pair i
-runs both trees with seed PR*100 + i, REV first when i is even.  Per BENCHMARK.json workload
-it runs `perfbench/run.py --seconds <run_seconds>` in 12 pairs for scan (whose `op_ms_p50` is
-bimodal between runs) and 10 for the others, and it times `import mdiqkd`, `mdiqkd scan` and
-`mdiqkd optimize --scenario H1 --distance 100` in 12 pairs each.  Per metric the file holds
-each side's median, IQR and runs and perfbench/compare.py's verdict on the pairs under
-BENCHMARK.json's `better` and `bound`; the wall times and each run record's unscaled
-`raw_ops_per_s` and calibration probe `kernel_ms_p50` have no bound.  It also holds each
-side's failed ops, the core count, versions, numpy's OpenBLAS kernel and both commits, and
-prints one table of every metric.  The defaults take about 45 minutes."""
-import ctypes, json, os, platform, subprocess, sys, tempfile, timeit
+HEAD~1, the change's parent) and writes BENCH_<PR>.json at the repo root.  Both sides run from
+fresh temporary directories: REV's files from `git archive`, and a copy of the working tree's
+tracked and untracked files that git does not ignore.  Each measurement runs in alternating
+pairs: pair i runs both trees with seed PR*100 + i, REV first when i is even.  Per
+BENCHMARK.json workload it runs `perfbench/run.py --seconds <run_seconds>` in 12 pairs for
+scan (whose `op_ms_p50` is bimodal between runs) and 10 for the others, and it times `import
+mdiqkd`, `mdiqkd scan` and `mdiqkd optimize --scenario H1 --distance 100` in 12 pairs each.
+Per metric the file holds each side's median, IQR and runs and perfbench/compare.py's verdict
+on the pairs under BENCHMARK.json's `better` and `bound`; the wall times and each run
+record's unscaled `raw_ops_per_s` and calibration probe `kernel_ms_p50` have no bound.  It
+also holds each side's failed ops, the core count, versions, numpy's OpenBLAS kernel and both
+commits, and prints one table of every metric.  The defaults take about 45 minutes."""
+import ctypes, json, os, platform, shutil, subprocess, sys, tempfile, timeit
 from importlib.metadata import version
 from pathlib import Path
 
@@ -48,14 +49,29 @@ def perfbench(workload: str, tree: Path, seed: int) -> dict:
     return next(json.loads(line)["record"] for line in lines if line.startswith('{"record"'))
 
 
-def paired(n: int, first_seed: int, measure, parent: Path) -> list[tuple]:
-    """n pairs of (seed, measure(parent, seed), measure(ROOT, seed)), the parent first in
-    even pairs and the working tree first in odd ones."""
+def paired(n: int, first_seed: int, measure, parent: Path, change: Path) -> list[tuple]:
+    """n pairs of (seed, measure(parent, seed), measure(change, seed)), the parent first in
+    even pairs and the change first in odd ones."""
     out = []
     for i, seed in enumerate(range(first_seed, first_seed + n)):
-        got = {tree: measure(tree, seed) for tree in ((parent, ROOT), (ROOT, parent))[i % 2]}
-        out.append((seed, got[parent], got[ROOT]))
+        got = {tree: measure(tree, seed) for tree in ((parent, change), (change, parent))[i % 2]}
+        out.append((seed, got[parent], got[change]))
     return out
+
+
+def trees(rev_commit: str, tmp: str) -> tuple[Path, Path]:
+    """(REV's tree, the working tree's copy) under tmp: the same kind of fresh directory for
+    each side, so that neither runs from the repo itself."""
+    parent, change = Path(tmp) / "parent", Path(tmp) / "change"
+    parent.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(parent)], check=True, input=subprocess.run(
+        ["git", "archive", rev_commit], cwd=ROOT, check=True, capture_output=True).stdout)
+    files = run("git", "ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, files.split("\0")):
+        if (ROOT / name).is_file():  # a tracked file deleted in the working tree is left out
+            (change / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, change / name)
+    return parent, change
 
 
 def judged(pairs: list[tuple], value, better: str, bound: float | None = None) -> dict:
@@ -84,15 +100,13 @@ def main(pr: int, rev: str) -> None:
            "first_seed": pr * 100, "nproc": os.cpu_count(), "python": platform.python_version(),
            "numpy": version("numpy"), "openblas_core": openblas_core()}
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp)
-        subprocess.run(["tar", "-x", "-C", tmp], check=True, input=subprocess.run(
-            ["git", "archive", parent_commit], cwd=ROOT, check=True, capture_output=True).stdout)
+        parent, change = trees(parent_commit, tmp)
         for key, args in WALL.items():
-            pairs = paired(WALL_PAIRS, pr * 100, lambda tree, _: wall(args, tree), parent)
+            pairs = paired(WALL_PAIRS, pr * 100, lambda tree, _: wall(args, tree), parent, change)
             out[key] = judged(pairs, float, "lower")
         for name in (w["name"] for w in SPEC["workloads"]):
             pairs = paired(PERFBENCH_PAIRS[name], pr * 100,
-                           lambda tree, seed: perfbench(name, tree, seed), parent)
+                           lambda tree, seed: perfbench(name, tree, seed), parent, change)
             entry = out[name] = {"failed": {"parent": sum(base["failed"] for _, base, _ in pairs),
                                             "change": sum(new["failed"] for _, _, new in pairs)}}
             for m in SPEC["end_to_end"]:

@@ -27,12 +27,20 @@ or the first line whose output differs.  The exit status is 1 if any check diffe
   licensed, e11 is also bounded with each setting's s11 zeroed in turn, on the file without that
   setting's X records, which a setting without a denominator must not read.
 
+Then it prints a `kernels` report, which checks nothing and never fails: the default scan's md5
+from both trees under each OpenBLAS kernel of KERNELS, set by OPENBLAS_CORETYPE in the child
+processes' environment only, with the kernel each child reports, and whether the two md5s
+match.  numpy hands its small matrix products to OpenBLAS, whose kernels round them
+differently, so the pinned bits hold for one kernel; the report shows whether both trees still
+agree under the others.  A child that fails reads `unavailable`.
+
 It takes about a minute; it needs git, so it is not part of the test suite."""
 import hashlib, os, subprocess, sys, tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMES, DISTANCES = ("H1", "H2", "W1", "T1"), (0.0, 50.0, 150.0)
+KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Prescott")
 
 # writes, into argv[1], the gain files of each scheme's optimized default row and its Z-only half,
 # and H1's 0 km file without the weak setting's (x, x) X record, and prints the bound arguments
@@ -250,10 +258,26 @@ for i in range(400):
 """
 
 
-def run(tree: Path, *args: str, cwd: Path | None = None, paths=("src",)) -> list[str]:
-    """stdout, stderr and exit code of `python args` on tree's package, as lines, with the
-    tree's own path written <tree> so that a traceback reads alike in both."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(tree / p) for p in paths))
+# the default scan's md5, after the kernel numpy's bundled OpenBLAS runs, by public API only
+KERNEL_SCAN = """
+import ctypes, hashlib
+from pathlib import Path
+import numpy
+from mdiqkd.runner import ScanConfig, emit_csv, scan
+core = "unknown"
+for lib in (Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+    get = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+    get.restype = ctypes.c_char_p
+    core = get().decode()
+print(core, hashlib.md5(emit_csv(scan(ScanConfig())).encode()).hexdigest())
+"""
+
+
+def run(tree: Path, *args: str, cwd: Path | None = None, paths=("src",), **env: str) -> list[str]:
+    """stdout, stderr and exit code of `python args` on tree's package, with env added to the
+    environment, as lines, with the tree's own path written <tree> so that a traceback reads
+    alike in both."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(tree / p) for p in paths), **env)
     proc = subprocess.run([sys.executable, *args], cwd=cwd or tree, env=env, capture_output=True,
                           text=True)
     lines = proc.stdout.splitlines() + [f"stderr: {line}" for line in proc.stderr.splitlines()]
@@ -275,6 +299,12 @@ def first_difference(ours: list[str], theirs: list[str]) -> str:
         if a != b:
             return f"line {i}: REV {a!r}, the working tree {b!r}"
     return f"REV has {len(theirs)} lines, the working tree {len(ours)}"
+
+
+def kernel_scan(tree: Path, kernel: str) -> str:
+    """`<kernel the child ran> <md5>` of the tree's default scan, or unavailable."""
+    lines = run(tree, "-c", KERNEL_SCAN, OPENBLAS_CORETYPE=kernel)
+    return lines[0] if lines[-1] == "exit 0" and len(lines) == 2 else "unavailable"
 
 
 def main() -> int:
@@ -319,6 +349,12 @@ def main() -> int:
                 detail = f"{len(ours) - 1} lines, md5 {hashlib.md5(text.encode()).hexdigest()}"
             differs += not same
             print(f"{'same' if same else 'DIFFERS':<8} {name:<13} {detail}")
+        print("kernels: the default scan under each OPENBLAS_CORETYPE (reported, not checked)")
+        for kernel in KERNELS:
+            theirs, ours = kernel_scan(base, kernel), kernel_scan(ROOT, kernel)
+            match = "unavailable" if "unavailable" in (theirs, ours) else (
+                "match" if theirs == ours else "DIFFER")
+            print(f"  {kernel:<12} REV {theirs:<42} working tree {ours:<42} {match}")
     return 1 if differs else 0
 
 
