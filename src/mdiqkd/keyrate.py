@@ -395,7 +395,7 @@ class _RowContext:
          zz_z, zz_x, _, zz_m) = consts
         (_, col_z, col_x, col_w), (_, row_z, row_x, row_w), (_, in_z, in_x, in_w) = col, row, inner
         # the (x, x), (x, 0) and (0, x) records on each table a setting reads, Y_z, Y_x and
-        # Y_x e_x (w), where a record with a zero side takes the +0.0 interior series_sums gives
+        # Y_x e_x (w); a record with a zero side takes the +0.0 interior series_sums gives it
         full_z = in_z + (v * col_z + v * row_z - e_z)
         full_x = in_x + (v * col_x + v * row_x - e_x)
         full_w = in_w + (v * col_w + v * row_w - e_w)
