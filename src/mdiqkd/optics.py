@@ -20,11 +20,16 @@ The sums are split by what they depend on.  Their terms' binomials,
 exponents, group boundaries and Fock normalisations depend only on the
 photon-count caps and are cached once per pair of caps.  The mode
 amplitudes (state and misalignment) and the dark-count weights depend on
-the relay; per relay and pair of bases only their powers are gathered and
-reduced, in one array pass, and the resulting tables are cached.
+the relay; the tables are cached per relay and pair of bases.
 Misalignment rotates only Bob's arm, so Alice's factors of those sums are
-relay-independent and cached once per her basis and the caps.  A link's
-Z and X tables share one binomial thinning matrix.
+relay-independent and cached slot-major: groups sorted by how many terms
+they keep, slot s the s-th term of every group with one.  Per relay one
+take gathers Bob's powers and each slot adds into a prefix of the sums,
+as np.add.reduceat sums a group (a0 plus its tail, left to right, or
+pairwise at 8 terms) and np.bincount a cell (from 0.0, in n order).
+Terms whose Alice factor is 0.0 (most of Z's) are dropped: a group keeps
+all or at most one, and zeros only flip a zero's sign, which squaring
+removes.  A link's Z and X tables share one thinning matrix.
 """
 
 from __future__ import annotations
@@ -147,13 +152,6 @@ class YieldTable:
     errors: np.ndarray
 
 
-def _binom_pmf(m: int, k: int, survival: float) -> float:
-    """P(k of m photons survive), as C(m, k) s^k (1 - s)^(m - k); 0 for k > m."""
-    if k > m:
-        return 0.0
-    return math.comb(m, k) * survival**k * (1.0 - survival) ** (m - k)
-
-
 def thin(m: int, survival: float) -> np.ndarray:
     """Binomial loss acting on an m-photon pulse.
 
@@ -164,16 +162,24 @@ def thin(m: int, survival: float) -> np.ndarray:
         raise ValueError(f"photon number must be >= 0, got {m}")
     if not 0.0 <= survival <= 1.0:
         raise ValueError(f"survival must lie in [0, 1], got {survival}")
-    return np.array([_binom_pmf(m, k, survival) for k in range(m + 1)])
+    return np.array(
+        [math.comb(m, k) * survival**k * (1.0 - survival) ** (m - k) for k in range(m + 1)]
+    )
+
+
+# C(m, k), 0.0 where k > m, and the photons lost, m - k (0 there), for counts up to the cap
+_LOST = np.maximum(np.subtract.outer(np.arange(SAFETY_CAP + 1), np.arange(SAFETY_CAP + 1)), 0)
+_BINOMIALS = np.vectorize(math.comb)(*np.indices(_LOST.shape)).astype(float)
 
 
 # one slot: a link's two tables, built back to back, share one matrix
 @lru_cache(maxsize=1)
 def _thin_matrix(n_max: int, survival: float) -> np.ndarray:
-    """Read-only matrix T with T[m, k] = P(k of m photons survive)."""
-    t_mat = np.array(
-        [[_binom_pmf(m, k, survival) for k in range(n_max + 1)] for m in range(n_max + 1)]
-    )
+    """Read-only matrix T with T[m, k] = P(k of m photons survive), rounded as thin rounds
+    it, (C(m, k) s^k) (1 - s)^(m - k), with each power of s and of 1 - s taken once."""
+    s_k = np.array([survival**k for k in range(n_max + 1)])
+    t_j = np.array([(1.0 - survival) ** j for j in range(n_max + 1)])
+    t_mat = _BINOMIALS[: n_max + 1, : n_max + 1] * s_k * t_j.take(_LOST[: n_max + 1, : n_max + 1])
     t_mat.flags.writeable = False
     return t_mat
 
@@ -270,21 +276,72 @@ def _pattern_terms(cap_a: int, cap_b: int) -> tuple[np.ndarray, ...]:
     return out
 
 
+def _slot_layout(counts: np.ndarray, members: np.ndarray, n_b: int) -> tuple:
+    """Items of counts[i] members, listed item by item, slot-major: items stably sorted by count,
+    most first; members by slot, slot s the s-th member of every item with more than s (a
+    prefix); and each slot's (offset, length) with every member repeated n_b times."""
+    order, first = np.argsort(-counts, kind="stable"), np.cumsum(counts) - counts
+    sizes = (len(counts) - np.cumsum(np.bincount(counts))[:-1]).tolist()
+    slotted = [members[first[order[:n]] + s] for s, n in enumerate(sizes)] or [members]
+    slots = tuple((int(i) * n_b, n * n_b) for i, n in zip(np.cumsum([0, *sizes]), sizes))
+    return order, np.concatenate(slotted), slots
+
+
+def _running_sums(parts: list[np.ndarray]) -> np.ndarray:
+    """Each item's slots summed left to right, as from 0.0 (but for the sign of a zero)."""
+    out = parts[0].copy() if parts else np.zeros(0)
+    for part in parts[1:]:
+        out[: len(part)] += part
+    return out
+
+
+def _group_sums(parts: list[np.ndarray]) -> np.ndarray:
+    """np.add.reduceat's sum of each group of at most 9 terms, from its slots: a0 plus the
+    tail a1 + ... + a_{L-1}, summed left to right below 8 terms and at 8 in numpy's
+    pairwise form ((a1 + a2) + (a3 + a4)) + ((a5 + a6) + (a7 + a8))."""
+    amps, tail = _running_sums(parts[:1]), _running_sums(parts[1:8])
+    if len(parts) == 9:
+        a = [part[: len(parts[8])] for part in parts[1:]]
+        tail[: len(a[0])] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+    amps[: len(tail)] += tail
+    return amps
+
+
 @lru_cache(maxsize=None)
-def _alice_terms(states_a: tuple[BB84State, ...], cap_a: int, cap_b: int):
-    """Alice's half of _pair_tables, which no relay setting changes (misalignment
-    rotates only Bob's arm): per state of states_a, the binomials times her power
-    pairs of each pattern sum term, and the single-mode weights times her squared
-    powers, shaped to broadcast against Bob's states.  Read-only."""
-    coeff, alice, _, _, _, _, single = _pattern_terms(cap_a, cap_b)
+def _term_plan(states_a: tuple[BB84State, ...], n_b: int, cap_a: int, cap_b: int):
+    """_pair_tables' relay-independent half, slot-major (module docstring), read-only: each
+    kept term's Alice factor and index into Bob's flat pair_v, each group's normalisation,
+    each bin's groups, the bins' flat entries, Alice's single-mode factors, and the slots.
+    A group is an (Alice's state, Bob's state, pattern, (k_a, k_b, n)) sum of _pattern_terms,
+    a bin an (Alice's state, Bob's state, pattern, k_a, k_b) entry."""
+    coeff, alice, bob, starts, norm, cell, single = _pattern_terms(cap_a, cap_b)
     u = np.array([(x, y, x, y) for x, y in map(_jones, states_a)]) * _SQRT1_2
     pow_u = u[:, :, None] ** np.arange(cap_a + 1)
-    # per state and pattern, every product (power of mode i) * (power of mode j)
     pair_u = (pow_u[:, _PATTERN_I, :, None] * pow_u[:, _PATTERN_J, None, :]).reshape(len(u), 4, -1)
-    terms = (coeff * pair_u.take(alice, axis=-1))[:, None]
-    alone = single * (pow_u * pow_u)[:, None, :, :, None]
-    terms.flags.writeable = alone.flags.writeable = False
-    return terms, alone
+    terms = (coeff * pair_u.take(alice, axis=-1)).reshape(len(u) * 4, -1)
+    counts = np.add.reduceat((terms != 0.0).astype(np.int32), starts, axis=-1)
+    lengths = np.diff(starts, append=len(coeff))
+    # slot sums are reduceat's only for groups of at most 9 terms keeping all or at most one
+    if lengths.max(initial=0) > 9 or not ((counts == lengths) | (counts <= 1)).all():
+        raise AssertionError(f"no exact slot layout for caps ({cap_a}, {cap_b})")
+    n_groups, size, n_pairs = len(starts), (cap_a + 1) * (cap_b + 1), (cap_b + 1) ** 2
+    counts, live, terms = counts.ravel(), np.flatnonzero(counts), terms.ravel()
+    order, term, term_slots = _slot_layout(counts, np.flatnonzero(terms), n_b)
+    per_bin = np.bincount(live // n_groups * size + cell[live % n_groups])
+    bin_order, member, bin_slots = _slot_layout(per_bin, live, n_b)
+    state_a, entry = np.divmod(bin_order[: np.count_nonzero(per_bin)], 4 * size)
+    by_b, pair = np.arange(n_b), term // len(coeff) % 4 * n_pairs + bob[term % len(coeff)]
+    plan = (
+        np.repeat(terms[term], n_b),
+        (pair[:, None] + by_b * 4 * n_pairs).ravel(),
+        np.repeat(norm[order[: len(live)] % n_groups], n_b),
+        (np.argsort(order)[member][:, None] * n_b + by_b).ravel(),
+        (((state_a * n_b)[:, None] + by_b) * 4 * size + entry[:, None]).ravel(),
+        single * (pow_u * pow_u)[:, None, :, :, None],
+    )
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan + (term_slots, bin_slots)
 
 
 # bounded: every relay setting adds one entry per pair of bases and caps,
@@ -312,41 +369,34 @@ def _pair_tables(
     their detectors stay dark, and each empty mode of the pair dark
     clicks: (1 - d)^2 [P_ij + d (P_i + P_j) + d^2 [k = 0]], where P_ij is
     the chance that both modes are occupied and P_i the chance that all
-    k photons are in mode i.  The terms of P_ij come from
-    _pattern_terms(cap_a, cap_b) and Alice's factors from _alice_terms; only
-    Bob's amplitude powers are per relay.
+    k photons are in mode i.  The terms of P_ij come from _pattern_terms and
+    Alice's factors from _term_plan; per relay, Bob's amplitude powers are gathered
+    over its slot-major layout, and the slots are summed in np.add.reduceat's and
+    np.bincount's orders (the module docstring says why that is exact).
     """
     theta = math.asin(math.sqrt(misalignment))
     # per state, the amplitudes on modes (cH, cV, dH, dV); Bob's port d picks up the minus sign
     jones_b = [_rotated(_jones(s), theta) for s in states_b]
     v = np.array([(x, y, -x, -y) for x, y in jones_b]) * _SQRT1_2
-    _, _, bob, starts, norm, cell, _ = _pattern_terms(cap_a, cap_b)
-    alice_terms, alice_alone = _alice_terms(states_a, cap_a, cap_b)
+    plan = _term_plan(states_a, len(states_b), cap_a, cap_b)
+    factors, take, norm, bin_take, bins, alice_alone, term_slots, bin_slots = plan
     pow_v = v[:, :, None] ** np.arange(cap_b + 1)
     # per state and pattern, every product (power of mode i) * (power of mode j)
-    pair_v = (pow_v[:, _PATTERN_I, :, None] * pow_v[:, _PATTERN_J, None, :]).reshape(len(v), 4, -1)
-    # group sums per (Alice's state, Bob's state, pattern); take keeps the terms contiguous
-    terms = alice_terms * pair_v.take(bob, axis=-1)[None]
-    amps = np.add.reduceat(terms, starts, axis=-1)
-    shape = (cap_a + 1, cap_b + 1)
-    size = shape[0] * shape[1]
-    rows = amps.shape[:-1]
-    both = np.bincount(
-        (cell + size * np.arange(math.prod(rows))[:, None]).ravel(),
-        weights=(norm * amps * amps).ravel(),
-        minlength=math.prod(rows) * size,
-    ).reshape(*rows, *shape)
+    pair_v = pow_v[:, _PATTERN_I, :, None] * pow_v[:, _PATTERN_J, None, :]
+    terms = pair_v.ravel().take(take)
+    terms *= factors  # in place: one term-sized temporary
+    amps = _group_sums([terms[i : i + n] for i, n in term_slots])
+    weights = (norm * amps * amps).take(bin_take)
+    both = np.zeros((len(states_a), len(states_b), 4, cap_a + 1, cap_b + 1))
+    both.ravel()[bins] = _running_sums([weights[i : i + n] for i, n in bin_slots])
     alone = alice_alone * (pow_v * pow_v)[None, :, :, None, :]
-    empty = np.zeros(shape)
-    empty[0, 0] = 1.0
     d = dark_rate
-    probs = (1.0 - d) ** 2 * (
-        both + d * (alone[:, :, _PATTERN_I] + alone[:, :, _PATTERN_J]) + d * d * empty
-    )
+    probs = both + d * (alone[:, :, _PATTERN_I] + alone[:, :, _PATTERN_J])
+    probs[..., 0, 0] += d * d  # no photon: both modes dark click
+    probs *= (1.0 - d) ** 2
     plus = probs[:, :, 0] + probs[:, :, 1]
     minus = probs[:, :, 2] + probs[:, :, 3]
-    plus.flags.writeable = False
-    minus.flags.writeable = False
+    plus.flags.writeable = minus.flags.writeable = False
     return plus, minus
 
 
@@ -382,9 +432,7 @@ def bsm_outcome_distribution(
             link.misalignment, link.relay_dark_rate, cap_a, cap_b,
         )
     )
-    t = link.survival
-    ta = thin(m, t)
-    tb = thin(n, t)
+    ta, tb = thin(m, link.survival), thin(n, link.survival)
     p_plus = float(ta @ plus_tab @ tb)
     p_minus = float(ta @ minus_tab @ tb)
     return {
@@ -420,12 +468,10 @@ def yield_table(link: LinkSpec, basis: Basis) -> YieldTable:
             succ += plus_tab
             succ += minus_tab
             same_bit = STATE_BIT[sa] == STATE_BIT[sb]
-            if basis is Basis.Z:
-                if same_bit:
-                    wrong += plus_tab
-                    wrong += minus_tab
-            else:
-                wrong += minus_tab if same_bit else plus_tab
+            if same_bit == (basis is Basis.Z):
+                wrong += plus_tab
+            if same_bit:
+                wrong += minus_tab
     succ *= 0.25
     wrong *= 0.25
     t_mat = _thin_matrix(n_max, link.survival)

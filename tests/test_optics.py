@@ -310,6 +310,32 @@ class TestPairTables:
                         assert np.array_equal(plus[i, j], want_plus), where
                         assert np.array_equal(minus[i, j], want_minus), where
 
+    def test_tables_at_every_cap_shape_equal_the_single_pair_reference_bit_for_bit(self):
+        # the caps bsm_outcome_distribution reaches beyond the cutoff: empty, one-sided,
+        # lopsided and (8, 8), whose (8, 8, 8) groups have nine terms and so a tail of
+        # eight that numpy sums pairwise; with misalignment 0 and 1 and no dark counts
+        coeff, _, _, starts, _, _, _ = optics._pattern_terms(8, 8)
+        assert np.diff(starts, append=len(coeff)).max() == 9
+        caps = ((0, 0), (1, 1), (16, 0), (0, 16), (1, 15), (9, 7), (12, 4), (8, 8))
+        rng = np.random.default_rng(29)
+        batches = [(BASIS_STATES[a], BASIS_STATES[b]) for a in Basis for b in Basis]
+        for cap_a, cap_b in caps:
+            relays = [(0.0, 0.0), (1.0, 0.0), (0.0, 3e-6), (1.0, 1e-4)]
+            relays.append((float(rng.uniform(0.0, 0.1)), float(10.0 ** rng.uniform(-8.0, -4.0))))
+            for misalignment, dark_rate in relays:
+                for states_a, states_b in batches:
+                    plus, minus = _pair_tables.__wrapped__(
+                        states_a, states_b, misalignment, dark_rate, cap_a, cap_b
+                    )
+                    for i, sa in enumerate(states_a):
+                        for j, sb in enumerate(states_b):
+                            want_plus, want_minus = single_pair_tables_reference(
+                                sa, sb, misalignment, dark_rate, cap_a, cap_b
+                            )
+                            where = (cap_a, cap_b, misalignment, dark_rate, sa, sb)
+                            assert np.array_equal(plus[i, j], want_plus), where
+                            assert np.array_equal(minus[i, j], want_minus), where
+
 
 class TestOracleMemo:
     @pytest.mark.parametrize("basis", list(Basis))
@@ -333,32 +359,27 @@ class TestOracleMemo:
 
 
 class TestYieldTable:
-    def test_both_bases_share_one_thinning_matrix(self, monkeypatch):
+    def test_both_bases_share_one_thinning_matrix(self):
         # a survival no other test uses: the Z and X tables of one link thin through
-        # one matrix, (cutoff + 1)^2 binomials, not one matrix per basis
-        calls = []
-        pmf = optics._binom_pmf
-
-        def spy(m, k, survival):
-            calls.append((m, k))
-            return pmf(m, k, survival)
-
-        monkeypatch.setattr(optics, "_binom_pmf", spy)
+        # one matrix, built once for the link, not one matrix per basis
+        before = _thin_matrix.cache_info()
         link = LinkSpec(41.3, cutoff=6)
         yield_table(link, Basis.Z)
         yield_table(link, Basis.X)
-        assert len(calls) == 7 * 7
+        after = _thin_matrix.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 1
 
     def test_alice_half_is_shared_by_every_relay_setting(self):
         # relay settings no other test uses: each computes new pair tables, all on
         # Alice's one relay-independent half of its basis and caps
-        terms, tables = optics._alice_terms.cache_info(), _pair_tables.cache_info()
+        plans, tables = optics._term_plan.cache_info(), _pair_tables.cache_info()
         for dark_rate in (1.1e-6, 1.2e-6, 1.3e-6):
             yield_table(LinkSpec(20.0, relay_dark_rate=dark_rate, misalignment=0.0177), Basis.Z)
         assert _pair_tables.cache_info().misses - tables.misses == 3
-        after = optics._alice_terms.cache_info()
-        assert after.misses - terms.misses <= 1
-        assert after.hits + after.misses - terms.hits - terms.misses == 3
+        after = optics._term_plan.cache_info()
+        assert after.misses - plans.misses <= 1
+        assert after.hits + after.misses - plans.hits - plans.misses == 3
 
     def test_single_pair_lossless_values(self):
         for basis in (Basis.Z, Basis.X):

@@ -25,7 +25,11 @@ or the first line whose output differs.  The exit status is 1 if any check diffe
   and asymmetric settings, records 1e-12 relative off the settings' intensities (once on both
   sides of them, which is ambiguous) and files missing a record.  Where both Y11 bounds are
   licensed, e11 is also bounded with each setting's s11 zeroed in turn, on the file without that
-  setting's X records, which a setting without a denominator must not read.
+  setting's X records, which a setting without a denominator must not read;
+- tables: `mdiqkd yields --basis both` through runner.main on seeded config files of random e_d and
+  d_c (0 included), eta_c and cutoff 2-8, at 0-300 km, and bsm_outcome_distribution (repr) at
+  photon counts beyond the link's cutoff, on random relays (misalignment 0 and 1 and dark rate 0
+  included), whose pair tables are built for exactly those counts.
 
 Then it prints a `kernels` report, which checks nothing and never fails: the default scan's md5
 from both trees under each OpenBLAS kernel of KERNELS, set by OPENBLAS_CORETYPE in the child
@@ -257,6 +261,44 @@ for i in range(400):
         print(i, "s11", j, "zeroed", out)
 """
 
+# yield tables through the CLI on random config files, and outcome distributions at photon counts
+# beyond the cutoff, by public API only
+TABLES = """
+import sys, tempfile
+from pathlib import Path
+import numpy as np
+from mdiqkd.optics import BB84State, LinkSpec, bsm_outcome_distribution
+from mdiqkd.runner import main
+
+rng = np.random.default_rng(int(sys.argv[1]))
+
+
+def uniform(lo, hi):
+    return float(rng.uniform(lo, hi))
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "link.conf"
+    for i in range(140):
+        e_d = (0.0, 1.0, uniform(0.0, 0.1))[min(i % 6, 2)]
+        d_c = 0.0 if i % 4 == 0 else 10.0 ** uniform(-8.0, -3.0)
+        config.write_text(f"e_d = {e_d!r}\\nd_c = {d_c!r}\\neta_c = {uniform(0.05, 1.0)!r}\\n"
+                          f"cutoff = {2 + i % 7}\\n")
+        args = ["yields", "--config", str(config), "--distance", repr(uniform(0.0, 300.0))]
+        print("yields", i, args[4:], flush=True)
+        print("exit", main([*args, "--basis", "both"]))
+states = list(BB84State)
+for i in range(300):
+    cutoff, m, n = 0, 0, 0
+    while not (m + n <= 16 and (max(m, n) > cutoff or cutoff > 8)):
+        cutoff, m, n = (int(k) for k in rng.integers((1, 0, 0), (13, 17, 17)))
+    link = LinkSpec(uniform(0.0, 300.0), relay_efficiency=uniform(0.05, 1.0),
+                    relay_dark_rate=0.0 if i % 5 == 0 else 10.0 ** uniform(-8.0, -3.0),
+                    misalignment=(0.0, 1.0, uniform(0.0, 0.1))[min(i % 7, 2)], cutoff=cutoff)
+    a, b = states[int(rng.integers(4))], states[int(rng.integers(4))]
+    print("bsm", i, m, n, cutoff, a.name, b.name, repr(bsm_outcome_distribution(m, n, a, b, link)))
+"""
+
 
 # the default scan's md5, after the kernel numpy's bundled OpenBLAS runs, by public API only
 KERNEL_SCAN = """
@@ -333,6 +375,7 @@ def main() -> int:
             "fingerprints": lambda tree: run(tree, "-c", FINGERPRINTS, "2101"),
             "optimized": lambda tree: run(tree, "-c", OPTIMIZED, "2201"),
             "bounds": lambda tree: run(tree, "-c", BOUNDS, "2401"),
+            "tables": lambda tree: run(tree, "-c", TABLES, "2901"),
         }
         print(f"REV {rev} ({commit[:12]}) against the working tree of {ROOT}")
         differs = 0
