@@ -167,9 +167,9 @@ def thin(m: int, survival: float) -> np.ndarray:
     )
 
 
-# C(m, k), 0.0 where k > m, and the photons lost, m - k (0 there), for counts up to the cap
-_LOST = np.maximum(np.subtract.outer(np.arange(SAFETY_CAP + 1), np.arange(SAFETY_CAP + 1)), 0)
-_BINOMIALS = np.vectorize(math.comb)(*np.indices(_LOST.shape)).astype(float)
+_COUNTS = range(SAFETY_CAP + 1)  # C(m, k), 0.0 where k > m, and the photons lost, m - k (0 there)
+_BINOMIALS = np.array([[math.comb(m, k) for k in _COUNTS] for m in _COUNTS], dtype=float)
+_LOST = np.array([[max(m - k, 0) for k in _COUNTS] for m in _COUNTS])
 
 
 # one slot: a link's two tables, built back to back, share one matrix
@@ -307,7 +307,7 @@ def _group_sums(parts: list[np.ndarray]) -> np.ndarray:
     return amps
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # a sweep of photon counts beyond the cutoff builds one per pair of caps
 def _term_plan(states_a: tuple[BB84State, ...], n_b: int, cap_a: int, cap_b: int):
     """_pair_tables' relay-independent half, slot-major (module docstring), read-only: each
     kept term's Alice factor and index into Bob's flat pair_v, each group's normalisation,
