@@ -278,10 +278,11 @@ def _pattern_terms(cap_a: int, cap_b: int) -> tuple[np.ndarray, ...]:
 
 def _slot_layout(counts: np.ndarray, members: np.ndarray, n_b: int) -> tuple:
     """Items of counts[i] members, listed item by item, slot-major: items stably sorted by count,
-    most first; members by slot, slot s the s-th member of every item with more than s (a
-    prefix); and each slot's (offset, length) with every member repeated n_b times."""
-    order, first = np.argsort(-counts, kind="stable"), np.cumsum(counts) - counts
+    most first (counted, not argsorted); members by slot, slot s the s-th member of every item
+    with more than s (a prefix); and each slot's (offset, length), each member n_b times."""
     sizes = (len(counts) - np.cumsum(np.bincount(counts))[:-1]).tolist()
+    order = np.concatenate([np.flatnonzero(counts == c) for c in range(len(sizes), -1, -1)])
+    first = np.cumsum(counts) - counts
     slotted = [members[first[order[:n]] + s] for s, n in enumerate(sizes)] or [members]
     slots = tuple((int(i) * n_b, n * n_b) for i, n in zip(np.cumsum([0, *sizes]), sizes))
     return order, np.concatenate(slotted), slots
@@ -310,8 +311,8 @@ def _group_sums(parts: list[np.ndarray]) -> np.ndarray:
 @lru_cache(maxsize=16)  # a sweep of photon counts beyond the cutoff builds one per pair of caps
 def _term_plan(states_a: tuple[BB84State, ...], n_b: int, cap_a: int, cap_b: int):
     """_pair_tables' relay-independent half, slot-major (module docstring), read-only: each
-    kept term's Alice factor and index into Bob's flat pair_v, each group's normalisation,
-    each bin's groups, the bins' flat entries, Alice's single-mode factors, and the slots.
+    kept term's Alice factor per Bob state and its (pattern, power pair) row of Bob's pair_v,
+    each group's norm, each bin's groups and flat entries, Alice's single-mode factors, slots.
     A group is an (Alice's state, Bob's state, pattern, (k_a, k_b, n)) sum of _pattern_terms,
     a bin an (Alice's state, Bob's state, pattern, k_a, k_b) entry."""
     coeff, alice, bob, starts, norm, cell, single = _pattern_terms(cap_a, cap_b)
@@ -319,7 +320,7 @@ def _term_plan(states_a: tuple[BB84State, ...], n_b: int, cap_a: int, cap_b: int
     pow_u = u[:, :, None] ** np.arange(cap_a + 1)
     pair_u = (pow_u[:, _PATTERN_I, :, None] * pow_u[:, _PATTERN_J, None, :]).reshape(len(u), 4, -1)
     terms = (coeff * pair_u.take(alice, axis=-1)).reshape(len(u) * 4, -1)
-    counts = np.add.reduceat((terms != 0.0).astype(np.int32), starts, axis=-1)
+    counts = np.add.reduceat((terms != 0.0).astype(np.intp), starts, axis=-1)
     lengths = np.diff(starts, append=len(coeff))
     # slot sums are reduceat's only for groups of at most 9 terms keeping all or at most one
     if lengths.max(initial=0) > 9 or not ((counts == lengths) | (counts <= 1)).all():
@@ -330,12 +331,13 @@ def _term_plan(states_a: tuple[BB84State, ...], n_b: int, cap_a: int, cap_b: int
     per_bin = np.bincount(live // n_groups * size + cell[live % n_groups])
     bin_order, member, bin_slots = _slot_layout(per_bin, live, n_b)
     state_a, entry = np.divmod(bin_order[: np.count_nonzero(per_bin)], 4 * size)
-    by_b, pair = np.arange(n_b), term // len(coeff) % 4 * n_pairs + bob[term % len(coeff)]
+    rank, by_b = np.empty_like(order), np.arange(n_b)
+    rank[order] = np.arange(len(order))  # each group's place in the slot-major order
     plan = (
-        np.repeat(terms[term], n_b),
-        (pair[:, None] + by_b * 4 * n_pairs).ravel(),
+        np.repeat(terms.take(term), n_b),
+        (np.arange(4)[:, None] * n_pairs + bob).ravel().take(term % (4 * len(coeff))),
         np.repeat(norm[order[: len(live)] % n_groups], n_b),
-        (np.argsort(order)[member][:, None] * n_b + by_b).ravel(),
+        (rank[member][:, None] * n_b + by_b).ravel(),
         (((state_a * n_b)[:, None] + by_b) * 4 * size + entry[:, None]).ravel(),
         single * (pow_u * pow_u)[:, None, :, :, None],
     )
@@ -379,11 +381,12 @@ def _pair_tables(
     jones_b = [_rotated(_jones(s), theta) for s in states_b]
     v = np.array([(x, y, -x, -y) for x, y in jones_b]) * _SQRT1_2
     plan = _term_plan(states_a, len(states_b), cap_a, cap_b)
-    factors, take, norm, bin_take, bins, alice_alone, term_slots, bin_slots = plan
+    factors, rows, norm, bin_take, bins, alice_alone, term_slots, bin_slots = plan
     pow_v = v[:, :, None] ** np.arange(cap_b + 1)
     # per state and pattern, every product (power of mode i) * (power of mode j)
     pair_v = pow_v[:, _PATTERN_I, :, None] * pow_v[:, _PATTERN_J, None, :]
-    terms = pair_v.ravel().take(take)
+    # one row per (pattern, power pair), one column per state: each term takes its row
+    terms = pair_v.reshape(len(v), -1).T.copy().take(rows, axis=0).ravel()
     terms *= factors  # in place: one term-sized temporary
     amps = _group_sums([terms[i : i + n] for i, n in term_slots])
     weights = (norm * amps * amps).take(bin_take)
@@ -478,10 +481,7 @@ def yield_table(link: LinkSpec, basis: Basis) -> YieldTable:
     yields = t_mat @ succ @ t_mat.T
     wrong_mixed = t_mat @ wrong @ t_mat.T
     errors = np.divide(
-        wrong_mixed,
-        np.maximum(yields, 1e-300),
-        out=np.zeros_like(wrong_mixed),
-        where=yields > 0,
+        wrong_mixed, np.maximum(yields, 1e-300), out=np.zeros_like(wrong_mixed), where=yields > 0
     )
     yields.flags.writeable = False
     errors.flags.writeable = False
